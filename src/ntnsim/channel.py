@@ -23,7 +23,7 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -190,6 +190,10 @@ class ScenarioTable:
     elevation_grid_deg: tuple[float, ...]
     rows: dict[Scenario, tuple[ScenarioRow, ...]]
     version: str = "unversioned"
+    # Per scenario, one tuple per ScenarioRow field over the grid; built once.
+    _columns: dict[Scenario, tuple[tuple[float, ...], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         grid = self.elevation_grid_deg
@@ -210,24 +214,22 @@ class ScenarioTable:
                     raise TableFormatError(f"p_los out of [0, 1]: {r.p_los}")
                 if min(r.clutter_los_db, r.clutter_nlos_db, r.shadow_sigma_db) < 0:
                     raise TableFormatError("clutter and sigma values must be >= 0")
+        columns = {
+            scenario: tuple(
+                tuple(getattr(r, f.name) for r in rows) for f in fields(ScenarioRow)
+            )
+            for scenario, rows in self.rows.items()
+        }
+        object.__setattr__(self, "_columns", columns)
 
     def cell(self, scenario: Scenario, elevation_deg: float) -> ScenarioRow:
         """Row for one scenario at one elevation, interpolating each column."""
         _check_elevation(elevation_deg)
-        rows = self.rows[scenario]
         grid = self.elevation_grid_deg
-        return ScenarioRow(
-            p_los=_interpolate(elevation_deg, grid, tuple(r.p_los for r in rows)),
-            clutter_los_db=_interpolate(
-                elevation_deg, grid, tuple(r.clutter_los_db for r in rows)
-            ),
-            clutter_nlos_db=_interpolate(
-                elevation_deg, grid, tuple(r.clutter_nlos_db for r in rows)
-            ),
-            shadow_sigma_db=_interpolate(
-                elevation_deg, grid, tuple(r.shadow_sigma_db for r in rows)
-            ),
-        )
+        return ScenarioRow(*(
+            _interpolate(elevation_deg, grid, column)
+            for column in self._columns[scenario]
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -36,17 +36,6 @@ class StationClass(enum.Enum):
     GEO = "geo"
 
 
-# (class, low_km, high_km), both ends inclusive; listed in ascending order.
-_ALTITUDE_BANDS = (
-    (StationClass.GROUND_TERMINAL, 0.0, 0.0),
-    (StationClass.UAV, 0.0, 10.0),  # lower end exclusive, see classify_station
-    (StationClass.HAP, 17.0, 25.0),
-    (StationClass.LEO, 200.0, 2000.0),
-    (StationClass.MEO, 2000.0, 35000.0),  # lower end exclusive
-    (StationClass.GEO, 35700.0, 35900.0),
-)
-
-
 def classify_station(altitude_km: float) -> StationClass:
     """Map an altitude to its station class.
 

@@ -14,7 +14,9 @@ All commands emit CSV (see emit_csv) to --out or stdout. Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ..channel import (
@@ -25,7 +27,6 @@ from ..channel import (
 from ..errors import (
     ChainError,
     ConfigError,
-    DomainError,
     NtnSimError,
     PresetError,
     SpecError,
@@ -33,7 +34,7 @@ from ..errors import (
     TableFormatError,
 )
 from ..geometry import LinkGeometry
-from ..linkbudget import LinkResult, RadioConfig
+from ..linkbudget import LinkResult, RadioConfig, evaluate_link
 from ..relay import RelayChain, RelayHop, RelayMode, evaluate_chain
 from .config import load_fig_defaults
 from .presets import PRESET_NAMES, preset
@@ -41,9 +42,9 @@ from .sweep import (
     EXTRA_COLUMNS,
     METRIC_COLUMNS,
     SweepResult,
-    SweepSpec,
     emit_csv,
     load_sweep_spec,
+    result_row,
     run_sweep,
 )
 
@@ -51,6 +52,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SPEC = 3
+
+# Columns after the inputs in the one-row output of link and chain.
+_SINGLE_COLUMNS = METRIC_COLUMNS + tuple(c for c in EXTRA_COLUMNS if c != "error")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,26 +71,40 @@ class SystemExit_(Exception):
         self.message = message
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _finite(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _bandwidth(text: str) -> float | None:
+    """argparse type of --bandwidth: 'auto' (None) or a finite number."""
+    return None if text.lower() == "auto" else _finite(text)
+
+
+def _add_common(parser: argparse.ArgumentParser, seeded: bool = True) -> None:
     parser.add_argument("--tables", metavar="DIR", help="directory with table files")
     parser.add_argument("--out", metavar="FILE", help="output file (default stdout)")
-    parser.add_argument("--seed", type=int, help="seed for sampled excess mode")
-    parser.add_argument(
-        "--format", choices=["csv"], default="csv", help="output format"
-    )
+    if seeded:
+        parser.add_argument("--seed", type=int, help="seed for sampled excess mode")
 
 
 def _add_radio_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fc", type=float, required=True, help="carrier (GHz)")
+    parser.add_argument("--fc", type=_finite, required=True, help="carrier (GHz)")
     parser.add_argument("--scenario", default="dense_urban", help="ground scenario")
-    parser.add_argument("--txpow", type=float, help="transmit power (dBm)")
-    parser.add_argument("--gtx", type=float, help="transmit gain (dBi)")
+    parser.add_argument("--txpow", type=_finite, help="transmit power (dBm)")
+    parser.add_argument("--gtx", type=_finite, help="transmit gain (dBi)")
     gain = parser.add_mutually_exclusive_group()
-    gain.add_argument("--grx", type=float, help="receive gain (dBi)")
-    gain.add_argument("--got", type=float, help="receive G/T (dBi/K)")
-    parser.add_argument("--temp", type=float, help="system noise temperature (K)")
+    gain.add_argument("--grx", type=_finite, help="receive gain (dBi)")
+    gain.add_argument("--got", type=_finite, help="receive G/T (dBi/K)")
+    parser.add_argument("--temp", type=_finite, help="system noise temperature (K)")
     parser.add_argument(
-        "--bandwidth", default="auto", help="bandwidth in Hz, or 'auto'"
+        "--bandwidth", type=_bandwidth, help="bandwidth in Hz, or 'auto' (default)"
     )
 
 
@@ -95,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     link = sub.add_parser("link", help="evaluate one ground-to-station link")
-    link.add_argument("--alt", type=float, required=True, help="station altitude (km)")
-    link.add_argument("--elev", type=float, required=True, help="elevation (deg)")
+    link.add_argument("--alt", type=_finite, required=True, help="station altitude (km)")
+    link.add_argument("--elev", type=_finite, required=True, help="elevation (deg)")
     _add_radio_flags(link)
     _add_common(link)
 
@@ -115,13 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a sweep spec file")
     sweep.add_argument("--spec", required=True, metavar="FILE")
-    sweep.add_argument("--workers", type=int, default=1)
     _add_common(sweep)
 
     pre = sub.add_parser("preset", help="run a built-in figure preset")
     pre.add_argument("--name", required=True, help="|".join(PRESET_NAMES))
-    pre.add_argument("--workers", type=int, default=1)
-    _add_common(pre)
+    _add_common(pre, seeded=False)
 
     return parser
 
@@ -140,7 +156,6 @@ def _radio_from_args(args) -> RadioConfig:
     fx = load_fig_defaults()
     txpow = args.txpow if args.txpow is not None else fx.tx_power_dbm
     gtx = args.gtx if args.gtx is not None else fx.g_tx_dbi
-    bandwidth = None if args.bandwidth.lower() == "auto" else float(args.bandwidth)
     if args.grx is None and args.got is None:
         raise ConfigError("one of --grx or --got is required")
     temp = None
@@ -153,47 +168,21 @@ def _radio_from_args(args) -> RadioConfig:
         g_rx_dbi=args.grx,
         g_over_t_dbi_per_k=args.got,
         noise_temperature_k=temp,
-        bandwidth_hz=bandwidth,
+        bandwidth_hz=args.bandwidth,
     )
-
-
-def _single_result_table(result: LinkResult, inputs: dict[str, object]) -> SweepResult:
-    schema = tuple(inputs) + METRIC_COLUMNS + tuple(
-        c for c in EXTRA_COLUMNS if c != "error"
-    )
-    row = dict(inputs)
-    row.update(
-        {
-            "fspl_db": result.breakdown.fspl_db,
-            "gas_db": result.breakdown.gas_db,
-            "scintillation_db": result.breakdown.scintillation_db,
-            "excess_db": result.breakdown.excess_db,
-            "total_db": result.breakdown.total_db,
-            "snr_db": result.snr_db,
-            "capacity_bps": result.capacity_bps,
-            "slant_range_km": (
-                sum(h.geometry.slant_range_km for h in result.hops)
-                if result.hops
-                else result.geometry.slant_range_km
-            ),
-            "bandwidth_hz": result.bandwidth_hz,
-            "label": result.label,
-        }
-    )
-    return SweepResult(schema=schema, rows=(row,))
 
 
 def _emit(result: SweepResult, args) -> None:
-    if args.out:
-        emit_csv(result, args.out)
-    else:
-        emit_csv(result, sys.stdout)
+    emit_csv(result, args.out or sys.stdout)
+
+
+def _emit_single(result: LinkResult, inputs: dict[str, object], args) -> None:
+    row = {**inputs, **result_row(result)}
+    _emit(SweepResult(schema=tuple(inputs) + _SINGLE_COLUMNS, rows=(row,)), args)
 
 
 def _cmd_link(args) -> int:
     table, scenario_table = _tables(args)
-    from ..linkbudget import evaluate_link
-
     geometry = LinkGeometry.from_endpoints(0.0, args.alt, args.elev)
     radio = _radio_from_args(args)
     result = evaluate_link(
@@ -210,7 +199,7 @@ def _cmd_link(args) -> int:
         "fc_ghz": args.fc,
         "scenario": args.scenario,
     }
-    _emit(_single_result_table(result, inputs), args)
+    _emit_single(result, inputs, args)
     return EXIT_OK
 
 
@@ -246,7 +235,7 @@ def _cmd_chain(args) -> int:
         "fc_ghz": args.fc,
         "scenario": args.scenario,
     }
-    _emit(_single_result_table(result, inputs), args)
+    _emit_single(result, inputs, args)
     return EXIT_OK
 
 
@@ -254,21 +243,14 @@ def _cmd_sweep(args) -> int:
     table, scenario_table = _tables(args)
     spec = load_sweep_spec(args.spec)
     if args.seed is not None:
-        spec = SweepSpec(
-            axes=spec.axes,
-            fixed=spec.fixed,
-            output_schema=spec.output_schema,
-            seed=args.seed,
-            provenance=spec.provenance,
-        )
-    _emit(run_sweep(spec, table, scenario_table, workers=args.workers), args)
+        spec = replace(spec, seed=args.seed)
+    _emit(run_sweep(spec, table, scenario_table), args)
     return EXIT_OK
 
 
 def _cmd_preset(args) -> int:
     table, scenario_table = _tables(args)
-    spec = preset(args.name)
-    _emit(run_sweep(spec, table, scenario_table, workers=args.workers), args)
+    _emit(run_sweep(preset(args.name), table, scenario_table), args)
     return EXIT_OK
 
 
@@ -298,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecError, PresetError) as exc:
         print(f"ntnsim: spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except (DomainError, ChainError, ConfigError, NtnSimError) as exc:
+    except NtnSimError as exc:
         print(f"ntnsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

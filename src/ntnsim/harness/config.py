@@ -10,13 +10,13 @@ not warnings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..linkbudget import RadioConfig
 
-DEFAULT_G_TX_DBI = 39.7
 DEFAULT_EXCESS_MODE = "expected"
 
 
@@ -81,7 +81,7 @@ class ResolvedParams:
     """A config file with defaults applied."""
 
     tx_power_dbm: float
-    g_tx_dbi: float = DEFAULT_G_TX_DBI
+    g_tx_dbi: float = RadioConfig.g_tx_dbi
     g_rx_dbi: float | None = None
     g_over_t_dbi_per_k: float | None = None
     noise_temperature_k: float | None = None
@@ -149,6 +149,3 @@ def load_fig_defaults() -> ResolvedParams:
     )
     return resolve_params(parse_kv_lines(text, "fig_defaults.cfg"), "fig_defaults.cfg")
 
-
-def params_as_dict(params: ResolvedParams) -> dict[str, object]:
-    return {f.name: getattr(params, f.name) for f in fields(params)}

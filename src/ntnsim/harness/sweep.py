@@ -1,7 +1,7 @@
 """Cartesian parameter sweeps with deterministic CSV emission.
 
 Row order is the product of the axes in declaration order (first axis
-slowest), independent of how the grid points are evaluated. A grid
+slowest). A grid
 point that fails to evaluate produces a row whose metric columns are
 empty and whose `error` column carries the reason; the sweep continues.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,17 +23,18 @@ from .config import parse_float, parse_sections
 
 AXIS_NAMES = ("altitude_km", "fc_ghz", "elevation_deg", "g_rx_dbi", "scenario", "mode")
 
-_RADIO_FIXED_KEYS = {
+_RADIO_KEYS = (
+    "fc_ghz",
     "tx_power_dbm",
     "g_tx_dbi",
     "g_rx_dbi",
     "g_over_t_dbi_per_k",
     "noise_temperature_k",
     "bandwidth_hz",
-}
+)
 FIXED_KEYS = (
     set(AXIS_NAMES)
-    | _RADIO_FIXED_KEYS
+    | set(_RADIO_KEYS)
     | {"excess_mode", "hap_altitude_km", "relay_mode"}
 )
 
@@ -148,19 +148,12 @@ class SweepResult:
 
 
 def _build_radio(params: dict[str, object]) -> RadioConfig:
-    return RadioConfig(
-        fc_ghz=float(params["fc_ghz"]),
-        tx_power_dbm=float(params["tx_power_dbm"]),
-        g_tx_dbi=float(params.get("g_tx_dbi", 39.7)),
-        g_rx_dbi=_opt_float(params.get("g_rx_dbi")),
-        g_over_t_dbi_per_k=_opt_float(params.get("g_over_t_dbi_per_k")),
-        noise_temperature_k=_opt_float(params.get("noise_temperature_k")),
-        bandwidth_hz=_opt_float(params.get("bandwidth_hz")),
-    )
-
-
-def _opt_float(value: object) -> float | None:
-    return None if value is None else float(value)
+    # Keys absent from the spec fall back to the RadioConfig defaults.
+    return RadioConfig(**{
+        key: float(value)
+        for key in _RADIO_KEYS
+        if (value := params.get(key)) is not None
+    })
 
 
 def _evaluate_point(
@@ -201,7 +194,8 @@ def _evaluate_point(
     )
 
 
-def _row_from_result(result: LinkResult) -> dict[str, object]:
+def result_row(result: LinkResult) -> dict[str, object]:
+    """Metric and extra columns of one evaluated link or chain."""
     slant = (
         sum(h.geometry.slant_range_km for h in result.hops)
         if result.hops
@@ -222,48 +216,41 @@ def _row_from_result(result: LinkResult) -> dict[str, object]:
     }
 
 
+# Metric and extra columns of a row whose point failed to evaluate.
+_FAILED_ROW = {
+    **dict.fromkeys(METRIC_COLUMNS + ("slant_range_km", "bandwidth_hz")),
+    "label": "",
+}
+
+
 def run_sweep(
     spec: SweepSpec,
     table: AtmosphereTable,
     scenario_table: ScenarioTable | None = None,
-    workers: int = 1,
 ) -> SweepResult:
-    """Evaluate every grid point of a sweep spec.
-
-    Output row order is fixed by the spec; with workers > 1 the points
-    are evaluated on a thread pool and gathered back into that order.
-    """
+    """Evaluate every grid point of a sweep spec, in the spec's row order."""
     _validate_spec(spec)
     if scenario_table is None:
         scenario_table = load_scenario_table()
     sampled = spec.fixed.get("excess_mode", "expected") == "sampled"
-
     axis_names = spec.axis_names()
-    points = list(itertools.product(*(values for _, values in spec.axes)))
 
-    def evaluate(indexed: tuple[int, tuple]) -> dict[str, object]:
-        index, combo = indexed
+    def evaluate(index: int, combo: tuple) -> dict[str, object]:
         params = dict(spec.fixed)
         params.update(zip(axis_names, combo))
         seed = (spec.seed ^ index) if sampled else None
         row: dict[str, object] = dict(zip(axis_names, combo))
         try:
-            row.update(_row_from_result(
+            row.update(result_row(
                 _evaluate_point(params, table, scenario_table, seed)
             ))
         except NtnSimError as exc:
-            row.update({col: None for col in METRIC_COLUMNS})
-            row.update({col: None for col in ("slant_range_km", "bandwidth_hz")})
-            row["label"] = ""
+            row.update(_FAILED_ROW)
             row["error"] = str(exc)
         return row
 
-    indexed_points = list(enumerate(points))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(evaluate, indexed_points))
-    else:
-        rows = tuple(evaluate(p) for p in indexed_points)
+    points = itertools.product(*(values for _, values in spec.axes))
+    rows = tuple(evaluate(index, combo) for index, combo in enumerate(points))
 
     provenance = spec.provenance + (
         f"atmosphere table version: {table.version}",

@@ -1,8 +1,17 @@
 """CLI tests: subcommands, output shape, exit codes."""
 
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
+import pytest
+
+import ntnsim
+from ntnsim.harness import SweepSpec, load_fig_defaults, run_sweep
 from ntnsim.harness.cli import main
+from ntnsim.harness.sweep import EXTRA_COLUMNS, METRIC_COLUMNS, format_value
 
 
 def run_cli(capsys, *argv):
@@ -161,3 +170,120 @@ class TestTablesFlag:
             "--got", "15.9", "--tables", str(tmp_path / "absent"),
         )
         assert code == 2
+
+
+class TestSingleRowMatchesSweep:
+    """link and chain rows equal the run_sweep row for the same point."""
+
+    COLUMNS = METRIC_COLUMNS + tuple(c for c in EXTRA_COLUMNS if c != "error")
+
+    def sweep_row(self, atm_table, scen_table, **fixed):
+        fx = load_fig_defaults()
+        spec = SweepSpec(
+            axes=(("altitude_km", (fixed.pop("altitude_km"),)),),
+            fixed=dict(
+                fc_ghz=20.0,
+                scenario="dense_urban",
+                g_over_t_dbi_per_k=15.9,
+                tx_power_dbm=fx.tx_power_dbm,
+                g_tx_dbi=fx.g_tx_dbi,
+                **fixed,
+            ),
+        )
+        (row,) = run_sweep(spec, atm_table, scen_table).rows
+        assert not row["error"]
+        return {c: format_value(row[c]) for c in self.COLUMNS}
+
+    def test_link_row(self, capsys, atm_table, scen_table):
+        code, out, _ = run_cli(
+            capsys,
+            "link", "--alt", "600", "--elev", "30", "--fc", "20",
+            "--scenario", "dense_urban", "--got", "15.9", "--txpow", "18",
+        )
+        assert code == 0
+        (row,) = csv_rows(out)
+        expected = self.sweep_row(
+            atm_table, scen_table, altitude_km=600.0, elevation_deg=30.0
+        )
+        assert {c: row[c] for c in self.COLUMNS} == expected
+
+    def test_chain_row(self, capsys, atm_table, scen_table):
+        code, out, _ = run_cli(
+            capsys,
+            "chain", "--hop", "1200:10", "--hop", "20:10", "--mode", "af",
+            "--fc", "20", "--scenario", "dense_urban", "--got", "15.9",
+        )
+        assert code == 0
+        (row,) = csv_rows(out)
+        expected = self.sweep_row(
+            atm_table,
+            scen_table,
+            altitude_km=1200.0,
+            elevation_deg=10.0,
+            mode="relay",
+            hap_altitude_km=20.0,
+            relay_mode="af",
+        )
+        assert {c: row[c] for c in self.COLUMNS} == expected
+
+
+LINK = ("link", "--alt", "600", "--elev", "30", "--fc", "20", "--got", "15.9")
+GRX_LINK = (
+    "link", "--alt", "600", "--elev", "30", "--fc", "20", "--grx", "50",
+    "--temp", "290",
+)
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "extra",
+        [("--txpow", "nan"), ("--bandwidth", "inf"), ("--bandwidth", "abc")],
+    )
+    def test_bad_float_exits_1_without_traceback(self, extra):
+        env = dict(os.environ, PYTHONPATH=str(Path(ntnsim.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ntnsim.harness.cli", *LINK, *extra],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "finite number" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--alt", "--elev", "--fc", "--txpow", "--gtx", "--grx", "--got",
+         "--temp", "--bandwidth"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e999", "x"])
+    def test_every_float_flag_rejects_bad_values(self, capsys, flag, value):
+        argv = list(LINK if flag == "--got" else GRX_LINK)
+        if flag in argv:
+            del argv[argv.index(flag):argv.index(flag) + 2]
+        argv.append(f"{flag}={value}")  # '=' lets argparse take "-inf"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: expected a finite number" in err
+
+    def test_bandwidth_auto_still_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, *LINK, "--bandwidth", "AUTO")
+        assert code == 0
+        (row,) = csv_rows(out)
+        assert row["bandwidth_hz"] == "8e+08"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("preset", "--name", "fig3", "--workers", "2"),
+            ("preset", "--name", "fig3", "--seed", "1"),
+            ("preset", "--name", "fig3", "--format", "csv"),
+            (*LINK, "--format", "csv"),
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
