@@ -273,11 +273,14 @@ def _read_table_lines(text: str, name: str) -> tuple[list[str], str]:
     return data_lines, version
 
 
-def _parse_floats(fields: list[str], line: str, name: str) -> list[float]:
+def _table_numbers(fields: list[str], line: str, name: str) -> list[float]:
     try:
-        return [float(f) for f in fields]
-    except ValueError as exc:
-        raise TableFormatError(f"{name}: bad numeric field in line {line!r}") from exc
+        numbers = [float(f) for f in fields]
+    except ValueError:
+        numbers = [math.nan]
+    if not all(map(math.isfinite, numbers)):
+        raise TableFormatError(f"{name}: bad numeric field in line {line!r}")
+    return numbers
 
 
 def parse_atmosphere_table(text: str, name: str = "atmosphere table") -> AtmosphereTable:
@@ -292,7 +295,7 @@ def parse_atmosphere_table(text: str, name: str = "atmosphere table") -> Atmosph
                 f"{name}: expected 3 columns "
                 f"(frequency_ghz zenith_gas_db scint_ref_db), got {line!r}"
             )
-        f, g, s = _parse_floats(fields, line, name)
+        f, g, s = _table_numbers(fields, line, name)
         freqs.append(f)
         gas.append(g)
         scint.append(s)
@@ -315,7 +318,7 @@ def parse_scenario_table(text: str, name: str = "scenario table") -> ScenarioTab
                 f"clutter_los_db clutter_nlos_db shadow_sigma_db), got {line!r}"
             )
         scenario = Scenario.from_name(fields[0])
-        elev, p, los, nlos, sigma = _parse_floats(fields[1:], line, name)
+        elev, p, los, nlos, sigma = _table_numbers(fields[1:], line, name)
         if elev in cells[scenario]:
             raise TableFormatError(
                 f"{name}: duplicate row for {scenario.value} at {elev:g} deg"

@@ -145,7 +145,6 @@ class LinkGeometry:
     elevation_deg: float
     slant_range_km: float
     one_way_delay_ms: float
-    earth_radius_km: float = EARTH_RADIUS_KM
 
     @classmethod
     def from_endpoints(

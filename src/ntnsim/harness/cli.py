@@ -14,16 +14,11 @@ All commands emit CSV (see emit_csv) to --out or stdout. Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ..channel import (
-    Scenario,
-    load_atmosphere_table,
-    load_scenario_table,
-)
+from ..channel import load_atmosphere_table, load_scenario_table
 from ..errors import (
     ChainError,
     ConfigError,
@@ -33,10 +28,10 @@ from ..errors import (
     TableDomainError,
     TableFormatError,
 )
-from ..geometry import LinkGeometry
+from ..geometry import LinkGeometry, classify_station
 from ..linkbudget import LinkResult, RadioConfig, evaluate_link
-from ..relay import RelayChain, RelayHop, RelayMode, evaluate_chain
-from .config import load_fig_defaults
+from ..relay import RelayChain, RelayHop, evaluate_chain
+from .config import PARAMETERS, finite_number, load_fig_defaults
 from .presets import PRESET_NAMES, preset
 from .sweep import (
     EXTRA_COLUMNS,
@@ -71,40 +66,42 @@ class SystemExit_(Exception):
         self.message = message
 
 
-def _finite(text: str) -> float:
-    """argparse type of every float flag: a finite number."""
-    try:
-        value = float(text)
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+def _flag(key: str):
+    """argparse type of a flag: the parameter table's parser for key."""
 
+    def flag_type(text: str):
+        try:
+            return PARAMETERS[key](text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-def _bandwidth(text: str) -> float | None:
-    """argparse type of --bandwidth: 'auto' (None) or a finite number."""
-    return None if text.lower() == "auto" else _finite(text)
+    return flag_type
 
 
 def _add_common(parser: argparse.ArgumentParser, seeded: bool = True) -> None:
     parser.add_argument("--tables", metavar="DIR", help="directory with table files")
     parser.add_argument("--out", metavar="FILE", help="output file (default stdout)")
     if seeded:
-        parser.add_argument("--seed", type=int, help="seed for sampled excess mode")
+        parser.add_argument("--seed", type=_flag("seed"), help="seed for sampled excess mode")
 
 
 def _add_radio_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fc", type=_finite, required=True, help="carrier (GHz)")
-    parser.add_argument("--scenario", default="dense_urban", help="ground scenario")
-    parser.add_argument("--txpow", type=_finite, help="transmit power (dBm)")
-    parser.add_argument("--gtx", type=_finite, help="transmit gain (dBi)")
-    gain = parser.add_mutually_exclusive_group()
-    gain.add_argument("--grx", type=_finite, help="receive gain (dBi)")
-    gain.add_argument("--got", type=_finite, help="receive G/T (dBi/K)")
-    parser.add_argument("--temp", type=_finite, help="system noise temperature (K)")
+    parser.add_argument("--fc", type=_flag("fc_ghz"), required=True, help="carrier (GHz)")
     parser.add_argument(
-        "--bandwidth", type=_bandwidth, help="bandwidth in Hz, or 'auto' (default)"
+        "--scenario", type=_flag("scenario"), default="dense_urban", help="ground scenario"
+    )
+    parser.add_argument("--txpow", type=_flag("tx_power_dbm"), help="transmit power (dBm)")
+    parser.add_argument("--gtx", type=_flag("g_tx_dbi"), help="transmit gain (dBi)")
+    gain = parser.add_mutually_exclusive_group()
+    gain.add_argument("--grx", type=_flag("g_rx_dbi"), help="receive gain (dBi)")
+    gain.add_argument("--got", type=_flag("g_over_t_dbi_per_k"), help="receive G/T (dBi/K)")
+    parser.add_argument(
+        "--temp", type=_flag("noise_temperature_k"), help="system noise temperature (K)"
+    )
+    parser.add_argument(
+        "--bandwidth",
+        type=_flag("bandwidth_hz"),
+        help="bandwidth in Hz, or 'auto' (default)",
     )
 
 
@@ -113,8 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     link = sub.add_parser("link", help="evaluate one ground-to-station link")
-    link.add_argument("--alt", type=_finite, required=True, help="station altitude (km)")
-    link.add_argument("--elev", type=_finite, required=True, help="elevation (deg)")
+    link.add_argument(
+        "--alt", type=_flag("altitude_km"), required=True, help="station altitude (km)"
+    )
+    link.add_argument(
+        "--elev", type=_flag("elevation_deg"), required=True, help="elevation (deg)"
+    )
     _add_radio_flags(link)
     _add_common(link)
 
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one hop: upper altitude (km) and elevation (deg) at its lower "
         "end; repeat top-down, the last hop descends to the ground",
     )
-    chain.add_argument("--mode", choices=["af", "df"], default="af")
+    chain.add_argument("--mode", type=_flag("relay_mode"), default="af", metavar="{af,df}")
     _add_radio_flags(chain)
     _add_common(chain)
 
@@ -182,13 +183,14 @@ def _emit_single(result: LinkResult, inputs: dict[str, object], args) -> None:
 
 
 def _cmd_link(args) -> int:
+    classify_station(args.alt)  # the altitude check run_sweep applies
     table, scenario_table = _tables(args)
     geometry = LinkGeometry.from_endpoints(0.0, args.alt, args.elev)
     radio = _radio_from_args(args)
     result = evaluate_link(
         geometry,
         radio,
-        Scenario.from_name(args.scenario),
+        args.scenario,
         table,
         scenario_table=scenario_table,
         sampled_seed=args.seed,
@@ -207,10 +209,13 @@ def _parse_hops(specs: list[str], radio: RadioConfig) -> tuple[RelayHop, ...]:
     stations: list[tuple[float, float]] = []
     for spec in specs:
         try:
-            alt_s, elev_s = spec.split(":")
-            stations.append((float(alt_s), float(elev_s)))
+            alt, elev = (finite_number(part) for part in spec.split(":"))
         except ValueError:
-            raise ChainError(f"--hop expects ALT:ELEV, got {spec!r}") from None
+            raise ChainError(
+                f"--hop expects ALT:ELEV, two finite numbers, got {spec!r}"
+            ) from None
+        classify_station(alt)  # the altitude check run_sweep applies
+        stations.append((alt, elev))
     hops = []
     for i, (alt, elev) in enumerate(stations):
         low = stations[i + 1][0] if i + 1 < len(stations) else 0.0
@@ -219,13 +224,10 @@ def _parse_hops(specs: list[str], radio: RadioConfig) -> tuple[RelayHop, ...]:
 
 
 def _cmd_chain(args) -> int:
-    table, scenario_table = _tables(args)
     radio = _radio_from_args(args)
-    chain = RelayChain(
-        hops=_parse_hops(args.hop, radio),
-        mode=RelayMode(args.mode),
-        scenario=Scenario.from_name(args.scenario),
-    )
+    hops = _parse_hops(args.hop, radio)
+    table, scenario_table = _tables(args)
+    chain = RelayChain(hops=hops, mode=args.mode, scenario=args.scenario)
     result = evaluate_chain(
         chain, table, scenario_table, sampled_seed=args.seed
     )

@@ -4,18 +4,21 @@ Grammar (documented in data/FORMATS.md): blank lines and '#' comments
 are ignored; a line is either `[section]` or `key = value`. Section
 headers are organisational only; keys must be unique across the whole
 file and are validated against a whitelist. Unknown keys are errors,
-not warnings.
+not warnings. PARAMETERS checks and types every value, here as in sweep
+specs and CLI flags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
+from ..channel import Scenario
 from ..errors import ConfigError
 from ..linkbudget import RadioConfig
+from ..relay import RelayMode
 
 DEFAULT_EXCESS_MODE = "expected"
 
@@ -66,14 +69,62 @@ def parse_kv_lines(
     return out
 
 
-def parse_float(value: str, key: str, name: str, lineno: int) -> float:
+def finite_number(value: object) -> float:
+    """A finite float from text or a number; ValueError otherwise."""
     try:
-        result = float(value)
+        number = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _auto_or_number(value: object) -> float | None:
+    if value is None or str(value).strip().lower() == "auto":
+        return None  # Auto
+    return finite_number(value)
+
+
+def _integer(value: object) -> int:
+    try:
+        return int(str(value))  # through str, so that 2.5 is not truncated
     except ValueError:
-        raise ConfigError(f"{name}:{lineno}: {key} must be a number, got {value!r}") from None
-    if not math.isfinite(result):
-        raise ConfigError(f"{name}:{lineno}: {key} must be finite, got {value!r}")
-    return result
+        raise ValueError(f"expected an integer, got {value!r}") from None
+
+
+def _word(*choices: str):
+    def parse(value: object) -> str:
+        word = str(value).strip().lower()
+        if word not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return word
+
+    return parse
+
+
+_relay_word = _word(*(mode.value for mode in RelayMode))
+
+# Every parameter of config files, sweep specs and CLI flags, with the
+# parser that checks and types its value; a parser raises ValueError.
+PARAMETERS = {
+    **dict.fromkeys(("altitude_km", "elevation_deg", "hap_altitude_km"), finite_number),
+    **{f.name: finite_number for f in fields(RadioConfig)},
+    "bandwidth_hz": _auto_or_number,  # in place of the RadioConfig entry
+    "scenario": lambda v: v if isinstance(v, Scenario) else Scenario.from_name(str(v)),
+    "mode": _word("direct", "relay"),
+    "relay_mode": lambda v: RelayMode(_relay_word(v)),
+    "excess_mode": _word("expected", "sampled"),
+    "seed": _integer,
+}
+
+
+def parse_value(key: str, value: object, error_cls: type, where: str = "") -> object:
+    """Check and type one value of a known key; where prefixes the error."""
+    try:
+        return PARAMETERS[key](value)
+    except ValueError as exc:
+        raise error_cls(f"{where}{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -90,43 +141,17 @@ class ResolvedParams:
     seed: int | None = None
 
 
-_FLOAT_KEYS = {
-    "tx_power_dbm",
-    "g_tx_dbi",
-    "g_rx_dbi",
-    "g_over_t_dbi_per_k",
-    "noise_temperature_k",
-}
-CONFIG_KEYS = _FLOAT_KEYS | {"bandwidth_hz", "excess_mode", "seed"}
+_CONFIG_KEYS = frozenset(f.name for f in fields(ResolvedParams))
 
 
 def resolve_params(kv: dict[str, tuple[str, int]], name: str) -> ResolvedParams:
     """Validate parsed key/value pairs and apply defaults."""
     values: dict[str, object] = {}
     for key, (value, lineno) in kv.items():
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{name}:{lineno}: unknown key {key!r}")
-        if key in _FLOAT_KEYS:
-            values[key] = parse_float(value, key, name, lineno)
-        elif key == "bandwidth_hz":
-            values[key] = None if value.lower() == "auto" else parse_float(
-                value, key, name, lineno
-            )
-        elif key == "excess_mode":
-            mode = value.lower()
-            if mode not in ("expected", "sampled"):
-                raise ConfigError(
-                    f"{name}:{lineno}: excess_mode must be 'expected' or "
-                    f"'sampled', got {value!r}"
-                )
-            values[key] = mode
-        elif key == "seed":
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{name}:{lineno}: seed must be an integer, got {value!r}"
-                ) from None
+        where = f"{name}:{lineno}: "
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{where}unknown key {key!r}")
+        values[key] = parse_value(key, value, ConfigError, where)
     if "tx_power_dbm" not in values:
         raise ConfigError(f"{name}: missing required key 'tx_power_dbm'")
     return ResolvedParams(**values)  # type: ignore[arg-type]

@@ -9,34 +9,22 @@ empty and whose `error` column carries the reason; the sweep continues.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from ..channel import AtmosphereTable, Scenario, ScenarioTable, load_scenario_table
+from ..channel import AtmosphereTable, ScenarioTable, load_scenario_table
 from ..errors import NtnSimError, SpecError
 from ..geometry import LinkGeometry, classify_station
 from ..linkbudget import LinkResult, RadioConfig, evaluate_link
-from ..relay import RelayChain, RelayHop, RelayMode, evaluate_chain
-from .config import parse_float, parse_sections
+from ..relay import RelayChain, RelayHop, evaluate_chain
+from .config import DEFAULT_EXCESS_MODE, PARAMETERS, parse_sections, parse_value
 
 AXIS_NAMES = ("altitude_km", "fc_ghz", "elevation_deg", "g_rx_dbi", "scenario", "mode")
 
-_RADIO_KEYS = (
-    "fc_ghz",
-    "tx_power_dbm",
-    "g_tx_dbi",
-    "g_rx_dbi",
-    "g_over_t_dbi_per_k",
-    "noise_temperature_k",
-    "bandwidth_hz",
-)
-FIXED_KEYS = (
-    set(AXIS_NAMES)
-    | set(_RADIO_KEYS)
-    | {"excess_mode", "hap_altitude_km", "relay_mode"}
-)
+_RADIO_FIELDS = tuple(f.name for f in fields(RadioConfig))
 
 METRIC_COLUMNS = (
     "fspl_db",
@@ -52,6 +40,8 @@ EXTRA_COLUMNS = ("slant_range_km", "bandwidth_hz", "label", "error")
 
 MODE_DIRECT = "direct"
 MODE_RELAY = "relay"
+# Fixed parameters a spec may leave out, as spec text.
+_DEFAULTS = {"mode": MODE_DIRECT, "relay_mode": "af", "excess_mode": DEFAULT_EXCESS_MODE}
 
 
 @dataclass(frozen=True)
@@ -79,8 +69,13 @@ class SweepSpec:
         return n
 
 
-def _validate_spec(spec: SweepSpec) -> None:
+def _validate_spec(spec: SweepSpec) -> SweepSpec:
+    """Check a spec; return it with its values typed through PARAMETERS.
+
+    The fixed parameters of the typed spec include the defaults.
+    """
     seen: set[str] = set()
+    axes = []
     for name, values in spec.axes:
         if name not in AXIS_NAMES:
             raise SpecError(f"unknown axis {name!r}; axes may be {AXIS_NAMES}")
@@ -91,9 +86,15 @@ def _validate_spec(spec: SweepSpec) -> None:
             raise SpecError(f"axis {name!r} is empty")
         if name in spec.fixed:
             raise SpecError(f"{name!r} appears in both axes and fixed")
+        axes.append((name, tuple(parse_value(name, v, SpecError) for v in values)))
     for key in spec.fixed:
-        if key not in FIXED_KEYS:
+        if key not in PARAMETERS or key == "seed":
             raise SpecError(f"unknown fixed parameter {key!r}")
+    fixed = {
+        key: parse_value(key, value, SpecError)
+        for key, value in {**_DEFAULTS, **spec.fixed}.items()
+    }
+    seed = None if spec.seed is None else parse_value("seed", spec.seed, SpecError)
 
     def provided(key: str) -> bool:
         return key in seen or key in spec.fixed
@@ -114,27 +115,17 @@ def _validate_spec(spec: SweepSpec) -> None:
     if has_grx and "noise_temperature_k" not in spec.fixed:
         raise SpecError("noise_temperature_k is required with the g_rx_dbi form")
 
-    modes = dict(spec.axes).get("mode", (spec.fixed.get("mode", MODE_DIRECT),))
-    bad = [m for m in modes if m not in (MODE_DIRECT, MODE_RELAY)]
-    if bad:
-        raise SpecError(f"mode values must be 'direct' or 'relay', got {bad}")
+    modes = dict(axes).get("mode", (fixed["mode"],))
     if MODE_RELAY in modes and "hap_altitude_km" not in spec.fixed:
         raise SpecError("relay mode requires fixed parameter 'hap_altitude_km'")
-
-    relay_mode = spec.fixed.get("relay_mode", RelayMode.AMPLIFY_FORWARD.value)
-    if relay_mode not in (m.value for m in RelayMode):
-        raise SpecError(f"relay_mode must be 'af' or 'df', got {relay_mode!r}")
-
-    excess_mode = spec.fixed.get("excess_mode", "expected")
-    if excess_mode not in ("expected", "sampled"):
-        raise SpecError(f"excess_mode must be 'expected' or 'sampled', got {excess_mode!r}")
-    if excess_mode == "sampled" and spec.seed is None:
+    if fixed["excess_mode"] == "sampled" and seed is None:
         raise SpecError("sampled excess mode requires a seed")
 
     known_metrics = set(METRIC_COLUMNS) | set(EXTRA_COLUMNS) | set(AXIS_NAMES)
     for col in spec.schema():
         if col not in known_metrics:
             raise SpecError(f"unknown output column {col!r}")
+    return replace(spec, axes=tuple(axes), fixed=fixed, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -147,47 +138,39 @@ class SweepResult:
         return tuple(r for r in self.rows if r.get("error"))
 
 
-def _build_radio(params: dict[str, object]) -> RadioConfig:
-    # Keys absent from the spec fall back to the RadioConfig defaults.
-    return RadioConfig(**{
-        key: float(value)
-        for key in _RADIO_KEYS
-        if (value := params.get(key)) is not None
-    })
-
-
 def _evaluate_point(
     params: dict[str, object],
     table: AtmosphereTable,
     scenario_table: ScenarioTable,
     sampled_seed: int | None,
 ) -> LinkResult:
-    altitude = float(params["altitude_km"])
-    elevation = float(params["elevation_deg"])
+    """Evaluate one grid point from typed params (see _validate_spec)."""
+    altitude = params["altitude_km"]
+    elevation = params["elevation_deg"]
     classify_station(altitude)  # reject gap altitudes before any geometry
-    scenario = params["scenario"]
-    if not isinstance(scenario, Scenario):
-        scenario = Scenario.from_name(str(scenario))
-    radio = _build_radio(params)
-    mode = params.get("mode", MODE_DIRECT)
-    if mode == MODE_DIRECT:
+    # Radio keys absent from the spec fall back to the RadioConfig defaults.
+    radio = RadioConfig(**{
+        key: value for key in _RADIO_FIELDS if (value := params.get(key)) is not None
+    })
+    if params["mode"] == MODE_DIRECT:
         geometry = LinkGeometry.from_endpoints(0.0, altitude, elevation)
         return evaluate_link(
             geometry,
             radio,
-            scenario,
+            params["scenario"],
             table,
             scenario_table=scenario_table,
             sampled_seed=sampled_seed,
         )
-    hap_km = float(params["hap_altitude_km"])
+    hap_km = params["hap_altitude_km"]
+    classify_station(hap_km)
     chain = RelayChain(
         hops=(
             RelayHop(LinkGeometry.from_endpoints(hap_km, altitude, elevation), radio),
             RelayHop(LinkGeometry.from_endpoints(0.0, hap_km, elevation), radio),
         ),
-        mode=RelayMode(str(params.get("relay_mode", RelayMode.AMPLIFY_FORWARD.value))),
-        scenario=scenario,
+        mode=params["relay_mode"],
+        scenario=params["scenario"],
     )
     return evaluate_chain(
         chain, table, scenario_table, sampled_seed=sampled_seed
@@ -229,16 +212,17 @@ def run_sweep(
     scenario_table: ScenarioTable | None = None,
 ) -> SweepResult:
     """Evaluate every grid point of a sweep spec, in the spec's row order."""
-    _validate_spec(spec)
+    typed = _validate_spec(spec)
     if scenario_table is None:
         scenario_table = load_scenario_table()
-    sampled = spec.fixed.get("excess_mode", "expected") == "sampled"
+    sampled = typed.fixed["excess_mode"] == "sampled"
     axis_names = spec.axis_names()
 
-    def evaluate(index: int, combo: tuple) -> dict[str, object]:
-        params = dict(spec.fixed)
-        params.update(zip(axis_names, combo))
-        seed = (spec.seed ^ index) if sampled else None
+    def evaluate(index: int, combo: tuple, typed_combo: tuple) -> dict[str, object]:
+        params = dict(typed.fixed)
+        params.update(zip(axis_names, typed_combo))
+        seed = (typed.seed ^ index) if sampled else None
+        # Rows keep the axis values as the spec gave them.
         row: dict[str, object] = dict(zip(axis_names, combo))
         try:
             row.update(result_row(
@@ -249,15 +233,18 @@ def run_sweep(
             row["error"] = str(exc)
         return row
 
-    points = itertools.product(*(values for _, values in spec.axes))
-    rows = tuple(evaluate(index, combo) for index, combo in enumerate(points))
+    points = zip(
+        itertools.product(*(values for _, values in spec.axes)),
+        itertools.product(*(values for _, values in typed.axes)),
+    )
+    rows = tuple(evaluate(index, *point) for index, point in enumerate(points))
 
     provenance = spec.provenance + (
         f"atmosphere table version: {table.version}",
         f"scenario table version: {scenario_table.version}",
     )
     if sampled:
-        provenance += (f"sampled excess mode, seed {spec.seed}",)
+        provenance += (f"sampled excess mode, seed {typed.seed}",)
     return SweepResult(schema=spec.schema(), rows=rows, provenance=provenance)
 
 
@@ -265,7 +252,7 @@ def format_value(value: object) -> str:
     """Fixed CSV cell formatting: floats at 6 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, Scenario):
+    if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, bool):
         return str(value).lower()
@@ -307,17 +294,6 @@ def csv_bytes(result: SweepResult) -> bytes:
 # Sweep spec files
 # ---------------------------------------------------------------------------
 
-_AXIS_STRING_VALUES = {"scenario", "mode"}
-_FIXED_STRING_KEYS = {"scenario", "mode", "relay_mode", "excess_mode"}
-
-
-def _spec_float(value: str, key: str, name: str, lineno: int) -> float:
-    try:
-        return parse_float(value, key, name, lineno)
-    except NtnSimError as exc:
-        raise SpecError(str(exc)) from None
-
-
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     """Read a sweep spec file ([axes] and [fixed] sections, optional seed)."""
     p = Path(path)
@@ -331,36 +307,26 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
     if unknown:
         raise SpecError(f"{p.name}: unknown sections {sorted(unknown)}")
 
-    axes: list[tuple[str, tuple]] = []
-    for key, (value, lineno) in sections.get("axes", {}).items():
-        parts = [v.strip() for v in value.split(",") if v.strip()]
-        if key in _AXIS_STRING_VALUES:
-            axes.append((key, tuple(parts)))
-        else:
-            axes.append(
-                (key, tuple(_spec_float(v, key, p.name, lineno) for v in parts))
-            )
+    def value_of(key: str, text: str, lineno: int) -> object:
+        # Checked here to name the line; numbers are kept parsed and
+        # words as written. Unknown keys are left to _validate_spec.
+        if key not in PARAMETERS:
+            return text
+        value = parse_value(key, text, SpecError, f"{p.name}:{lineno}: ")
+        return value if isinstance(value, (float, int)) else text
 
-    fixed: dict[str, object] = {}
-    for key, (value, lineno) in sections.get("fixed", {}).items():
-        if key in _FIXED_STRING_KEYS:
-            fixed[key] = value
-        elif key == "bandwidth_hz" and value.lower() == "auto":
-            fixed[key] = None
-        else:
-            fixed[key] = _spec_float(value, key, p.name, lineno)
-    if "bandwidth_hz" in fixed and fixed["bandwidth_hz"] is None:
-        del fixed["bandwidth_hz"]  # Auto is the default; keep fixed minimal
+    axes = tuple(
+        (key, tuple(value_of(key, v, lineno) for v in map(str.strip, value.split(",")) if v))
+        for key, (value, lineno) in sections.get("axes", {}).items()
+    )
+    fixed = {
+        key: value_of(key, value, lineno)
+        for key, (value, lineno) in sections.get("fixed", {}).items()
+    }
 
-    seed = None
     schema: tuple[str, ...] = ()
     top = dict(sections.get("", {}))
-    if "seed" in top:
-        value, lineno = top.pop("seed")
-        try:
-            seed = int(value)
-        except ValueError:
-            raise SpecError(f"{p.name}:{lineno}: seed must be an integer") from None
+    seed = value_of("seed", *top.pop("seed")) if "seed" in top else None
     if top:
         raise SpecError(f"{p.name}: unexpected top-level keys {sorted(top)}")
     if "columns" in sections.get("output", {}):
@@ -368,7 +334,7 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
         schema = tuple(v.strip() for v in value.split(",") if v.strip())
 
     spec = SweepSpec(
-        axes=tuple(axes),
+        axes=axes,
         fixed=fixed,
         output_schema=schema,
         seed=seed,

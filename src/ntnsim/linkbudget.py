@@ -64,6 +64,9 @@ class RadioConfig:
     bandwidth_hz: float | None = None
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.fc_ghz <= 0:
             raise ConfigError(f"fc_ghz must be > 0, got {self.fc_ghz}")
         has_grx = self.g_rx_dbi is not None

@@ -316,6 +316,13 @@ class TestTableParsing:
         with pytest.raises(TableFormatError):
             parse_atmosphere_table(self._atm_text(rows))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_cell_rejected(self, cell):
+        rows = ["0.5 0.1 0.1", "50 1 0.5", "60 10 0.6", "70 2 0.7", f"100 {cell} 0.8"]
+        with pytest.raises(TableFormatError) as err:
+            parse_atmosphere_table(self._atm_text(rows))
+        assert "bad numeric field" in str(err.value)
+
     def test_valid_roundtrip(self):
         rows = ["0.5 0.1 0.1", "50 1 0.5", "60 10 0.6", "70 2 0.7", "100 3 0.8"]
         table = parse_atmosphere_table(self._atm_text(rows))

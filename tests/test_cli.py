@@ -72,6 +72,15 @@ class TestLink:
         )
         assert code == 1
 
+    def test_gap_altitude_is_rejected_like_the_sweep(self, capsys):
+        code, out, err = run_cli(
+            capsys, "link", "--alt", "100", "--elev", "30", "--fc", "20",
+            "--got", "15.9",
+        )
+        assert code == 1
+        assert out == ""
+        assert "gap (25, 200) km between HAP and LEO" in err
+
 
 class TestChain:
     def test_two_hop_chain(self, capsys):
@@ -90,6 +99,23 @@ class TestChain:
         )
         assert code == 1
         assert "ALT:ELEV" in err
+
+    @pytest.mark.parametrize(
+        "hops, message",
+        [
+            (("nan:10", "20:10"), "--hop"),
+            (("1200:10", "100:10"), "gap (25, 200) km between HAP and LEO"),
+            (("1200:10", "14:10"), "gap (10, 17) km between UAV and HAP"),
+        ],
+    )
+    def test_bad_hop_exits_1_without_output(self, capsys, hops, message):
+        argv = ["chain", "--fc", "20", "--got", "15.9"]
+        for hop in hops:
+            argv += ["--hop", hop]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
 
 
 class TestSweepCommand:
@@ -120,6 +146,14 @@ g_over_t_dbi_per_k = 15.9
         spec.write_text("[axes]\nelevation_deg =\n")
         code, _, _ = run_cli(capsys, "sweep", "--spec", str(spec))
         assert code == 3
+
+    def test_unknown_scenario_is_spec_error(self, tmp_path, capsys):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(self.SPEC.replace("rural", "rurall"))
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == 3
+        assert out == ""
+        assert "s.cfg:6: scenario: unknown scenario 'rurall'" in err
 
     def test_missing_spec_file(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--spec", str(tmp_path / "nope.cfg"))

@@ -164,7 +164,6 @@ class TestLinkGeometry:
         g = LinkGeometry.from_endpoints(0, 300, 10)
         assert g.slant_range_km == slant_range_km(0, 300, 10)
         assert g.one_way_delay_ms == propagation_delay_ms(g.slant_range_km)
-        assert g.earth_radius_km == 6371.0
 
     def test_invalid_geometry_propagates(self):
         with pytest.raises(GeometryError):

@@ -185,6 +185,18 @@ class TestRunSweep:
         ok_rows = [r for r in result.rows if not r["error"]]
         assert len(ok_rows) == 2
 
+    def test_relay_hap_altitude_in_gap_is_error_row(self, atm_table, scen_table):
+        spec = SweepSpec(
+            axes=(("mode", ("direct", "relay")),),
+            fixed=dict(
+                FIG3_FIXED, scenario="rural", elevation_deg=30.0, hap_altitude_km=50.0
+            ),
+        )
+        direct, relay = run_sweep(spec, atm_table, scen_table).rows
+        assert direct["error"] == ""
+        assert "gap (25, 200) km between HAP and LEO" in relay["error"]
+        assert relay["capacity_bps"] is None
+
     def test_rerun_is_byte_identical(self, atm_table, scen_table):
         spec = preset("fig4")
         a = csv_bytes(run_sweep(spec, atm_table, scen_table))

@@ -80,6 +80,23 @@ class TestRadioConfig:
                 noise_temperature_k=290,
             )
 
+    @pytest.mark.parametrize(
+        "field",
+        ["fc_ghz", "tx_power_dbm", "g_tx_dbi", "g_rx_dbi", "g_over_t_dbi_per_k",
+         "noise_temperature_k", "bandwidth_hz"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        if field in ("g_rx_dbi", "noise_temperature_k"):
+            kwargs = dict(g_rx_dbi=40.0, noise_temperature_k=290.0)
+        else:
+            kwargs = dict(g_over_t_dbi_per_k=15.9)
+        kwargs = dict(fc_ghz=20.0, tx_power_dbm=18.0, **kwargs)
+        kwargs[field] = value
+        with pytest.raises(ConfigError) as err:
+            RadioConfig(**kwargs)
+        assert field in str(err.value)
+
     def test_auto_bandwidth_resolution(self):
         r = RadioConfig(fc_ghz=20, tx_power_dbm=18, g_over_t_dbi_per_k=15.9)
         assert r.bandwidth_hz is None

@@ -1,0 +1,118 @@
+"""Parameter values: config files, spec files, Python specs and CLI flags agree."""
+
+import math
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, strategies as st
+
+from ntnsim import ConfigError, SpecError
+from ntnsim.harness import ResolvedParams, SweepSpec, load_config, load_sweep_spec, run_sweep
+from ntnsim.harness.config import finite_number
+
+# Every numeric key that has a CLI flag, by flag.
+FLAG_KEYS = {
+    "--alt": "altitude_km",
+    "--elev": "elevation_deg",
+    "--fc": "fc_ghz",
+    "--txpow": "tx_power_dbm",
+    "--gtx": "g_tx_dbi",
+    "--grx": "g_rx_dbi",
+    "--got": "g_over_t_dbi_per_k",
+    "--temp": "noise_temperature_k",
+    "--bandwidth": "bandwidth_hz",
+}
+CONFIG_KEYS = [k for k in FLAG_KEYS.values() if k in {f.name for f in fields(ResolvedParams)}]
+BAD_VALUES = ("nan", "-inf", "1e999", "x")
+
+BASE = {
+    "altitude_km": "600",
+    "elevation_deg": "30",
+    "fc_ghz": "20",
+    "scenario": "rural",
+    "tx_power_dbm": "18",
+}
+GRX_FORM = {"g_rx_dbi": "50", "noise_temperature_k": "290"}
+GOT_FORM = {"g_over_t_dbi_per_k": "15.9"}
+
+
+def fixed_with(key, value):
+    """A valid set of fixed parameters (as text) with key set to value."""
+    form = GRX_FORM if key in GRX_FORM else GOT_FORM
+    return {**BASE, **form, key: value}
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_config_file_rejects(tmp_path, key, value):
+    path = tmp_path / "c.cfg"
+    rest = "" if key == "tx_power_dbm" else "tx_power_dbm = 18\n"
+    path.write_text(f"{key} = {value}\n{rest}")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert f"c.cfg:1: {key}: expected a finite number" in str(err.value)
+
+
+@pytest.mark.parametrize("key", FLAG_KEYS.values())
+@pytest.mark.parametrize("value", BAD_VALUES)
+def test_spec_file_rejects(tmp_path, key, value):
+    fixed = fixed_with(key, value)
+    path = tmp_path / "s.cfg"
+    path.write_text("[fixed]\n" + "".join(f"{k} = {v}\n" for k, v in fixed.items()))
+    with pytest.raises(SpecError) as err:
+        load_sweep_spec(path)
+    line = list(fixed).index(key) + 2
+    assert f"s.cfg:{line}: {key}: expected a finite number" in str(err.value)
+
+
+@pytest.mark.parametrize("key", FLAG_KEYS.values())
+@pytest.mark.parametrize("value", [math.nan, -math.inf, float("1e999"), "x"])
+def test_python_spec_rejects(atm_table, scen_table, key, value):
+    fixed = {k: v if k == "scenario" else float(v) for k, v in fixed_with(key, "0").items()}
+    fixed[key] = value
+    spec = SweepSpec(axes=(), fixed=fixed)
+    with pytest.raises(SpecError) as err:
+        run_sweep(spec, atm_table, scen_table)
+    assert f"{key}: expected a finite number" in str(err.value)
+
+
+def test_python_spec_rejects_unknown_scenario(atm_table, scen_table):
+    fixed = {k: float(v) for k, v in {**BASE, **GOT_FORM}.items() if k != "scenario"}
+    spec = SweepSpec(axes=(("scenario", ("rural", "rurall")),), fixed=fixed)
+    with pytest.raises(SpecError) as err:
+        run_sweep(spec, atm_table, scen_table)
+    assert "unknown scenario 'rurall'" in str(err.value)
+
+
+def test_capitalised_words_accepted_everywhere(tmp_path, atm_table, scen_table):
+    config = tmp_path / "c.cfg"
+    config.write_text("tx_power_dbm = 18\nexcess_mode = Sampled\n")
+    assert load_config(config).excess_mode == "sampled"
+
+    fixed = fixed_with("excess_mode", "Sampled")
+    fixed.update(mode="Relay", relay_mode="DF", hap_altitude_km="20")
+    spec_file = tmp_path / "s.cfg"
+    spec_file.write_text(
+        "seed = 4\n[fixed]\n" + "".join(f"{k} = {v}\n" for k, v in fixed.items())
+    )
+    (row,) = run_sweep(load_sweep_spec(spec_file), atm_table, scen_table).rows
+    assert row["error"] == ""
+    assert row["label"] == "df:2hop"
+
+
+@given(st.one_of(
+    st.floats().map(repr),
+    st.text(),
+    st.sampled_from(["NaN", "-Infinity", "1e999", "-1e-999", " 7 ", "1_000", "0x10"]),
+))
+def test_number_parser_accepts_exactly_finite_texts(text):
+    try:
+        finite = math.isfinite(float(text))
+    except ValueError:
+        finite = False
+    try:
+        finite_number(text)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == finite
