@@ -317,7 +317,10 @@ def parse_scenario_table(text: str, name: str = "scenario table") -> ScenarioTab
                 f"{name}: expected 6 columns (scenario elevation_deg p_los "
                 f"clutter_los_db clutter_nlos_db shadow_sigma_db), got {line!r}"
             )
-        scenario = Scenario.from_name(fields[0])
+        try:
+            scenario = Scenario.from_name(fields[0])
+        except DomainError as exc:
+            raise TableFormatError(f"{name}: {exc} in line {line!r}") from None
         elev, p, los, nlos, sigma = _table_numbers(fields[1:], line, name)
         if elev in cells[scenario]:
             raise TableFormatError(
@@ -434,6 +437,64 @@ def default_atmosphere_fraction(low_altitude_km: float) -> float:
     return 0.0
 
 
+class PathLoss:
+    """Loss stages of the hops of one run, each altitude-free stage computed once.
+
+    Gas and scintillation are kept per (carrier, elevation, atmosphere
+    fraction) and expected-mode clutter per (scenario, carrier,
+    elevation); FSPL and sampled clutter are computed for every hop. A
+    stage that raises stores nothing, so a bad input raises again, with
+    the same message, each time it is met. The stored values live as long
+    as the object: make one per call or per sweep, never one per process.
+    """
+
+    def __init__(
+        self, table: AtmosphereTable, scenario_table: ScenarioTable | None = None
+    ) -> None:
+        self.table = table
+        self.scenario_table = scenario_table
+        self._atmosphere: dict[tuple, tuple[float, float]] = {}
+        self._excess: dict[tuple, float] = {}
+
+    def hop(
+        self,
+        geometry: LinkGeometry,
+        fc_ghz: float,
+        scenario: Scenario | None,
+        atmosphere_fraction: float,
+        *,
+        sampled_seed: int | None = None,
+    ) -> LossBreakdown:
+        """Full staged breakdown for one hop (see total_path_loss)."""
+        if not (0.0 <= atmosphere_fraction <= 1.0):
+            raise DomainError(
+                f"atmosphere_fraction must be in [0, 1], got {atmosphere_fraction}"
+            )
+        fspl = fspl_db(geometry.slant_range_km, fc_ghz)
+        elevation = geometry.elevation_deg
+        key = (fc_ghz, elevation, atmosphere_fraction)
+        atmosphere = self._atmosphere.get(key)
+        if atmosphere is None:
+            atmosphere = self._atmosphere[key] = (
+                atmosphere_fraction * gas_attenuation_db(fc_ghz, elevation, self.table),
+                atmosphere_fraction * scintillation_db(fc_ghz, elevation, self.table),
+            )
+        if scenario is None:
+            excess = 0.0
+        elif sampled_seed is not None:
+            excess = excess_loss_db(
+                scenario, fc_ghz, elevation, self.scenario_table, sampled_seed=sampled_seed
+            )
+        else:
+            key = (scenario, fc_ghz, elevation)
+            excess = self._excess.get(key)
+            if excess is None:
+                excess = self._excess[key] = excess_loss_db(
+                    scenario, fc_ghz, elevation, self.scenario_table
+                )
+        return LossBreakdown.from_stages(fspl, *atmosphere, excess)
+
+
 def total_path_loss(
     geometry: LinkGeometry,
     fc_ghz: float,
@@ -451,21 +512,6 @@ def total_path_loss(
     scenario means no ground clutter applies (hops that never approach
     the ground); excess is then exactly zero.
     """
-    if not (0.0 <= atmosphere_fraction <= 1.0):
-        raise DomainError(
-            f"atmosphere_fraction must be in [0, 1], got {atmosphere_fraction}"
-        )
-    fspl = fspl_db(geometry.slant_range_km, fc_ghz)
-    gas = atmosphere_fraction * gas_attenuation_db(fc_ghz, geometry.elevation_deg, table)
-    scint = atmosphere_fraction * scintillation_db(fc_ghz, geometry.elevation_deg, table)
-    if scenario is None:
-        excess = 0.0
-    else:
-        excess = excess_loss_db(
-            scenario,
-            fc_ghz,
-            geometry.elevation_deg,
-            scenario_table,
-            sampled_seed=sampled_seed,
-        )
-    return LossBreakdown.from_stages(fspl, gas, scint, excess)
+    return PathLoss(table, scenario_table).hop(
+        geometry, fc_ghz, scenario, atmosphere_fraction, sampled_seed=sampled_seed
+    )

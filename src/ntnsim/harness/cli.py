@@ -31,7 +31,7 @@ from ..errors import (
 from ..geometry import LinkGeometry, classify_station
 from ..linkbudget import LinkResult, RadioConfig, evaluate_link
 from ..relay import RelayChain, RelayHop, evaluate_chain
-from .config import PARAMETERS, finite_number, load_fig_defaults
+from .config import DEFAULT_EXCESS_MODE, PARAMETERS, finite_number, load_fig_defaults
 from .presets import PRESET_NAMES, preset
 from .sweep import (
     EXTRA_COLUMNS,
@@ -245,6 +245,11 @@ def _cmd_sweep(args) -> int:
     table, scenario_table = _tables(args)
     spec = load_sweep_spec(args.spec)
     if args.seed is not None:
+        excess_mode = spec.fixed.get("excess_mode", DEFAULT_EXCESS_MODE)
+        if PARAMETERS["excess_mode"](excess_mode) != "sampled":
+            raise ConfigError(
+                "--seed applies only to a spec with excess_mode = sampled"
+            )
         spec = replace(spec, seed=args.seed)
     _emit(run_sweep(spec, table, scenario_table), args)
     return EXIT_OK

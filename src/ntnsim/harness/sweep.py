@@ -4,6 +4,17 @@ Row order is the product of the axes in declaration order (first axis
 slowest). A grid
 point that fails to evaluate produces a row whose metric columns are
 empty and whose `error` column carries the reason; the sweep continues.
+
+One run_sweep call evaluates every point through one LinkEvaluator, so
+each stage runs once per distinct input: each altitude is classified
+once, each radio built and resolved once, each hop geometry built once
+per (low, high, elevation), gas and scintillation computed once per
+(carrier, elevation, atmosphere fraction) and expected-mode clutter
+once per (scenario, carrier, elevation). FSPL, the loss breakdown,
+SNR, capacity, the relay fold and sampled clutter run for every point.
+The evaluator is dropped when the call returns, and a stage that raises
+stores nothing, so rows equal those of evaluate_link or evaluate_chain
+called per point, error messages included.
 """
 
 from __future__ import annotations
@@ -17,9 +28,8 @@ from pathlib import Path
 
 from ..channel import AtmosphereTable, ScenarioTable, load_scenario_table
 from ..errors import NtnSimError, SpecError
-from ..geometry import LinkGeometry, classify_station
-from ..linkbudget import LinkResult, RadioConfig, evaluate_link
-from ..relay import RelayChain, RelayHop, evaluate_chain
+from ..linkbudget import LinkEvaluator, LinkResult, RadioConfig
+from ..relay import RelayChain, RelayHop, fold_chain
 from .config import DEFAULT_EXCESS_MODE, PARAMETERS, parse_sections, parse_value
 
 AXIS_NAMES = ("altitude_km", "fc_ghz", "elevation_deg", "g_rx_dbi", "scenario", "mode")
@@ -139,42 +149,34 @@ class SweepResult:
 
 
 def _evaluate_point(
-    params: dict[str, object],
-    table: AtmosphereTable,
-    scenario_table: ScenarioTable,
-    sampled_seed: int | None,
+    params: dict[str, object], links: LinkEvaluator, sampled_seed: int | None
 ) -> LinkResult:
     """Evaluate one grid point from typed params (see _validate_spec)."""
     altitude = params["altitude_km"]
     elevation = params["elevation_deg"]
-    classify_station(altitude)  # reject gap altitudes before any geometry
+    links.check_station(altitude)  # reject gap altitudes before any geometry
     # Radio keys absent from the spec fall back to the RadioConfig defaults.
-    radio = RadioConfig(**{
+    radio = links.radio(**{
         key: value for key in _RADIO_FIELDS if (value := params.get(key)) is not None
     })
     if params["mode"] == MODE_DIRECT:
-        geometry = LinkGeometry.from_endpoints(0.0, altitude, elevation)
-        return evaluate_link(
-            geometry,
+        return links.link(
+            links.geometry(0.0, altitude, elevation),
             radio,
             params["scenario"],
-            table,
-            scenario_table=scenario_table,
             sampled_seed=sampled_seed,
         )
     hap_km = params["hap_altitude_km"]
-    classify_station(hap_km)
+    links.check_station(hap_km)
     chain = RelayChain(
         hops=(
-            RelayHop(LinkGeometry.from_endpoints(hap_km, altitude, elevation), radio),
-            RelayHop(LinkGeometry.from_endpoints(0.0, hap_km, elevation), radio),
+            RelayHop(links.geometry(hap_km, altitude, elevation), radio),
+            RelayHop(links.geometry(0.0, hap_km, elevation), radio),
         ),
         mode=params["relay_mode"],
         scenario=params["scenario"],
     )
-    return evaluate_chain(
-        chain, table, scenario_table, sampled_seed=sampled_seed
-    )
+    return fold_chain(chain, links, sampled_seed)
 
 
 def result_row(result: LinkResult) -> dict[str, object]:
@@ -217,6 +219,7 @@ def run_sweep(
         scenario_table = load_scenario_table()
     sampled = typed.fixed["excess_mode"] == "sampled"
     axis_names = spec.axis_names()
+    links = LinkEvaluator(table, scenario_table)
 
     def evaluate(index: int, combo: tuple, typed_combo: tuple) -> dict[str, object]:
         params = dict(typed.fixed)
@@ -226,7 +229,7 @@ def run_sweep(
         row: dict[str, object] = dict(zip(axis_names, combo))
         try:
             row.update(result_row(
-                _evaluate_point(params, table, scenario_table, seed)
+                _evaluate_point(params, links, seed)
             ))
         except NtnSimError as exc:
             row.update(_FAILED_ROW)
@@ -250,6 +253,8 @@ def run_sweep(
 
 def format_value(value: object) -> str:
     """Fixed CSV cell formatting: floats at 6 significant digits."""
+    if type(value) is float:  # most cells: tested first
+        return f"{value:.6g}"
     if value is None:
         return ""
     if isinstance(value, enum.Enum):
@@ -280,8 +285,10 @@ def _write_csv(result: SweepResult, handle) -> None:
         handle.write(f"# {line}\n")
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(result.schema)
-    for row in result.rows:
-        writer.writerow([format_value(row.get(col)) for col in result.schema])
+    schema = result.schema
+    writer.writerows(
+        [format_value(row.get(col)) for col in schema] for row in result.rows
+    )
 
 
 def csv_bytes(result: SweepResult) -> bytes:

@@ -18,14 +18,14 @@ from dataclasses import dataclass, replace
 from .channel import (
     AtmosphereTable,
     LossBreakdown,
+    PathLoss,
     Scenario,
     ScenarioTable,
     default_atmosphere_fraction,
-    total_path_loss,
 )
 from .constants import BOLTZMANN_DBM_PER_K_HZ
 from .errors import ConfigError, DomainError
-from .geometry import LinkGeometry
+from .geometry import LinkGeometry, classify_station
 
 _LN2 = math.log(2.0)
 
@@ -136,6 +136,80 @@ class LinkResult:
     hops: tuple["LinkResult", ...] = ()
 
 
+class LinkEvaluator(PathLoss):
+    """Links of one run: PathLoss plus station checks, hop geometry and radios.
+
+    Each station altitude is classified once, each hop geometry built
+    once per (low, high, elevation) and each radio built and resolved
+    once; like the loss stages, nothing is stored for an input that
+    raises. A sweep keeps one evaluator for all its points; evaluate_link
+    makes a fresh one per call.
+    """
+
+    def __init__(
+        self, table: AtmosphereTable, scenario_table: ScenarioTable | None = None
+    ) -> None:
+        super().__init__(table, scenario_table)
+        self._stations: set[float] = set()
+        self._geometries: dict[tuple[float, float, float], LinkGeometry] = {}
+        self._radios: dict[tuple, RadioConfig] = {}
+
+    def check_station(self, altitude_km: float) -> None:
+        """classify_station, raising for altitudes outside every band."""
+        if altitude_km not in self._stations:
+            classify_station(altitude_km)
+            self._stations.add(altitude_km)
+
+    def geometry(
+        self, low_altitude_km: float, high_altitude_km: float, elevation_deg: float
+    ) -> LinkGeometry:
+        """LinkGeometry.from_endpoints, once per distinct hop."""
+        key = (low_altitude_km, high_altitude_km, elevation_deg)
+        geometry = self._geometries.get(key)
+        if geometry is None:
+            geometry = self._geometries[key] = LinkGeometry.from_endpoints(*key)
+        return geometry
+
+    def radio(self, **fields: float) -> RadioConfig:
+        """RadioConfig(**fields) with Auto bandwidth resolved, once per distinct fields."""
+        key = tuple(fields.items())
+        radio = self._radios.get(key)
+        if radio is None:
+            radio = self._radios[key] = RadioConfig(**fields).resolve_bandwidth()
+        return radio
+
+    def link(
+        self,
+        geometry: LinkGeometry,
+        radio: RadioConfig,
+        scenario: Scenario | None,
+        atmosphere_fraction: float | None = None,
+        *,
+        sampled_seed: int | None = None,
+        label: str = "direct",
+    ) -> LinkResult:
+        """Evaluate one hop end to end (see evaluate_link)."""
+        if atmosphere_fraction is None:
+            atmosphere_fraction = default_atmosphere_fraction(geometry.low_altitude_km)
+        resolved = radio.resolve_bandwidth()
+        breakdown = self.hop(
+            geometry,
+            resolved.fc_ghz,
+            scenario,
+            atmosphere_fraction,
+            sampled_seed=sampled_seed,
+        )
+        snr = snr_db(resolved, breakdown)
+        return LinkResult(
+            breakdown=breakdown,
+            snr_db=snr,
+            capacity_bps=shannon_capacity_bps(resolved.bandwidth_hz, snr),
+            bandwidth_hz=resolved.bandwidth_hz,
+            geometry=geometry,
+            label=label,
+        )
+
+
 def evaluate_link(
     geometry: LinkGeometry,
     radio: RadioConfig,
@@ -153,24 +227,11 @@ def evaluate_link(
     endpoint (1.0 from the ground, 0.1 from HAP altitude, 0.0 above the
     atmosphere).
     """
-    if atmosphere_fraction is None:
-        atmosphere_fraction = default_atmosphere_fraction(geometry.low_altitude_km)
-    resolved = radio.resolve_bandwidth()
-    breakdown = total_path_loss(
+    return LinkEvaluator(table, scenario_table).link(
         geometry,
-        resolved.fc_ghz,
+        radio,
         scenario,
-        table,
         atmosphere_fraction,
-        scenario_table,
         sampled_seed=sampled_seed,
-    )
-    snr = snr_db(resolved, breakdown)
-    return LinkResult(
-        breakdown=breakdown,
-        snr_db=snr,
-        capacity_bps=shannon_capacity_bps(resolved.bandwidth_hz, snr),
-        bandwidth_hz=resolved.bandwidth_hz,
-        geometry=geometry,
         label=label,
     )

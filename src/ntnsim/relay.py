@@ -20,7 +20,7 @@ from .channel import (
 )
 from .errors import ChainError, DomainError
 from .geometry import LinkGeometry
-from .linkbudget import LinkResult, RadioConfig, evaluate_link, shannon_capacity_bps
+from .linkbudget import LinkEvaluator, LinkResult, RadioConfig, shannon_capacity_bps
 
 
 class RelayMode(enum.Enum):
@@ -103,18 +103,23 @@ def evaluate_chain(
     signal). DF reports the bottleneck hop's SNR, bandwidth and capacity.
     The aggregated breakdown sums each stage over the hops.
     """
+    return fold_chain(chain, LinkEvaluator(table, scenario_table), sampled_seed)
+
+
+def fold_chain(
+    chain: RelayChain, links: LinkEvaluator, sampled_seed: int | None = None
+) -> LinkResult:
+    """evaluate_chain with the hops evaluated by links (see LinkEvaluator)."""
     _validate_chain(chain)
     per_hop: list[LinkResult] = []
     for hop in chain.hops:
         on_ground = hop.geometry.low_altitude_km == 0.0
         per_hop.append(
-            evaluate_link(
+            links.link(
                 hop.geometry,
                 hop.radio,
                 chain.scenario if on_ground else None,
-                table,
                 hop.atmosphere_fraction,
-                scenario_table,
                 sampled_seed=sampled_seed if on_ground else None,
             )
         )

@@ -323,6 +323,14 @@ class TestTableParsing:
             parse_atmosphere_table(self._atm_text(rows))
         assert "bad numeric field" in str(err.value)
 
+    def test_unknown_scenario_row_rejected(self):
+        rows = ["rural 10 0.8 0.5 14 2.5", "megacity 90 0.97 0.2 9 2.5"]
+        with pytest.raises(TableFormatError) as err:
+            parse_scenario_table(self._atm_text(rows), "scen.tsv")
+        message = str(err.value)
+        assert message.startswith("scen.tsv: unknown scenario 'megacity'")
+        assert "'megacity 90 0.97 0.2 9 2.5'" in message
+
     def test_valid_roundtrip(self):
         rows = ["0.5 0.1 0.1", "50 1 0.5", "60 10 0.6", "70 2 0.7", "100 3 0.8"]
         table = parse_atmosphere_table(self._atm_text(rows))

@@ -155,6 +155,22 @@ g_over_t_dbi_per_k = 15.9
         assert out == ""
         assert "s.cfg:6: scenario: unknown scenario 'rurall'" in err
 
+    @pytest.mark.parametrize("mode_line", ["", "excess_mode = expected\n"])
+    def test_seed_without_sampled_mode_is_usage_error(self, tmp_path, capsys, mode_line):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(self.SPEC + mode_line)
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--seed", "3")
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err
+
+    def test_seed_overrides_sampled_spec_in_any_case(self, tmp_path, capsys):
+        spec = tmp_path / "s.cfg"
+        spec.write_text("seed = 1\n" + self.SPEC + "excess_mode = Sampled\n")
+        code, out, _ = run_cli(capsys, "sweep", "--spec", str(spec), "--seed", "3")
+        assert code == 0
+        assert "# sampled excess mode, seed 3" in out
+
     def test_missing_spec_file(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--spec", str(tmp_path / "nope.cfg"))
         assert code == 3
@@ -197,6 +213,23 @@ class TestTablesFlag:
         )
         assert code == 2
         assert "checksum" in err
+
+    def test_unknown_scenario_in_table_is_data_error(self, tmp_path, capsys):
+        import hashlib
+
+        self._copy_tables(tmp_path)
+        scen = tmp_path / "scenario.tsv"
+        lines = scen.read_text().splitlines()
+        data = [l.replace("rural", "megacity") for l in lines if l and not l.startswith("#")]
+        digest = hashlib.sha256("\n".join(data).encode()).hexdigest()
+        scen.write_text(f"# version: 1\n# checksum: sha256={digest}\n" + "\n".join(data) + "\n")
+        code, out, err = run_cli(
+            capsys, "link", "--alt", "600", "--elev", "30", "--fc", "20",
+            "--got", "15.9", "--tables", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "table error" in err and "megacity" in err
 
     def test_missing_tables_dir_is_data_error(self, tmp_path, capsys):
         code, _, _ = run_cli(

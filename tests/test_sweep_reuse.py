@@ -1,0 +1,149 @@
+"""A sweep reuses stage results across grid points without changing any row.
+
+The reference evaluates every point on its own through the public
+per-point API (a fresh evaluate_link or evaluate_chain call), so each
+stage is computed from scratch; run_sweep must reproduce it exactly.
+"""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from ntnsim import (
+    AtmosphereTable,
+    LinkGeometry,
+    NtnSimError,
+    RadioConfig,
+    Scenario,
+    classify_station,
+    evaluate_chain,
+    evaluate_link,
+)
+from ntnsim.harness import SweepSpec, run_sweep
+from ntnsim.harness.sweep import METRIC_COLUMNS, result_row
+from ntnsim.relay import RelayChain, RelayHop, RelayMode
+
+FAILED = {**dict.fromkeys(METRIC_COLUMNS + ("slant_range_km", "bandwidth_hz")), "label": ""}
+
+# Gap altitudes (100, 26), out-of-range elevations (5, 95) and carriers
+# outside the atmosphere table (0.3, 120) make error rows; 20 km is a HAP,
+# so a relay through a 20 km HAP cannot reach it.
+AXIS_VALUES = {
+    "altitude_km": (20.0, 100.0, 300.0, 600.0, 1200.0, 35786.0),
+    "fc_ghz": (0.3, 2.0, 20.0, 60.0, 90.0, 120.0),
+    "elevation_deg": (5.0, 10.0, 30.0, 45.5, 90.0, 95.0),
+    "g_rx_dbi": (30.0, 50.0),
+    "scenario": tuple(s.value for s in Scenario),
+    "mode": ("direct", "relay"),
+}
+
+
+def reference_row(point, fixed, table, scenario_table, seed):
+    """Metric and extra columns of one point, evaluated on its own."""
+    try:
+        altitude, elevation = point["altitude_km"], point["elevation_deg"]
+        classify_station(altitude)
+        radio = RadioConfig(
+            fc_ghz=point["fc_ghz"],
+            tx_power_dbm=fixed["tx_power_dbm"],
+            g_rx_dbi=point["g_rx_dbi"],
+            noise_temperature_k=fixed["noise_temperature_k"],
+            bandwidth_hz=fixed.get("bandwidth_hz"),
+        )
+        scenario = Scenario.from_name(point["scenario"])
+        if point["mode"] == "direct":
+            geometry = LinkGeometry.from_endpoints(0.0, altitude, elevation)
+            result = evaluate_link(
+                geometry, radio, scenario, table,
+                scenario_table=scenario_table, sampled_seed=seed,
+            )
+        else:
+            hap = fixed["hap_altitude_km"]
+            classify_station(hap)
+            chain = RelayChain(
+                hops=(
+                    RelayHop(LinkGeometry.from_endpoints(hap, altitude, elevation), radio),
+                    RelayHop(LinkGeometry.from_endpoints(0.0, hap, elevation), radio),
+                ),
+                mode=RelayMode(fixed["relay_mode"]),
+                scenario=scenario,
+            )
+            result = evaluate_chain(chain, table, scenario_table, sampled_seed=seed)
+        return result_row(result)
+    except NtnSimError as exc:
+        return {**FAILED, "error": str(exc)}
+
+
+def reference_rows(spec, table, scenario_table):
+    names = spec.axis_names()
+    sampled = spec.fixed.get("excess_mode") == "sampled"
+    rows = []
+    for index, combo in enumerate(itertools.product(*(v for _, v in spec.axes))):
+        point = {**spec.fixed, **dict(zip(names, combo))}
+        seed = spec.seed ^ index if sampled else None
+        rows.append({
+            **dict(zip(names, combo)),
+            **reference_row(point, spec.fixed, table, scenario_table, seed),
+        })
+    return rows
+
+
+def axis(name):
+    # Lists, not sets: repeated values are part of what is tested.
+    return st.lists(st.sampled_from(AXIS_VALUES[name]), min_size=1, max_size=3)
+
+
+@st.composite
+def specs(draw):
+    axes = tuple((name, tuple(draw(axis(name)))) for name in AXIS_VALUES)
+    excess_mode = draw(st.sampled_from(["expected", "sampled"]))
+    fixed = {
+        "tx_power_dbm": 18.0,
+        "noise_temperature_k": 290.0,
+        "hap_altitude_km": draw(st.sampled_from([17.0, 20.0, 26.0])),
+        "relay_mode": draw(st.sampled_from(["af", "df"])),
+        "excess_mode": excess_mode,
+    }
+    if draw(st.booleans()):
+        fixed["bandwidth_hz"] = 400e6
+    seed = draw(st.integers(0, 2**31 - 1)) if excess_mode == "sampled" else None
+    return SweepSpec(axes=axes, fixed=fixed, seed=seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs())
+def test_sweep_rows_equal_per_point_evaluation(atm_table, scen_table, spec):
+    rows = run_sweep(spec, atm_table, scen_table).rows
+    assert list(rows) == reference_rows(spec, atm_table, scen_table)
+
+
+def test_reuse_does_not_outlive_a_call(atm_table, scen_table):
+    doubled = AtmosphereTable(
+        frequency_grid_ghz=atm_table.frequency_grid_ghz,
+        zenith_gas_db=tuple(2.0 * g for g in atm_table.zenith_gas_db),
+        scintillation_ref_db=tuple(2.0 * s for s in atm_table.scintillation_ref_db),
+        version="doubled",
+    )
+    spec = SweepSpec(
+        axes=(
+            ("altitude_km", (300.0, 1200.0)),
+            ("fc_ghz", (2.0, 20.0, 60.0)),
+            ("elevation_deg", (10.0, 30.0, 90.0)),
+            ("mode", ("direct", "relay")),
+        ),
+        fixed={
+            "scenario": "urban",
+            "g_rx_dbi": 40.0,
+            "tx_power_dbm": 18.0,
+            "noise_temperature_k": 290.0,
+            "hap_altitude_km": 20.0,
+            "relay_mode": "af",
+        },
+    )
+    runs = [
+        (table, list(run_sweep(spec, table, scen_table).rows))
+        for table in (atm_table, doubled, atm_table)
+    ]
+    for table, rows in runs:
+        assert rows == reference_rows(spec, table, scen_table)
+    assert runs[0][1] != runs[1][1]
