@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
-import random
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -42,6 +42,14 @@ ATMOSPHERE_TOP_KM = 100.0
 # normalised to 1 at the 10 deg reference and <= 0.25 at zenith.
 _SCINT_PROFILE_EXPONENT = 1.2
 _SIN_REF = math.sin(math.radians(MIN_ELEVATION_DEG))
+
+# Per-point sampled clutter streams (see ScenarioRow.sampled_db);
+# SAMPLED_STREAMS names the scheme in sweep provenance.
+SAMPLED_STREAMS = "blake2b(seed:index)"
+_STREAM_WORDS = struct.Struct(">3Q").unpack
+_UNIT_53 = 2.0 ** -53
+_TWO_PI = 2.0 * math.pi
+_INF = math.inf
 
 
 class Scenario(enum.Enum):
@@ -79,14 +87,22 @@ class LossBreakdown:
     total_db: float
 
     def __post_init__(self) -> None:
-        stages = (self.fspl_db, self.gas_db, self.scintillation_db, self.excess_db)
-        if not all(math.isfinite(v) for v in stages):
+        # Straight-line checks: this runs for every hop and relay point.
+        fspl, gas, scint, excess = stages = (
+            self.fspl_db, self.gas_db, self.scintillation_db, self.excess_db
+        )
+        if not (
+            -_INF < fspl < _INF
+            and -_INF < gas < _INF
+            and -_INF < scint < _INF
+            and -_INF < excess < _INF
+        ):
             raise DomainError(f"loss stages must be finite, got {stages}")
-        if self.fspl_db <= 0:
-            raise DomainError(f"fspl_db must be > 0, got {self.fspl_db}")
-        if min(self.gas_db, self.scintillation_db, self.excess_db) < 0:
+        if fspl <= 0:
+            raise DomainError(f"fspl_db must be > 0, got {fspl}")
+        if gas < 0 or scint < 0 or excess < 0:
             raise DomainError(f"loss stages must be >= 0, got {stages}")
-        expected = self.fspl_db + self.gas_db + self.scintillation_db + self.excess_db
+        expected = fspl + gas + scint + excess
         if self.total_db != expected:
             raise DomainError(
                 f"total_db {self.total_db!r} != sum of stages {expected!r}"
@@ -181,6 +197,31 @@ class ScenarioRow:
     clutter_los_db: float
     clutter_nlos_db: float
     shadow_sigma_db: float
+
+    def sampled_db(self, seed: int, index: int = 0) -> float:
+        """Sampled clutter loss of the point at row index of a sweep with seed.
+
+        The stream is blake2b(b"<seed>:<index>") with a 24-byte digest,
+        read as three 53-bit uniforms u1, u2, u3 in [0, 1). The point is
+        LOS when u1 < p_los; its shadowing is sigma times the Box-Muller
+        normal sqrt(-2 ln(1 - u2)) cos(2 pi u3), and the total is clamped
+        at zero. Each (seed, index) pair hashes to its own stream, so
+        adjacent seeds, adjacent points and seeds s and -s are unrelated.
+        """
+        if type(seed) is not int:  # "%d" would truncate 2.5 to the stream of 2
+            raise DomainError(f"sampled_seed must be an integer, got {seed!r}")
+        a, b, c = _STREAM_WORDS(
+            hashlib.blake2b(b"%d:%d" % (seed, index), digest_size=24).digest()
+        )
+        clutter = (
+            self.clutter_los_db if (a >> 11) * _UNIT_53 < self.p_los
+            else self.clutter_nlos_db
+        )
+        shadow = math.sqrt(-2.0 * math.log(1.0 - (b >> 11) * _UNIT_53)) * math.cos(
+            _TWO_PI * ((c >> 11) * _UNIT_53)
+        )
+        total = clutter + self.shadow_sigma_db * shadow
+        return total if total > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -395,6 +436,16 @@ def scintillation_db(
     return table.scintillation_ref(fc_ghz) * scintillation_elevation_scale(elevation_deg)
 
 
+def _scenario_cell(
+    scenario: Scenario, elevation_deg: float, table: ScenarioTable | None
+) -> ScenarioRow:
+    if not isinstance(scenario, Scenario):
+        raise DomainError(f"unknown scenario: {scenario!r}")
+    if table is None:
+        table = load_scenario_table()
+    return table.cell(scenario, elevation_deg)
+
+
 def excess_loss_db(
     scenario: Scenario,
     fc_ghz: float,
@@ -407,25 +458,20 @@ def excess_loss_db(
 
     Expected mode (sampled_seed None) returns the LOS-probability mixture
     p*L_los + (1-p)*L_nlos. Sampled mode draws the LOS state and a
-    shadowing term (normal in dB, clamped at zero total) from a generator
-    seeded with sampled_seed, so equal seeds give equal values.
+    shadowing term (normal in dB, clamped at zero total) from the stream
+    blake2b(b"<sampled_seed>:0"), the stream of point index 0 of a sweep
+    with that seed (see ScenarioRow.sampled_db), so equal seeds give
+    equal values.
 
     The shipped table is frequency-flat; fc_ghz is part of the contract
     so frequency-dependent tables can be swapped in without changing
     call sites.
     """
-    if not isinstance(scenario, Scenario):
-        raise DomainError(f"unknown scenario: {scenario!r}")
     del fc_ghz  # shipped table carries no frequency axis
-    if table is None:
-        table = load_scenario_table()
-    cell = table.cell(scenario, elevation_deg)
+    cell = _scenario_cell(scenario, elevation_deg, table)
     if sampled_seed is None:
         return cell.p_los * cell.clutter_los_db + (1.0 - cell.p_los) * cell.clutter_nlos_db
-    rng = random.Random(sampled_seed)
-    is_los = rng.random() < cell.p_los
-    clutter = cell.clutter_los_db if is_los else cell.clutter_nlos_db
-    return max(0.0, clutter + rng.gauss(0.0, cell.shadow_sigma_db))
+    return cell.sampled_db(sampled_seed)
 
 
 def default_atmosphere_fraction(low_altitude_km: float) -> float:
@@ -441,8 +487,9 @@ class PathLoss:
     """Loss stages of the hops of one run, each altitude-free stage computed once.
 
     Gas and scintillation are kept per (carrier, elevation, atmosphere
-    fraction) and expected-mode clutter per (scenario, carrier,
-    elevation); FSPL and sampled clutter are computed for every hop. A
+    fraction), expected-mode clutter per (scenario, carrier, elevation)
+    and the interpolated scenario cell per (scenario, elevation); FSPL
+    and the sampled clutter draw are computed for every hop. A
     stage that raises stores nothing, so a bad input raises again, with
     the same message, each time it is met. The stored values live as long
     as the object: make one per call or per sweep, never one per process.
@@ -455,6 +502,7 @@ class PathLoss:
         self.scenario_table = scenario_table
         self._atmosphere: dict[tuple, tuple[float, float]] = {}
         self._excess: dict[tuple, float] = {}
+        self._cells: dict[tuple, ScenarioRow] = {}
 
     def hop(
         self,
@@ -464,8 +512,13 @@ class PathLoss:
         atmosphere_fraction: float,
         *,
         sampled_seed: int | None = None,
+        sampled_index: int = 0,
     ) -> LossBreakdown:
-        """Full staged breakdown for one hop (see total_path_loss)."""
+        """Full staged breakdown for one hop (see total_path_loss).
+
+        Sampled clutter draws the stream of point sampled_index in
+        sampled_seed's run (see ScenarioRow.sampled_db).
+        """
         if not (0.0 <= atmosphere_fraction <= 1.0):
             raise DomainError(
                 f"atmosphere_fraction must be in [0, 1], got {atmosphere_fraction}"
@@ -482,9 +535,13 @@ class PathLoss:
         if scenario is None:
             excess = 0.0
         elif sampled_seed is not None:
-            excess = excess_loss_db(
-                scenario, fc_ghz, elevation, self.scenario_table, sampled_seed=sampled_seed
-            )
+            key = (scenario, elevation)
+            cell = self._cells.get(key)
+            if cell is None:
+                cell = self._cells[key] = _scenario_cell(
+                    scenario, elevation, self.scenario_table
+                )
+            excess = cell.sampled_db(sampled_seed, sampled_index)
         else:
             key = (scenario, fc_ghz, elevation)
             excess = self._excess.get(key)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from ..channel import load_atmosphere_table, load_scenario_table
@@ -243,14 +242,13 @@ def _cmd_chain(args) -> int:
 
 def _cmd_sweep(args) -> int:
     table, scenario_table = _tables(args)
-    spec = load_sweep_spec(args.spec)
+    spec = load_sweep_spec(args.spec, seed=args.seed)
     if args.seed is not None:
         excess_mode = spec.fixed.get("excess_mode", DEFAULT_EXCESS_MODE)
         if PARAMETERS["excess_mode"](excess_mode) != "sampled":
             raise ConfigError(
                 "--seed applies only to a spec with excess_mode = sampled"
             )
-        spec = replace(spec, seed=args.seed)
     _emit(run_sweep(spec, table, scenario_table), args)
     return EXIT_OK
 

@@ -10,11 +10,19 @@ each stage runs once per distinct input: each altitude is classified
 once, each radio built and resolved once, each hop geometry built once
 per (low, high, elevation), gas and scintillation computed once per
 (carrier, elevation, atmosphere fraction) and expected-mode clutter
-once per (scenario, carrier, elevation). FSPL, the loss breakdown,
-SNR, capacity, the relay fold and sampled clutter run for every point.
+once per (scenario, carrier, elevation), and the scenario cell that
+sampled clutter draws from once per (scenario, elevation). FSPL, the
+loss breakdown, SNR, capacity, the relay fold and the sampled clutter
+draw run for every point.
 The evaluator is dropped when the call returns, and a stage that raises
 stores nothing, so rows equal those of evaluate_link or evaluate_chain
 called per point, error messages included.
+
+Sampled clutter gives every point its own stream: the point at row
+index i of a sweep with seed s draws from blake2b(b"<s>:<i>") (see
+channel.ScenarioRow.sampled_db). Streams of distinct seeds and of
+distinct points are unrelated, and a single link or chain with
+sampled_seed s draws the stream of row 0.
 """
 
 from __future__ import annotations
@@ -26,7 +34,12 @@ import itertools
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from ..channel import AtmosphereTable, ScenarioTable, load_scenario_table
+from ..channel import (
+    SAMPLED_STREAMS,
+    AtmosphereTable,
+    ScenarioTable,
+    load_scenario_table,
+)
 from ..errors import NtnSimError, SpecError
 from ..linkbudget import LinkEvaluator, LinkResult, RadioConfig
 from ..relay import RelayChain, RelayHop, fold_chain
@@ -149,9 +162,12 @@ class SweepResult:
 
 
 def _evaluate_point(
-    params: dict[str, object], links: LinkEvaluator, sampled_seed: int | None
+    params: dict[str, object],
+    links: LinkEvaluator,
+    sampled_seed: int | None,
+    index: int,
 ) -> LinkResult:
-    """Evaluate one grid point from typed params (see _validate_spec)."""
+    """Evaluate the point at row index from typed params (see _validate_spec)."""
     altitude = params["altitude_km"]
     elevation = params["elevation_deg"]
     links.check_station(altitude)  # reject gap altitudes before any geometry
@@ -165,6 +181,7 @@ def _evaluate_point(
             radio,
             params["scenario"],
             sampled_seed=sampled_seed,
+            sampled_index=index,
         )
     hap_km = params["hap_altitude_km"]
     links.check_station(hap_km)
@@ -176,7 +193,7 @@ def _evaluate_point(
         mode=params["relay_mode"],
         scenario=params["scenario"],
     )
-    return fold_chain(chain, links, sampled_seed)
+    return fold_chain(chain, links, sampled_seed, index)
 
 
 def result_row(result: LinkResult) -> dict[str, object]:
@@ -218,19 +235,17 @@ def run_sweep(
     if scenario_table is None:
         scenario_table = load_scenario_table()
     sampled = typed.fixed["excess_mode"] == "sampled"
+    seed = typed.seed if sampled else None
     axis_names = spec.axis_names()
     links = LinkEvaluator(table, scenario_table)
 
     def evaluate(index: int, combo: tuple, typed_combo: tuple) -> dict[str, object]:
         params = dict(typed.fixed)
         params.update(zip(axis_names, typed_combo))
-        seed = (typed.seed ^ index) if sampled else None
         # Rows keep the axis values as the spec gave them.
         row: dict[str, object] = dict(zip(axis_names, combo))
         try:
-            row.update(result_row(
-                _evaluate_point(params, links, seed)
-            ))
+            row.update(result_row(_evaluate_point(params, links, seed, index)))
         except NtnSimError as exc:
             row.update(_FAILED_ROW)
             row["error"] = str(exc)
@@ -247,7 +262,9 @@ def run_sweep(
         f"scenario table version: {scenario_table.version}",
     )
     if sampled:
-        provenance += (f"sampled excess mode, seed {typed.seed}",)
+        provenance += (
+            f"sampled excess mode, seed {seed}, per-point streams {SAMPLED_STREAMS}",
+        )
     return SweepResult(schema=spec.schema(), rows=rows, provenance=provenance)
 
 
@@ -301,8 +318,12 @@ def csv_bytes(result: SweepResult) -> bytes:
 # Sweep spec files
 # ---------------------------------------------------------------------------
 
-def load_sweep_spec(path: str | Path) -> SweepSpec:
-    """Read a sweep spec file ([axes] and [fixed] sections, optional seed)."""
+def load_sweep_spec(path: str | Path, seed: int | None = None) -> SweepSpec:
+    """Read a sweep spec file ([axes] and [fixed] sections, optional seed).
+
+    A seed given here supplies the spec's seed, or replaces the one the
+    file sets (ntnsim sweep --seed), before the spec is checked.
+    """
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -333,7 +354,9 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
 
     schema: tuple[str, ...] = ()
     top = dict(sections.get("", {}))
-    seed = value_of("seed", *top.pop("seed")) if "seed" in top else None
+    if "seed" in top:
+        file_seed = value_of("seed", *top.pop("seed"))  # checked even when replaced
+        seed = file_seed if seed is None else seed
     if top:
         raise SpecError(f"{p.name}: unexpected top-level keys {sorted(top)}")
     if "columns" in sections.get("output", {}):

@@ -186,9 +186,10 @@ class LinkEvaluator(PathLoss):
         atmosphere_fraction: float | None = None,
         *,
         sampled_seed: int | None = None,
+        sampled_index: int = 0,
         label: str = "direct",
     ) -> LinkResult:
-        """Evaluate one hop end to end (see evaluate_link)."""
+        """Evaluate one hop end to end (see evaluate_link and PathLoss.hop)."""
         if atmosphere_fraction is None:
             atmosphere_fraction = default_atmosphere_fraction(geometry.low_altitude_km)
         resolved = radio.resolve_bandwidth()
@@ -198,6 +199,7 @@ class LinkEvaluator(PathLoss):
             scenario,
             atmosphere_fraction,
             sampled_seed=sampled_seed,
+            sampled_index=sampled_index,
         )
         snr = snr_db(resolved, breakdown)
         return LinkResult(

@@ -107,9 +107,15 @@ def evaluate_chain(
 
 
 def fold_chain(
-    chain: RelayChain, links: LinkEvaluator, sampled_seed: int | None = None
+    chain: RelayChain,
+    links: LinkEvaluator,
+    sampled_seed: int | None = None,
+    sampled_index: int = 0,
 ) -> LinkResult:
-    """evaluate_chain with the hops evaluated by links (see LinkEvaluator)."""
+    """evaluate_chain with the hops evaluated by links (see LinkEvaluator).
+
+    The ground hop's sampled clutter draws point sampled_index's stream.
+    """
     _validate_chain(chain)
     per_hop: list[LinkResult] = []
     for hop in chain.hops:
@@ -121,6 +127,7 @@ def fold_chain(
                 chain.scenario if on_ground else None,
                 hop.atmosphere_fraction,
                 sampled_seed=sampled_seed if on_ground else None,
+                sampled_index=sampled_index,
             )
         )
     if len(per_hop) == 1:

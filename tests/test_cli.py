@@ -171,6 +171,16 @@ g_over_t_dbi_per_k = 15.9
         assert code == 0
         assert "# sampled excess mode, seed 3" in out
 
+    def test_seed_supplies_seed_of_sampled_spec_without_one(self, tmp_path, capsys):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(self.SPEC + "excess_mode = sampled\n")
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec), "--seed", "3")
+        assert code == 0, err
+        assert "# sampled excess mode, seed 3, per-point streams blake2b(seed:index)\n" in out
+        assert len(csv_rows(out)) == 3
+        spec.write_text("seed = 3\n" + self.SPEC + "excess_mode = sampled\n")
+        assert run_cli(capsys, "sweep", "--spec", str(spec)) == (code, out, err)
+
     def test_missing_spec_file(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--spec", str(tmp_path / "nope.cfg"))
         assert code == 3

@@ -1,8 +1,10 @@
 """A sweep reuses stage results across grid points without changing any row.
 
 The reference evaluates every point on its own through the public
-per-point API (a fresh evaluate_link or evaluate_chain call), so each
-stage is computed from scratch; run_sweep must reproduce it exactly.
+per-point API (a fresh LinkEvaluator per point, which is what
+evaluate_link and evaluate_chain are, given the point's sampled stream
+index), so each stage is computed from scratch; run_sweep must
+reproduce it exactly.
 """
 
 import itertools
@@ -16,12 +18,11 @@ from ntnsim import (
     RadioConfig,
     Scenario,
     classify_station,
-    evaluate_chain,
-    evaluate_link,
 )
 from ntnsim.harness import SweepSpec, run_sweep
 from ntnsim.harness.sweep import METRIC_COLUMNS, result_row
-from ntnsim.relay import RelayChain, RelayHop, RelayMode
+from ntnsim.linkbudget import LinkEvaluator
+from ntnsim.relay import RelayChain, RelayHop, RelayMode, fold_chain
 
 FAILED = {**dict.fromkeys(METRIC_COLUMNS + ("slant_range_km", "bandwidth_hz")), "label": ""}
 
@@ -38,7 +39,7 @@ AXIS_VALUES = {
 }
 
 
-def reference_row(point, fixed, table, scenario_table, seed):
+def reference_row(point, fixed, table, scenario_table, seed, index):
     """Metric and extra columns of one point, evaluated on its own."""
     try:
         altitude, elevation = point["altitude_km"], point["elevation_deg"]
@@ -53,9 +54,8 @@ def reference_row(point, fixed, table, scenario_table, seed):
         scenario = Scenario.from_name(point["scenario"])
         if point["mode"] == "direct":
             geometry = LinkGeometry.from_endpoints(0.0, altitude, elevation)
-            result = evaluate_link(
-                geometry, radio, scenario, table,
-                scenario_table=scenario_table, sampled_seed=seed,
+            result = LinkEvaluator(table, scenario_table).link(
+                geometry, radio, scenario, sampled_seed=seed, sampled_index=index,
             )
         else:
             hap = fixed["hap_altitude_km"]
@@ -68,7 +68,7 @@ def reference_row(point, fixed, table, scenario_table, seed):
                 mode=RelayMode(fixed["relay_mode"]),
                 scenario=scenario,
             )
-            result = evaluate_chain(chain, table, scenario_table, sampled_seed=seed)
+            result = fold_chain(chain, LinkEvaluator(table, scenario_table), seed, index)
         return result_row(result)
     except NtnSimError as exc:
         return {**FAILED, "error": str(exc)}
@@ -80,10 +80,10 @@ def reference_rows(spec, table, scenario_table):
     rows = []
     for index, combo in enumerate(itertools.product(*(v for _, v in spec.axes))):
         point = {**spec.fixed, **dict(zip(names, combo))}
-        seed = spec.seed ^ index if sampled else None
+        seed = spec.seed if sampled else None
         rows.append({
             **dict(zip(names, combo)),
-            **reference_row(point, spec.fixed, table, scenario_table, seed),
+            **reference_row(point, spec.fixed, table, scenario_table, seed, index),
         })
     return rows
 
