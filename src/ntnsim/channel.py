@@ -60,6 +60,10 @@ class Scenario(enum.Enum):
     SUBURBAN = "suburban"
     RURAL = "rural"
 
+    # Members are singletons, so identity hashes them; Enum's own
+    # __hash__ runs Python code on every sweep point's clutter lookup.
+    __hash__ = object.__hash__
+
     @classmethod
     def from_name(cls, name: str) -> "Scenario":
         key = name.strip().lower().replace("-", "_").replace(" ", "_")
@@ -70,6 +74,27 @@ class Scenario(enum.Enum):
             f"unknown scenario {name!r}; expected one of "
             + ", ".join(m.value for m in cls)
         )
+
+
+def stage_total_db(fspl: float, gas: float, scint: float, excess: float) -> float:
+    """Total loss of one hop, fspl + gas + scint + excess summed in that order.
+
+    Raises DomainError unless every stage is finite, FSPL is positive and
+    the other stages are non-negative. LossBreakdown and the sweep plan
+    both check their stages here.
+    """
+    if not (
+        -_INF < fspl < _INF
+        and -_INF < gas < _INF
+        and -_INF < scint < _INF
+        and -_INF < excess < _INF
+    ):
+        raise DomainError(f"loss stages must be finite, got {(fspl, gas, scint, excess)}")
+    if fspl <= 0:
+        raise DomainError(f"fspl_db must be > 0, got {fspl}")
+    if gas < 0 or scint < 0 or excess < 0:
+        raise DomainError(f"loss stages must be >= 0, got {(fspl, gas, scint, excess)}")
+    return fspl + gas + scint + excess
 
 
 @dataclass(frozen=True)
@@ -87,22 +112,9 @@ class LossBreakdown:
     total_db: float
 
     def __post_init__(self) -> None:
-        # Straight-line checks: this runs for every hop and relay point.
-        fspl, gas, scint, excess = stages = (
+        expected = stage_total_db(
             self.fspl_db, self.gas_db, self.scintillation_db, self.excess_db
         )
-        if not (
-            -_INF < fspl < _INF
-            and -_INF < gas < _INF
-            and -_INF < scint < _INF
-            and -_INF < excess < _INF
-        ):
-            raise DomainError(f"loss stages must be finite, got {stages}")
-        if fspl <= 0:
-            raise DomainError(f"fspl_db must be > 0, got {fspl}")
-        if gas < 0 or scint < 0 or excess < 0:
-            raise DomainError(f"loss stages must be >= 0, got {stages}")
-        expected = fspl + gas + scint + excess
         if self.total_db != expected:
             raise DomainError(
                 f"total_db {self.total_db!r} != sum of stages {expected!r}"
@@ -197,6 +209,10 @@ class ScenarioRow:
     clutter_los_db: float
     clutter_nlos_db: float
     shadow_sigma_db: float
+
+    def expected_db(self) -> float:
+        """Expected clutter loss: the LOS-probability mixture p*L_los + (1-p)*L_nlos."""
+        return self.p_los * self.clutter_los_db + (1.0 - self.p_los) * self.clutter_nlos_db
 
     def sampled_db(self, seed: int, index: int = 0) -> float:
         """Sampled clutter loss of the point at row index of a sweep with seed.
@@ -436,16 +452,6 @@ def scintillation_db(
     return table.scintillation_ref(fc_ghz) * scintillation_elevation_scale(elevation_deg)
 
 
-def _scenario_cell(
-    scenario: Scenario, elevation_deg: float, table: ScenarioTable | None
-) -> ScenarioRow:
-    if not isinstance(scenario, Scenario):
-        raise DomainError(f"unknown scenario: {scenario!r}")
-    if table is None:
-        table = load_scenario_table()
-    return table.cell(scenario, elevation_deg)
-
-
 def excess_loss_db(
     scenario: Scenario,
     fc_ghz: float,
@@ -453,25 +459,28 @@ def excess_loss_db(
     table: ScenarioTable | None = None,
     *,
     sampled_seed: int | None = None,
+    sampled_index: int = 0,
 ) -> float:
     """Scenario-dependent clutter/blockage loss at the ground terminal.
 
     Expected mode (sampled_seed None) returns the LOS-probability mixture
-    p*L_los + (1-p)*L_nlos. Sampled mode draws the LOS state and a
+    (ScenarioRow.expected_db). Sampled mode draws the LOS state and a
     shadowing term (normal in dB, clamped at zero total) from the stream
-    blake2b(b"<sampled_seed>:0"), the stream of point index 0 of a sweep
-    with that seed (see ScenarioRow.sampled_db), so equal seeds give
-    equal values.
+    of point sampled_index of a sweep with seed sampled_seed,
+    blake2b(b"<sampled_seed>:<sampled_index>") (see ScenarioRow.sampled_db),
+    so equal seeds and indices give equal values.
 
     The shipped table is frequency-flat; fc_ghz is part of the contract
     so frequency-dependent tables can be swapped in without changing
     call sites.
     """
     del fc_ghz  # shipped table carries no frequency axis
-    cell = _scenario_cell(scenario, elevation_deg, table)
+    if not isinstance(scenario, Scenario):
+        raise DomainError(f"unknown scenario: {scenario!r}")
+    cell = (table or load_scenario_table()).cell(scenario, elevation_deg)
     if sampled_seed is None:
-        return cell.p_los * cell.clutter_los_db + (1.0 - cell.p_los) * cell.clutter_nlos_db
-    return cell.sampled_db(sampled_seed)
+        return cell.expected_db()
+    return cell.sampled_db(sampled_seed, sampled_index)
 
 
 def default_atmosphere_fraction(low_altitude_km: float) -> float:
@@ -483,75 +492,6 @@ def default_atmosphere_fraction(low_altitude_km: float) -> float:
     return 0.0
 
 
-class PathLoss:
-    """Loss stages of the hops of one run, each altitude-free stage computed once.
-
-    Gas and scintillation are kept per (carrier, elevation, atmosphere
-    fraction), expected-mode clutter per (scenario, carrier, elevation)
-    and the interpolated scenario cell per (scenario, elevation); FSPL
-    and the sampled clutter draw are computed for every hop. A
-    stage that raises stores nothing, so a bad input raises again, with
-    the same message, each time it is met. The stored values live as long
-    as the object: make one per call or per sweep, never one per process.
-    """
-
-    def __init__(
-        self, table: AtmosphereTable, scenario_table: ScenarioTable | None = None
-    ) -> None:
-        self.table = table
-        self.scenario_table = scenario_table
-        self._atmosphere: dict[tuple, tuple[float, float]] = {}
-        self._excess: dict[tuple, float] = {}
-        self._cells: dict[tuple, ScenarioRow] = {}
-
-    def hop(
-        self,
-        geometry: LinkGeometry,
-        fc_ghz: float,
-        scenario: Scenario | None,
-        atmosphere_fraction: float,
-        *,
-        sampled_seed: int | None = None,
-        sampled_index: int = 0,
-    ) -> LossBreakdown:
-        """Full staged breakdown for one hop (see total_path_loss).
-
-        Sampled clutter draws the stream of point sampled_index in
-        sampled_seed's run (see ScenarioRow.sampled_db).
-        """
-        if not (0.0 <= atmosphere_fraction <= 1.0):
-            raise DomainError(
-                f"atmosphere_fraction must be in [0, 1], got {atmosphere_fraction}"
-            )
-        fspl = fspl_db(geometry.slant_range_km, fc_ghz)
-        elevation = geometry.elevation_deg
-        key = (fc_ghz, elevation, atmosphere_fraction)
-        atmosphere = self._atmosphere.get(key)
-        if atmosphere is None:
-            atmosphere = self._atmosphere[key] = (
-                atmosphere_fraction * gas_attenuation_db(fc_ghz, elevation, self.table),
-                atmosphere_fraction * scintillation_db(fc_ghz, elevation, self.table),
-            )
-        if scenario is None:
-            excess = 0.0
-        elif sampled_seed is not None:
-            key = (scenario, elevation)
-            cell = self._cells.get(key)
-            if cell is None:
-                cell = self._cells[key] = _scenario_cell(
-                    scenario, elevation, self.scenario_table
-                )
-            excess = cell.sampled_db(sampled_seed, sampled_index)
-        else:
-            key = (scenario, fc_ghz, elevation)
-            excess = self._excess.get(key)
-            if excess is None:
-                excess = self._excess[key] = excess_loss_db(
-                    scenario, fc_ghz, elevation, self.scenario_table
-                )
-        return LossBreakdown.from_stages(fspl, *atmosphere, excess)
-
-
 def total_path_loss(
     geometry: LinkGeometry,
     fc_ghz: float,
@@ -561,14 +501,27 @@ def total_path_loss(
     scenario_table: ScenarioTable | None = None,
     *,
     sampled_seed: int | None = None,
+    sampled_index: int = 0,
 ) -> LossBreakdown:
     """Full staged breakdown for one hop.
 
     Gas and scintillation are scaled by atmosphere_fraction (in [0, 1])
     for hops that do not traverse the whole atmospheric column. A None
     scenario means no ground clutter applies (hops that never approach
-    the ground); excess is then exactly zero.
+    the ground); excess is then exactly zero. Sampled clutter draws the
+    stream of point sampled_index of a sweep with seed sampled_seed (see
+    excess_loss_db).
     """
-    return PathLoss(table, scenario_table).hop(
-        geometry, fc_ghz, scenario, atmosphere_fraction, sampled_seed=sampled_seed
+    if not (0.0 <= atmosphere_fraction <= 1.0):
+        raise DomainError(
+            f"atmosphere_fraction must be in [0, 1], got {atmosphere_fraction}"
+        )
+    elevation = geometry.elevation_deg
+    fspl = fspl_db(geometry.slant_range_km, fc_ghz)
+    gas = atmosphere_fraction * gas_attenuation_db(fc_ghz, elevation, table)
+    scint = atmosphere_fraction * scintillation_db(fc_ghz, elevation, table)
+    excess = 0.0 if scenario is None else excess_loss_db(
+        scenario, fc_ghz, elevation, scenario_table,
+        sampled_seed=sampled_seed, sampled_index=sampled_index,
     )
+    return LossBreakdown.from_stages(fspl, gas, scint, excess)

@@ -1,22 +1,22 @@
 """Cartesian parameter sweeps with deterministic CSV emission.
 
 Row order is the product of the axes in declaration order (first axis
-slowest). A grid
-point that fails to evaluate produces a row whose metric columns are
-empty and whose `error` column carries the reason; the sweep continues.
+slowest). A grid point that fails to evaluate produces a row whose
+metric columns are empty and whose `error` column carries the reason;
+the sweep continues.
 
-One run_sweep call evaluates every point through one LinkEvaluator, so
-each stage runs once per distinct input: each altitude is classified
-once, each radio built and resolved once, each hop geometry built once
-per (low, high, elevation), gas and scintillation computed once per
-(carrier, elevation, atmosphere fraction) and expected-mode clutter
-once per (scenario, carrier, elevation), and the scenario cell that
-sampled clutter draws from once per (scenario, elevation). FSPL, the
-loss breakdown, SNR, capacity, the relay fold and the sampled clutter
-draw run for every point.
-The evaluator is dropped when the call returns, and a stage that raises
-stores nothing, so rows equal those of evaluate_link or evaluate_chain
-called per point, error messages included.
+run_sweep builds one plan per spec: each stage runs once per distinct
+input, through the scalar functions evaluate_link and evaluate_chain
+use (classify_station per altitude, the HAP's included; one resolved
+RadioConfig per carrier and receive gain; a LinkGeometry per hop; gas
+and scintillation per carrier, elevation and atmosphere fraction; the
+scenario cell and its expected clutter per scenario and elevation).
+One loop then does each point's float work in the scalar path's order:
+FSPL, the stage checks and total, SNR, capacity, the AF/DF fold and the
+sampled clutter draw. A stage input that raised is not stored, so a
+point that looks it up runs the stage again and gets its own error.
+Every row, error message included, thus equals evaluate_link's or
+evaluate_chain's for that point alone, with sampled_index its row index.
 
 Sampled clutter gives every point its own stream: the point at row
 index i of a sweep with seed s draws from blake2b(b"<s>:<i>") (see
@@ -30,19 +30,26 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import itertools
 from dataclasses import dataclass, fields, replace
+from itertools import product
+from operator import itemgetter
 from pathlib import Path
 
 from ..channel import (
     SAMPLED_STREAMS,
     AtmosphereTable,
     ScenarioTable,
+    default_atmosphere_fraction,
+    fspl_db,
+    gas_attenuation_db,
     load_scenario_table,
+    scintillation_db,
+    stage_total_db,
 )
 from ..errors import NtnSimError, SpecError
-from ..linkbudget import LinkEvaluator, LinkResult, RadioConfig
-from ..relay import RelayChain, RelayHop, fold_chain
+from ..geometry import LinkGeometry, classify_station
+from ..linkbudget import LinkResult, RadioConfig, shannon_capacity_bps, snr_sum_db
+from ..relay import RelayMode, af_chain_snr_db, chain_label, df_bottleneck
 from .config import DEFAULT_EXCESS_MODE, PARAMETERS, parse_sections, parse_value
 
 AXIS_NAMES = ("altitude_km", "fc_ghz", "elevation_deg", "g_rx_dbi", "scenario", "mode")
@@ -60,6 +67,8 @@ METRIC_COLUMNS = (
 )
 # Columns a schema may request beyond axes and metrics.
 EXTRA_COLUMNS = ("slant_range_km", "bandwidth_hz", "label", "error")
+# Metric and extra columns of an evaluated point, in row order.
+RESULT_COLUMNS = ("slant_range_km",) + METRIC_COLUMNS + EXTRA_COLUMNS[1:]
 
 MODE_DIRECT = "direct"
 MODE_RELAY = "relay"
@@ -161,61 +170,131 @@ class SweepResult:
         return tuple(r for r in self.rows if r.get("error"))
 
 
-def _evaluate_point(
-    params: dict[str, object],
-    links: LinkEvaluator,
-    sampled_seed: int | None,
-    index: int,
-) -> LinkResult:
-    """Evaluate the point at row index from typed params (see _validate_spec)."""
-    altitude = params["altitude_km"]
-    elevation = params["elevation_deg"]
-    links.check_station(altitude)  # reject gap altitudes before any geometry
-    # Radio keys absent from the spec fall back to the RadioConfig defaults.
-    radio = links.radio(**{
-        key: value for key in _RADIO_FIELDS if (value := params.get(key)) is not None
-    })
-    if params["mode"] == MODE_DIRECT:
-        return links.link(
-            links.geometry(0.0, altitude, elevation),
-            radio,
-            params["scenario"],
-            sampled_seed=sampled_seed,
-            sampled_index=index,
+class _Stage(dict):
+    """One stage's results by input, each distinct input run once.
+
+    An input whose stage raised NtnSimError is not stored; looking it up
+    runs the stage again, so the point gets the error of its own input.
+    """
+
+    def __init__(self, stage, inputs) -> None:
+        super().__init__()
+        self.stage = stage
+        for key in inputs:
+            try:
+                self[key] = stage(key)
+            except NtnSimError:
+                pass
+
+    def __missing__(self, key):
+        return self.stage(key)
+
+
+def _plan(values, fixed, table, scenario_table, seed):
+    """Point evaluators of a typed spec by mode (see the module docstring).
+
+    values holds the distinct typed values of each of AXIS_NAMES. An
+    evaluator takes a point's values of AXIS_NAMES but mode, and its row
+    index; it returns the values of RESULT_COLUMNS or raises the point's
+    NtnSimError.
+    """
+    altitudes, fcs, elevations, g_rxs, scenarios, modes = map(values.get, AXIS_NAMES)
+    hap = fixed.get("hap_altitude_km")
+    relay = MODE_RELAY in modes
+    radio_fixed = {  # RadioConfig's defaults stand for radio fields a spec leaves out
+        k: v for k in _RADIO_FIELDS if k not in AXIS_NAMES and (v := fixed.get(k)) is not None
+    }
+
+    def radio(key):
+        fc, g_rx = key
+        resolved = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx).resolve_bandwidth()
+        return (*resolved.budget_terms(), resolved.bandwidth_hz)
+
+    def atmosphere(fraction):
+        return _Stage(lambda key: (
+            fraction * gas_attenuation_db(*key, table),
+            fraction * scintillation_db(*key, table),
+        ), product(fcs, elevations))
+
+    def clutter(key):  # expected clutter in dB, or the cell sampled points draw from
+        cell = scenario_table.cell(*key)
+        return cell.expected_db() if seed is None else cell
+
+    def slants(low, inputs):  # (high, elevation) -> slant range
+        return _Stage(
+            lambda key: LinkGeometry.from_endpoints(low, *key).slant_range_km, inputs
         )
-    hap_km = params["hap_altitude_km"]
-    links.check_station(hap_km)
-    chain = RelayChain(
-        hops=(
-            RelayHop(links.geometry(hap_km, altitude, elevation), radio),
-            RelayHop(links.geometry(0.0, hap_km, elevation), radio),
-        ),
-        mode=params["relay_mode"],
-        scenario=params["scenario"],
-    )
-    return fold_chain(chain, links, sampled_seed, index)
+
+    stations = _Stage(classify_station, altitudes + (hap,) if relay else altitudes)
+    radios = _Stage(radio, product(fcs, g_rxs))
+    ground_atmosphere = atmosphere(default_atmosphere_fraction(0.0))
+    cells = _Stage(clutter, product(scenarios, elevations))
+    highs = altitudes if MODE_DIRECT in modes else ()
+    ground_slants = slants(0.0, product(highs + (hap,) if relay else highs, elevations))
+
+    def ground_hop(slant, fc, elevation, scenario, index, gain, bandwidth_db):
+        fspl = fspl_db(slant, fc)
+        gas, scint = ground_atmosphere[fc, elevation]
+        cell = cells[scenario, elevation]
+        excess = cell if seed is None else cell.sampled_db(seed, index)
+        total = stage_total_db(fspl, gas, scint, excess)
+        return fspl, gas, scint, excess, total, snr_sum_db(gain, total, bandwidth_db)
+
+    def direct(altitude, fc, elevation, g_rx, scenario, index):
+        stations[altitude]  # raises for an altitude outside every band
+        gain, bandwidth_db, bandwidth = radios[fc, g_rx]
+        slant = ground_slants[altitude, elevation]
+        *losses, snr = ground_hop(slant, fc, elevation, scenario, index, gain, bandwidth_db)
+        capacity = shannon_capacity_bps(bandwidth, snr)
+        return (slant, *losses, snr, capacity, bandwidth, "direct", "")
+
+    if not relay:
+        return {MODE_DIRECT: direct}
+    # Hop 0 runs from the HAP up to the station, without clutter; hop 1
+    # from the ground up to the HAP. Both use the point's radio.
+    upper_slants = slants(hap, product(altitudes, elevations))
+    hap_atmosphere = atmosphere(default_atmosphere_fraction(hap))
+    mode = fixed["relay_mode"]
+    label = chain_label(mode, 2)
+
+    def relay_point(altitude, fc, elevation, g_rx, scenario, index):
+        stations[altitude]
+        gain, bandwidth_db, bandwidth = radios[fc, g_rx]
+        stations[hap]
+        upper = upper_slants[altitude, elevation]
+        lower = ground_slants[hap, elevation]
+        fspl0 = fspl_db(upper, fc)
+        gas0, scint0 = hap_atmosphere[fc, elevation]
+        snr0 = snr_sum_db(gain, stage_total_db(fspl0, gas0, scint0, 0.0), bandwidth_db)
+        fspl1, gas1, scint1, excess, _, snr1 = ground_hop(
+            lower, fc, elevation, scenario, index, gain, bandwidth_db
+        )
+        if mode is RelayMode.AMPLIFY_FORWARD:
+            snr = af_chain_snr_db((snr0, snr1))
+            capacity = shannon_capacity_bps(bandwidth, snr)
+        else:
+            capacities = (
+                shannon_capacity_bps(bandwidth, snr0),
+                shannon_capacity_bps(bandwidth, snr1),
+            )
+            bottleneck = df_bottleneck(capacities)
+            snr, capacity = (snr0, snr1)[bottleneck], capacities[bottleneck]
+        fspl, gas, scint = fspl0 + fspl1, gas0 + gas1, scint0 + scint1
+        total = stage_total_db(fspl, gas, scint, excess)
+        slant = upper + lower
+        return (slant, fspl, gas, scint, excess, total, snr, capacity, bandwidth, label, "")
+
+    return {MODE_DIRECT: direct, MODE_RELAY: relay_point}
 
 
 def result_row(result: LinkResult) -> dict[str, object]:
     """Metric and extra columns of one evaluated link or chain."""
-    slant = (
-        sum(h.geometry.slant_range_km for h in result.hops)
-        if result.hops
-        else result.geometry.slant_range_km
-    )
-    return {
-        "slant_range_km": slant,
-        "fspl_db": result.breakdown.fspl_db,
-        "gas_db": result.breakdown.gas_db,
-        "scintillation_db": result.breakdown.scintillation_db,
-        "excess_db": result.breakdown.excess_db,
-        "total_db": result.breakdown.total_db,
-        "snr_db": result.snr_db,
-        "capacity_bps": result.capacity_bps,
-        "bandwidth_hz": result.bandwidth_hz,
-        "label": result.label,
-        "error": "",
-    }
+    slant = sum(h.geometry.slant_range_km for h in result.hops or (result,))
+    b = result.breakdown
+    return dict(zip(RESULT_COLUMNS, (
+        slant, b.fspl_db, b.gas_db, b.scintillation_db, b.excess_db, b.total_db,
+        result.snr_db, result.capacity_bps, result.bandwidth_hz, result.label, "",
+    )))
 
 
 # Metric and extra columns of a row whose point failed to evaluate.
@@ -236,26 +315,29 @@ def run_sweep(
         scenario_table = load_scenario_table()
     sampled = typed.fixed["excess_mode"] == "sampled"
     seed = typed.seed if sampled else None
-    axis_names = spec.axis_names()
-    links = LinkEvaluator(table, scenario_table)
+    # A parameter of AXIS_NAMES the spec fixes is one more single-valued
+    # axis after the spec's own, so each typed point carries all of them.
+    typed_axes = dict(typed.axes)
+    for name in AXIS_NAMES:
+        typed_axes.setdefault(name, (typed.fixed.get(name),))
+    pick = itemgetter(*map(list(typed_axes).index, AXIS_NAMES))
+    distinct = {name: tuple(dict.fromkeys(v)) for name, v in typed_axes.items()}
+    evaluators = _plan(distinct, typed.fixed, table, scenario_table, seed)
 
-    def evaluate(index: int, combo: tuple, typed_combo: tuple) -> dict[str, object]:
-        params = dict(typed.fixed)
-        params.update(zip(axis_names, typed_combo))
+    axis_names = spec.axis_names()
+    columns = axis_names + RESULT_COLUMNS
+    points = zip(product(*(v for _, v in spec.axes)), product(*typed_axes.values()))
+    rows = []
+    for index, (combo, point) in enumerate(points):
         # Rows keep the axis values as the spec gave them.
-        row: dict[str, object] = dict(zip(axis_names, combo))
+        *parameters, mode = pick(point)
         try:
-            row.update(result_row(_evaluate_point(params, links, seed, index)))
+            row = dict(zip(columns, combo + evaluators[mode](*parameters, index)))
         except NtnSimError as exc:
+            row = dict(zip(axis_names, combo))
             row.update(_FAILED_ROW)
             row["error"] = str(exc)
-        return row
-
-    points = zip(
-        itertools.product(*(values for _, values in spec.axes)),
-        itertools.product(*(values for _, values in typed.axes)),
-    )
-    rows = tuple(evaluate(index, *point) for index, point in enumerate(points))
+        rows.append(row)
 
     provenance = spec.provenance + (
         f"atmosphere table version: {table.version}",
@@ -265,7 +347,7 @@ def run_sweep(
         provenance += (
             f"sampled excess mode, seed {seed}, per-point streams {SAMPLED_STREAMS}",
         )
-    return SweepResult(schema=spec.schema(), rows=rows, provenance=provenance)
+    return SweepResult(schema=spec.schema(), rows=tuple(rows), provenance=provenance)
 
 
 def format_value(value: object) -> str:
@@ -297,15 +379,34 @@ def emit_csv(result: SweepResult, destination) -> None:
         _write_csv(result, handle)
 
 
+_FLOAT_ONLY = frozenset((float,))
+
+
 def _write_csv(result: SweepResult, handle) -> None:
     for line in result.provenance:
         handle.write(f"# {line}\n")
     writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(result.schema)
     schema = result.schema
-    writer.writerows(
-        [format_value(row.get(col)) for col in schema] for row in result.rows
-    )
+    writer.writerow(schema)
+    numeric = tuple(col for col in schema if col != "error")
+    if len(numeric) < 2:  # itemgetter of one key returns no tuple
+        writer.writerows([format_value(row.get(col)) for col in schema] for row in result.rows)
+        return
+    # A row whose cells are all floats but an empty error is written with
+    # one format string: "%.6g" gives format_value's text and never a
+    # character csv would quote. Other rows (error messages, ints, numpy
+    # floats, enums, bools, None, missing cells) go through csv.writer.
+    cells_of = itemgetter(*numeric)
+    line = ",".join("" if col == "error" else "%.6g" for col in schema) + "\n"
+    for row in result.rows:
+        try:
+            cells = cells_of(row)
+        except KeyError:
+            cells = (None,)
+        if _FLOAT_ONLY.issuperset(map(type, cells)) and row.get("error") in ("", None):
+            handle.write(line % cells)
+        else:
+            writer.writerow([format_value(row.get(col)) for col in schema])
 
 
 def csv_bytes(result: SweepResult) -> bytes:

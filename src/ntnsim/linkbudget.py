@@ -18,14 +18,14 @@ from dataclasses import dataclass, replace
 from .channel import (
     AtmosphereTable,
     LossBreakdown,
-    PathLoss,
     Scenario,
     ScenarioTable,
     default_atmosphere_fraction,
+    total_path_loss,
 )
 from .constants import BOLTZMANN_DBM_PER_K_HZ
 from .errors import ConfigError, DomainError
-from .geometry import LinkGeometry, classify_station
+from .geometry import LinkGeometry
 
 _LN2 = math.log(2.0)
 
@@ -101,19 +101,28 @@ class RadioConfig:
             return self
         return replace(self, bandwidth_hz=default_bandwidth(self.fc_ghz))
 
+    def budget_terms(self) -> tuple[float, float]:
+        """The radio's share of the SNR sum: (P_tx + G_tx + G/T, 10 log10 W)."""
+        if self.bandwidth_hz is None:
+            raise ConfigError("bandwidth is Auto; call resolve_bandwidth() first")
+        return (
+            self.tx_power_dbm + self.g_tx_dbi + self.g_over_t(),
+            10.0 * math.log10(self.bandwidth_hz),
+        )
+
+
+def snr_sum_db(gain_db: float, total_loss_db: float, bandwidth_db: float) -> float:
+    """SNR in dB from RadioConfig.budget_terms and a hop's total loss.
+
+    gain - L_total + 198.6 - 10 log10(W), summed in that order.
+    """
+    return gain_db - total_loss_db - BOLTZMANN_DBM_PER_K_HZ - bandwidth_db
+
 
 def snr_db(radio: RadioConfig, breakdown: LossBreakdown) -> float:
     """Received SNR in dB for a resolved radio config and a loss breakdown."""
-    if radio.bandwidth_hz is None:
-        raise ConfigError("bandwidth is Auto; call resolve_bandwidth() first")
-    return (
-        radio.tx_power_dbm
-        + radio.g_tx_dbi
-        + radio.g_over_t()
-        - breakdown.total_db
-        - BOLTZMANN_DBM_PER_K_HZ
-        - 10.0 * math.log10(radio.bandwidth_hz)
-    )
+    gain, bandwidth_db = radio.budget_terms()
+    return snr_sum_db(gain, breakdown.total_db, bandwidth_db)
 
 
 def shannon_capacity_bps(bandwidth_hz: float, snr_db: float) -> float:
@@ -136,82 +145,6 @@ class LinkResult:
     hops: tuple["LinkResult", ...] = ()
 
 
-class LinkEvaluator(PathLoss):
-    """Links of one run: PathLoss plus station checks, hop geometry and radios.
-
-    Each station altitude is classified once, each hop geometry built
-    once per (low, high, elevation) and each radio built and resolved
-    once; like the loss stages, nothing is stored for an input that
-    raises. A sweep keeps one evaluator for all its points; evaluate_link
-    makes a fresh one per call.
-    """
-
-    def __init__(
-        self, table: AtmosphereTable, scenario_table: ScenarioTable | None = None
-    ) -> None:
-        super().__init__(table, scenario_table)
-        self._stations: set[float] = set()
-        self._geometries: dict[tuple[float, float, float], LinkGeometry] = {}
-        self._radios: dict[tuple, RadioConfig] = {}
-
-    def check_station(self, altitude_km: float) -> None:
-        """classify_station, raising for altitudes outside every band."""
-        if altitude_km not in self._stations:
-            classify_station(altitude_km)
-            self._stations.add(altitude_km)
-
-    def geometry(
-        self, low_altitude_km: float, high_altitude_km: float, elevation_deg: float
-    ) -> LinkGeometry:
-        """LinkGeometry.from_endpoints, once per distinct hop."""
-        key = (low_altitude_km, high_altitude_km, elevation_deg)
-        geometry = self._geometries.get(key)
-        if geometry is None:
-            geometry = self._geometries[key] = LinkGeometry.from_endpoints(*key)
-        return geometry
-
-    def radio(self, **fields: float) -> RadioConfig:
-        """RadioConfig(**fields) with Auto bandwidth resolved, once per distinct fields."""
-        key = tuple(fields.items())
-        radio = self._radios.get(key)
-        if radio is None:
-            radio = self._radios[key] = RadioConfig(**fields).resolve_bandwidth()
-        return radio
-
-    def link(
-        self,
-        geometry: LinkGeometry,
-        radio: RadioConfig,
-        scenario: Scenario | None,
-        atmosphere_fraction: float | None = None,
-        *,
-        sampled_seed: int | None = None,
-        sampled_index: int = 0,
-        label: str = "direct",
-    ) -> LinkResult:
-        """Evaluate one hop end to end (see evaluate_link and PathLoss.hop)."""
-        if atmosphere_fraction is None:
-            atmosphere_fraction = default_atmosphere_fraction(geometry.low_altitude_km)
-        resolved = radio.resolve_bandwidth()
-        breakdown = self.hop(
-            geometry,
-            resolved.fc_ghz,
-            scenario,
-            atmosphere_fraction,
-            sampled_seed=sampled_seed,
-            sampled_index=sampled_index,
-        )
-        snr = snr_db(resolved, breakdown)
-        return LinkResult(
-            breakdown=breakdown,
-            snr_db=snr,
-            capacity_bps=shannon_capacity_bps(resolved.bandwidth_hz, snr),
-            bandwidth_hz=resolved.bandwidth_hz,
-            geometry=geometry,
-            label=label,
-        )
-
-
 def evaluate_link(
     geometry: LinkGeometry,
     radio: RadioConfig,
@@ -221,19 +154,29 @@ def evaluate_link(
     scenario_table: ScenarioTable | None = None,
     *,
     sampled_seed: int | None = None,
+    sampled_index: int = 0,
     label: str = "direct",
 ) -> LinkResult:
     """Evaluate one hop end to end: losses, SNR, Shannon capacity.
 
     atmosphere_fraction None picks the default for the hop's lower
     endpoint (1.0 from the ground, 0.1 from HAP altitude, 0.0 above the
-    atmosphere).
+    atmosphere). Sampled clutter draws the stream of point sampled_index
+    of a sweep with seed sampled_seed, so the default 0 gives row 0's.
     """
-    return LinkEvaluator(table, scenario_table).link(
-        geometry,
-        radio,
-        scenario,
-        atmosphere_fraction,
-        sampled_seed=sampled_seed,
+    if atmosphere_fraction is None:
+        atmosphere_fraction = default_atmosphere_fraction(geometry.low_altitude_km)
+    resolved = radio.resolve_bandwidth()
+    breakdown = total_path_loss(
+        geometry, resolved.fc_ghz, scenario, table, atmosphere_fraction, scenario_table,
+        sampled_seed=sampled_seed, sampled_index=sampled_index,
+    )
+    snr = snr_db(resolved, breakdown)
+    return LinkResult(
+        breakdown=breakdown,
+        snr_db=snr,
+        capacity_bps=shannon_capacity_bps(resolved.bandwidth_hz, snr),
+        bandwidth_hz=resolved.bandwidth_hz,
+        geometry=geometry,
         label=label,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .channel import (
     AtmosphereTable,
@@ -20,7 +21,7 @@ from .channel import (
 )
 from .errors import ChainError, DomainError
 from .geometry import LinkGeometry
-from .linkbudget import LinkEvaluator, LinkResult, RadioConfig, shannon_capacity_bps
+from .linkbudget import LinkResult, RadioConfig, evaluate_link, shannon_capacity_bps
 
 
 class RelayMode(enum.Enum):
@@ -56,6 +57,24 @@ def df_end_to_end_capacity(c1_bps: float, c2_bps: float) -> float:
     if c1_bps < 0 or c2_bps < 0:
         raise DomainError(f"capacities must be >= 0, got ({c1_bps}, {c2_bps})")
     return min(c1_bps, c2_bps)
+
+
+def af_chain_snr_db(hop_snrs_db: tuple[float, ...]) -> float:
+    """AF chain SNR in dB: per-hop linear SNRs folded pairwise in hop order."""
+    gamma = 10.0 ** (hop_snrs_db[0] / 10.0)
+    for snr in hop_snrs_db[1:]:
+        gamma = af_end_to_end_snr(gamma, 10.0 ** (snr / 10.0))
+    return 10.0 * math.log10(gamma) if gamma > 0 else -math.inf
+
+
+def df_bottleneck(hop_capacities_bps: tuple[float, ...]) -> int:
+    """Index of the hop that decides a DF chain: the first with the least capacity."""
+    return hop_capacities_bps.index(reduce(df_end_to_end_capacity, hop_capacities_bps))
+
+
+def chain_label(mode: RelayMode, hop_count: int) -> str:
+    """Label of a chain's result, such as "af:2hop"."""
+    return f"{mode.value}:{hop_count}hop"
 
 
 def _validate_chain(chain: RelayChain) -> None:
@@ -95,54 +114,36 @@ def evaluate_chain(
     scenario_table: ScenarioTable | None = None,
     *,
     sampled_seed: int | None = None,
+    sampled_index: int = 0,
 ) -> LinkResult:
     """Evaluate a relay chain; a single-hop chain reduces to evaluate_link.
 
     AF folds per-hop linear SNRs pairwise in hop order and uses the
     minimum hop bandwidth (a transparent repeater cannot widen the
     signal). DF reports the bottleneck hop's SNR, bandwidth and capacity.
-    The aggregated breakdown sums each stage over the hops.
-    """
-    return fold_chain(chain, LinkEvaluator(table, scenario_table), sampled_seed)
-
-
-def fold_chain(
-    chain: RelayChain,
-    links: LinkEvaluator,
-    sampled_seed: int | None = None,
-    sampled_index: int = 0,
-) -> LinkResult:
-    """evaluate_chain with the hops evaluated by links (see LinkEvaluator).
-
-    The ground hop's sampled clutter draws point sampled_index's stream.
+    The aggregated breakdown sums each stage over the hops. The ground
+    hop's sampled clutter draws the stream of point sampled_index of a
+    sweep with seed sampled_seed (see evaluate_link).
     """
     _validate_chain(chain)
     per_hop: list[LinkResult] = []
     for hop in chain.hops:
         on_ground = hop.geometry.low_altitude_km == 0.0
-        per_hop.append(
-            links.link(
-                hop.geometry,
-                hop.radio,
-                chain.scenario if on_ground else None,
-                hop.atmosphere_fraction,
-                sampled_seed=sampled_seed if on_ground else None,
-                sampled_index=sampled_index,
-            )
-        )
+        per_hop.append(evaluate_link(
+            hop.geometry, hop.radio, chain.scenario if on_ground else None, table,
+            hop.atmosphere_fraction, scenario_table,
+            sampled_seed=sampled_seed if on_ground else None, sampled_index=sampled_index,
+        ))
     if len(per_hop) == 1:
         return per_hop[0]
 
     hops = tuple(per_hop)
     if chain.mode is RelayMode.AMPLIFY_FORWARD:
-        gamma = 10.0 ** (hops[0].snr_db / 10.0)
-        for r in hops[1:]:
-            gamma = af_end_to_end_snr(gamma, 10.0 ** (r.snr_db / 10.0))
+        snr = af_chain_snr_db(tuple(r.snr_db for r in hops))
         bandwidth = min(r.bandwidth_hz for r in hops)
-        snr = 10.0 * math.log10(gamma) if gamma > 0 else -math.inf
         capacity = shannon_capacity_bps(bandwidth, snr)
     else:
-        bottleneck = min(hops, key=lambda r: r.capacity_bps)
+        bottleneck = hops[df_bottleneck(tuple(r.capacity_bps for r in hops))]
         snr = bottleneck.snr_db
         bandwidth = bottleneck.bandwidth_hz
         capacity = bottleneck.capacity_bps
@@ -152,6 +153,6 @@ def fold_chain(
         capacity_bps=capacity,
         bandwidth_hz=bandwidth,
         geometry=hops[-1].geometry,
-        label=f"{chain.mode.value}:{len(hops)}hop",
+        label=chain_label(chain.mode, len(hops)),
         hops=hops,
     )

@@ -364,3 +364,20 @@ class TestFlagValidation:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
+
+
+def test_preset_imports_no_numpy():
+    # numpy's import alone would about triple a cold one-slice `ntnsim` run.
+    code = (
+        "import contextlib, io, sys\n"
+        "from ntnsim.harness.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['preset', '--name', 'fig2'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ntnsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.stderr == ""
+    assert proc.stdout == "0 False\n"

@@ -19,6 +19,8 @@ from ntnsim import (
     evaluate_chain,
     evaluate_link,
 )
+from ntnsim.harness import SweepSpec, run_sweep
+from ntnsim.relay import df_bottleneck
 
 
 def leo_hap_ground_chain(radio, h_leo=1200.0, h_hap=20.0, elev=10.0,
@@ -69,6 +71,50 @@ class TestDfCapacity:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             df_end_to_end_capacity(-1, 1)
+
+    def test_bottleneck_is_first_hop_with_least_capacity(self):
+        assert df_bottleneck((5.0, 5.0)) == 0
+        assert df_bottleneck((6.0, 5.0, 5.0)) == 1
+        assert df_bottleneck((6.0, 7.0, 5.0)) == 2
+
+    def test_tie_takes_first_hop_in_chain_and_sweep(self, atm_table, scen_table):
+        # At -5000 dBm every hop's linear SNR underflows to 0, so both hops
+        # have capacity 0.0; their SNRs and bandwidths still differ.
+        wide, narrow = (
+            RadioConfig(fc_ghz=20.0, tx_power_dbm=-5000.0, g_over_t_dbi_per_k=15.9,
+                        bandwidth_hz=bandwidth)
+            for bandwidth in (800e6, 400e6)
+        )
+        chain = leo_hap_ground_chain(wide, mode=RelayMode.DECODE_FORWARD)
+        chain = RelayChain(
+            hops=(chain.hops[0], RelayHop(chain.hops[1].geometry, narrow)),
+            mode=chain.mode,
+            scenario=chain.scenario,
+        )
+        res = evaluate_chain(chain, atm_table, scen_table)
+        assert [h.capacity_bps for h in res.hops] == [0.0, 0.0]
+        assert res.hops[0].snr_db != res.hops[1].snr_db
+        assert (res.snr_db, res.bandwidth_hz) == (res.hops[0].snr_db, 800e6)
+
+        spec = SweepSpec(
+            axes=(("elevation_deg", (10.0,)),),
+            fixed={
+                "altitude_km": 1200.0, "fc_ghz": 20.0, "scenario": "dense_urban",
+                "tx_power_dbm": -5000.0, "g_over_t_dbi_per_k": 15.9,
+                "mode": "relay", "hap_altitude_km": 20.0, "relay_mode": "df",
+            },
+        )
+        (row,) = run_sweep(spec, atm_table, scen_table).rows
+        same_radio = evaluate_chain(
+            leo_hap_ground_chain(
+                RadioConfig(fc_ghz=20.0, tx_power_dbm=-5000.0, g_over_t_dbi_per_k=15.9),
+                mode=RelayMode.DECODE_FORWARD,
+            ),
+            atm_table,
+            scen_table,
+        )
+        assert row["capacity_bps"] == 0.0
+        assert row["snr_db"] == same_radio.hops[0].snr_db != same_radio.hops[1].snr_db
 
 
 class TestChainValidation:

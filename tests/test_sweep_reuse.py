@@ -1,10 +1,9 @@
 """A sweep reuses stage results across grid points without changing any row.
 
-The reference evaluates every point on its own through the public
-per-point API (a fresh LinkEvaluator per point, which is what
-evaluate_link and evaluate_chain are, given the point's sampled stream
-index), so each stage is computed from scratch; run_sweep must
-reproduce it exactly.
+The reference evaluates every point on its own through the scalar
+per-point API (evaluate_link and evaluate_chain, given the point's
+sampled stream index), so each stage is computed from scratch;
+run_sweep must reproduce it exactly.
 """
 
 import itertools
@@ -18,11 +17,12 @@ from ntnsim import (
     RadioConfig,
     Scenario,
     classify_station,
+    evaluate_chain,
+    evaluate_link,
 )
 from ntnsim.harness import SweepSpec, run_sweep
 from ntnsim.harness.sweep import METRIC_COLUMNS, result_row
-from ntnsim.linkbudget import LinkEvaluator
-from ntnsim.relay import RelayChain, RelayHop, RelayMode, fold_chain
+from ntnsim.relay import RelayChain, RelayHop, RelayMode
 
 FAILED = {**dict.fromkeys(METRIC_COLUMNS + ("slant_range_km", "bandwidth_hz")), "label": ""}
 
@@ -54,8 +54,9 @@ def reference_row(point, fixed, table, scenario_table, seed, index):
         scenario = Scenario.from_name(point["scenario"])
         if point["mode"] == "direct":
             geometry = LinkGeometry.from_endpoints(0.0, altitude, elevation)
-            result = LinkEvaluator(table, scenario_table).link(
-                geometry, radio, scenario, sampled_seed=seed, sampled_index=index,
+            result = evaluate_link(
+                geometry, radio, scenario, table, scenario_table=scenario_table,
+                sampled_seed=seed, sampled_index=index,
             )
         else:
             hap = fixed["hap_altitude_km"]
@@ -68,7 +69,9 @@ def reference_row(point, fixed, table, scenario_table, seed, index):
                 mode=RelayMode(fixed["relay_mode"]),
                 scenario=scenario,
             )
-            result = fold_chain(chain, LinkEvaluator(table, scenario_table), seed, index)
+            result = evaluate_chain(
+                chain, table, scenario_table, sampled_seed=seed, sampled_index=index,
+            )
         return result_row(result)
     except NtnSimError as exc:
         return {**FAILED, "error": str(exc)}
