@@ -23,10 +23,10 @@ import hashlib
 import math
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DomainError, TableDomainError, TableFormatError
 from .geometry import LinkGeometry, MIN_ELEVATION_DEG, _check_elevation
@@ -97,7 +97,6 @@ def stage_total_db(fspl: float, gas: float, scint: float, excess: float) -> floa
     return fspl + gas + scint + excess
 
 
-@dataclass(frozen=True)
 class LossBreakdown:
     """Per-stage attenuation of one hop, in dB.
 
@@ -105,32 +104,39 @@ class LossBreakdown:
     that order; construction enforces the identity.
     """
 
-    fspl_db: float
-    gas_db: float
-    scintillation_db: float
-    excess_db: float
-    total_db: float
+    __slots__ = _fields = ("fspl_db", "gas_db", "scintillation_db", "excess_db", "total_db")
 
-    def __post_init__(self) -> None:
-        expected = stage_total_db(
-            self.fspl_db, self.gas_db, self.scintillation_db, self.excess_db
-        )
-        if self.total_db != expected:
-            raise DomainError(
-                f"total_db {self.total_db!r} != sum of stages {expected!r}"
-            )
+    def __init__(
+        self, fspl_db: float, gas_db: float, scintillation_db: float, excess_db: float,
+        total_db: float,
+    ) -> None:
+        self.fspl_db = fspl_db
+        self.gas_db = gas_db
+        self.scintillation_db = scintillation_db
+        self.excess_db = excess_db
+        self.total_db = total_db
+        expected = stage_total_db(fspl_db, gas_db, scintillation_db, excess_db)
+        if total_db != expected:
+            raise DomainError(f"total_db {total_db!r} != sum of stages {expected!r}")
+
+    def _values(self) -> tuple[float, ...]:
+        return (self.fspl_db, self.gas_db, self.scintillation_db, self.excess_db, self.total_db)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is LossBreakdown and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"LossBreakdown{self._values()!r}"
 
     @classmethod
     def from_stages(
         cls, fspl_db: float, gas_db: float, scintillation_db: float, excess_db: float
     ) -> "LossBreakdown":
-        return cls(
-            fspl_db=fspl_db,
-            gas_db=gas_db,
-            scintillation_db=scintillation_db,
-            excess_db=excess_db,
-            total_db=fspl_db + gas_db + scintillation_db + excess_db,
-        )
+        total_db = fspl_db + gas_db + scintillation_db + excess_db
+        return cls(fspl_db, gas_db, scintillation_db, excess_db, total_db)
 
 
 def _interpolate(x: float, grid: tuple[float, ...], values: tuple[float, ...]) -> float:
@@ -145,7 +151,6 @@ def _interpolate(x: float, grid: tuple[float, ...], values: tuple[float, ...]) -
     return values[i - 1] + t * (values[i] - values[i - 1])
 
 
-@dataclass(frozen=True)
 class AtmosphereTable:
     """Zenith gas attenuation and scintillation reference vs frequency.
 
@@ -155,18 +160,21 @@ class AtmosphereTable:
     50 and 70 GHz.
     """
 
-    frequency_grid_ghz: tuple[float, ...]
-    zenith_gas_db: tuple[float, ...]
-    scintillation_ref_db: tuple[float, ...]
-    version: str = "unversioned"
+    __slots__ = _fields = ("frequency_grid_ghz", "zenith_gas_db", "scintillation_ref_db", "version")
 
-    def __post_init__(self) -> None:
-        n = len(self.frequency_grid_ghz)
+    def __init__(
+        self, frequency_grid_ghz: tuple[float, ...], zenith_gas_db: tuple[float, ...],
+        scintillation_ref_db: tuple[float, ...], version: str = "unversioned",
+    ) -> None:
+        self.frequency_grid_ghz = grid = frequency_grid_ghz
+        self.zenith_gas_db = zenith_gas_db
+        self.scintillation_ref_db = scintillation_ref_db
+        self.version = version
+        n = len(grid)
         if n < 2:
             raise TableFormatError("atmosphere table needs at least two rows")
         if len(self.zenith_gas_db) != n or len(self.scintillation_ref_db) != n:
             raise TableFormatError("atmosphere table columns differ in length")
-        grid = self.frequency_grid_ghz
         if any(grid[i] >= grid[i + 1] for i in range(n - 1)):
             raise TableFormatError("frequency grid must be strictly ascending")
         if grid[0] > 0.5 or grid[-1] < 100.0:
@@ -203,8 +211,7 @@ class AtmosphereTable:
         return _interpolate(fc_ghz, self.frequency_grid_ghz, self.scintillation_ref_db)
 
 
-@dataclass(frozen=True)
-class ScenarioRow:
+class ScenarioRow(NamedTuple):
     p_los: float
     clutter_los_db: float
     clutter_nlos_db: float
@@ -240,20 +247,20 @@ class ScenarioRow:
         return total if total > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
 class ScenarioTable:
     """LOS probability and clutter loss per scenario over an elevation grid."""
 
-    elevation_grid_deg: tuple[float, ...]
-    rows: dict[Scenario, tuple[ScenarioRow, ...]]
-    version: str = "unversioned"
-    # Per scenario, one tuple per ScenarioRow field over the grid; built once.
-    _columns: dict[Scenario, tuple[tuple[float, ...], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    _fields = ("elevation_grid_deg", "rows", "version")
+    # _columns: per scenario, one tuple per ScenarioRow field over the grid.
+    __slots__ = _fields + ("_columns",)
 
-    def __post_init__(self) -> None:
-        grid = self.elevation_grid_deg
+    def __init__(
+        self, elevation_grid_deg: tuple[float, ...], rows: dict[Scenario, tuple[ScenarioRow, ...]],
+        version: str = "unversioned",
+    ) -> None:
+        self.elevation_grid_deg = grid = elevation_grid_deg
+        self.rows = rows
+        self.version = version
         if len(grid) < 2 or any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
             raise TableFormatError("elevation grid must be strictly ascending")
         if grid[0] > 10.0 or grid[-1] < 90.0:
@@ -265,19 +272,13 @@ class ScenarioTable:
                 raise TableFormatError(
                     f"scenario {scenario.value} has wrong number of rows"
                 )
-        for rows in self.rows.values():
-            for r in rows:
+        for scenario_rows in self.rows.values():
+            for r in scenario_rows:
                 if not (0.0 <= r.p_los <= 1.0):
                     raise TableFormatError(f"p_los out of [0, 1]: {r.p_los}")
                 if min(r.clutter_los_db, r.clutter_nlos_db, r.shadow_sigma_db) < 0:
                     raise TableFormatError("clutter and sigma values must be >= 0")
-        columns = {
-            scenario: tuple(
-                tuple(getattr(r, f.name) for r in rows) for f in fields(ScenarioRow)
-            )
-            for scenario, rows in self.rows.items()
-        }
-        object.__setattr__(self, "_columns", columns)
+        self._columns = {scenario: tuple(zip(*cells)) for scenario, cells in self.rows.items()}
 
     def cell(self, scenario: Scenario, elevation_deg: float) -> ScenarioRow:
         """Row for one scenario at one elevation, interpolating each column."""

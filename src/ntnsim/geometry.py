@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
 from .errors import DomainError, GeometryError, UnclassifiableAltitude
@@ -136,8 +136,7 @@ def differential_delay_ms(
     return (d_edge - d_center) / SPEED_OF_LIGHT_KM_S * 1000.0
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+class LinkGeometry(NamedTuple):
     """One hop: endpoint altitudes, elevation, and derived range/delay."""
 
     low_altitude_km: float

@@ -11,13 +11,13 @@ specs and CLI flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from ..channel import Scenario
 from ..errors import ConfigError
-from ..linkbudget import RadioConfig
+from ..linkbudget import DEFAULT_G_TX_DBI, RadioConfig
 from ..relay import RelayMode
 
 DEFAULT_EXCESS_MODE = "expected"
@@ -109,7 +109,7 @@ _relay_word = _word(*(mode.value for mode in RelayMode))
 # parser that checks and types its value; a parser raises ValueError.
 PARAMETERS = {
     **dict.fromkeys(("altitude_km", "elevation_deg", "hap_altitude_km"), finite_number),
-    **{f.name: finite_number for f in fields(RadioConfig)},
+    **dict.fromkeys(RadioConfig._fields, finite_number),
     "bandwidth_hz": _auto_or_number,  # in place of the RadioConfig entry
     "scenario": lambda v: v if isinstance(v, Scenario) else Scenario.from_name(str(v)),
     "mode": _word("direct", "relay"),
@@ -127,12 +127,11 @@ def parse_value(key: str, value: object, error_cls: type, where: str = "") -> ob
         raise error_cls(f"{where}{key}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ResolvedParams:
+class ResolvedParams(NamedTuple):
     """A config file with defaults applied."""
 
     tx_power_dbm: float
-    g_tx_dbi: float = RadioConfig.g_tx_dbi
+    g_tx_dbi: float = DEFAULT_G_TX_DBI
     g_rx_dbi: float | None = None
     g_over_t_dbi_per_k: float | None = None
     noise_temperature_k: float | None = None
@@ -141,7 +140,7 @@ class ResolvedParams:
     seed: int | None = None
 
 
-_CONFIG_KEYS = frozenset(f.name for f in fields(ResolvedParams))
+_CONFIG_KEYS = frozenset(ResolvedParams._fields)
 
 
 def resolve_params(kv: dict[str, tuple[str, int]], name: str) -> ResolvedParams:

@@ -30,10 +30,10 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass, fields, replace
 from itertools import product
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from ..channel import (
     SAMPLED_STREAMS,
@@ -53,8 +53,6 @@ from ..relay import RelayMode, af_chain_snr_db, chain_label, df_bottleneck
 from .config import DEFAULT_EXCESS_MODE, PARAMETERS, parse_sections, parse_value
 
 AXIS_NAMES = ("altitude_km", "fc_ghz", "elevation_deg", "g_rx_dbi", "scenario", "mode")
-
-_RADIO_FIELDS = tuple(f.name for f in fields(RadioConfig))
 
 METRIC_COLUMNS = (
     "fspl_db",
@@ -76,8 +74,7 @@ MODE_RELAY = "relay"
 _DEFAULTS = {"mode": MODE_DIRECT, "relay_mode": "af", "excess_mode": DEFAULT_EXCESS_MODE}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """A parameter grid: swept axes, fixed parameters, output schema."""
 
     axes: tuple[tuple[str, tuple], ...]
@@ -157,11 +154,10 @@ def _validate_spec(spec: SweepSpec) -> SweepSpec:
     for col in spec.schema():
         if col not in known_metrics:
             raise SpecError(f"unknown output column {col!r}")
-    return replace(spec, axes=tuple(axes), fixed=fixed, seed=seed)
+    return spec._replace(axes=tuple(axes), fixed=fixed, seed=seed)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     schema: tuple[str, ...]
     rows: tuple[dict[str, object], ...]
     provenance: tuple[str, ...] = ()
@@ -202,7 +198,7 @@ def _plan(values, fixed, table, scenario_table, seed):
     hap = fixed.get("hap_altitude_km")
     relay = MODE_RELAY in modes
     radio_fixed = {  # RadioConfig's defaults stand for radio fields a spec leaves out
-        k: v for k in _RADIO_FIELDS if k not in AXIS_NAMES and (v := fixed.get(k)) is not None
+        k: v for k in RadioConfig._fields if k not in AXIS_NAMES and (v := fixed.get(k)) is not None
     }
 
     def radio(key):

@@ -13,7 +13,7 @@ G_rx - 10 log10(T) == G/T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .channel import (
     AtmosphereTable,
@@ -28,6 +28,9 @@ from .errors import ConfigError, DomainError
 from .geometry import LinkGeometry
 
 _LN2 = math.log(2.0)
+
+# Transmit gain a radio or config file leaves out (dBi).
+DEFAULT_G_TX_DBI = 39.7
 
 
 def default_bandwidth(fc_ghz: float) -> float:
@@ -45,7 +48,6 @@ def default_bandwidth(fc_ghz: float) -> float:
     return 2e9
 
 
-@dataclass(frozen=True)
 class RadioConfig:
     """Radio parameters for one hop.
 
@@ -55,16 +57,24 @@ class RadioConfig:
     SNR computation).
     """
 
-    fc_ghz: float
-    tx_power_dbm: float
-    g_tx_dbi: float = 39.7
-    g_rx_dbi: float | None = None
-    g_over_t_dbi_per_k: float | None = None
-    noise_temperature_k: float | None = None
-    bandwidth_hz: float | None = None
+    __slots__ = _fields = (
+        "fc_ghz", "tx_power_dbm", "g_tx_dbi", "g_rx_dbi",
+        "g_over_t_dbi_per_k", "noise_temperature_k", "bandwidth_hz",
+    )
 
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+    def __init__(
+        self, fc_ghz: float, tx_power_dbm: float, g_tx_dbi: float = DEFAULT_G_TX_DBI,
+        g_rx_dbi: float | None = None, g_over_t_dbi_per_k: float | None = None,
+        noise_temperature_k: float | None = None, bandwidth_hz: float | None = None,
+    ) -> None:
+        self.fc_ghz = fc_ghz
+        self.tx_power_dbm = tx_power_dbm
+        self.g_tx_dbi = g_tx_dbi
+        self.g_rx_dbi = g_rx_dbi
+        self.g_over_t_dbi_per_k = g_over_t_dbi_per_k
+        self.noise_temperature_k = noise_temperature_k
+        self.bandwidth_hz = bandwidth_hz
+        for name, value in zip(self._fields, self._values()):
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.fc_ghz <= 0:
@@ -89,6 +99,18 @@ class RadioConfig:
         if self.bandwidth_hz is not None and self.bandwidth_hz <= 0:
             raise ConfigError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is RadioConfig and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"RadioConfig{self._values()!r}"
+
     def g_over_t(self) -> float:
         """Receiver figure of merit in dBi/K, whichever form was given."""
         if self.g_over_t_dbi_per_k is not None:
@@ -99,7 +121,7 @@ class RadioConfig:
         """Replace an Auto bandwidth with the default for this carrier."""
         if self.bandwidth_hz is not None:
             return self
-        return replace(self, bandwidth_hz=default_bandwidth(self.fc_ghz))
+        return RadioConfig(*self._values()[:-1], default_bandwidth(self.fc_ghz))
 
     def budget_terms(self) -> tuple[float, float]:
         """The radio's share of the SNR sum: (P_tx + G_tx + G/T, 10 log10 W)."""
@@ -125,15 +147,22 @@ def snr_db(radio: RadioConfig, breakdown: LossBreakdown) -> float:
     return snr_sum_db(gain, breakdown.total_db, bandwidth_db)
 
 
+def snr_linear(snr_db: float) -> float:
+    """SNR as a power ratio; DomainError above about 3083 dB, where it overflows a float."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise DomainError(f"SNR {snr_db} dB is too large for a linear power ratio") from None
+
+
 def shannon_capacity_bps(bandwidth_hz: float, snr_db: float) -> float:
     """W * log2(1 + SNR); log1p keeps precision at very low SNR."""
     if bandwidth_hz <= 0:
         raise DomainError(f"bandwidth must be > 0 Hz, got {bandwidth_hz}")
-    return bandwidth_hz * math.log1p(10.0 ** (snr_db / 10.0)) / _LN2
+    return bandwidth_hz * math.log1p(snr_linear(snr_db)) / _LN2
 
 
-@dataclass(frozen=True)
-class LinkResult:
+class LinkResult(NamedTuple):
     """Outcome of evaluating one link or relay chain."""
 
     breakdown: LossBreakdown

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .channel import (
     AtmosphereTable,
@@ -21,7 +21,7 @@ from .channel import (
 )
 from .errors import ChainError, DomainError
 from .geometry import LinkGeometry
-from .linkbudget import LinkResult, RadioConfig, evaluate_link, shannon_capacity_bps
+from .linkbudget import LinkResult, RadioConfig, evaluate_link, shannon_capacity_bps, snr_linear
 
 
 class RelayMode(enum.Enum):
@@ -29,15 +29,13 @@ class RelayMode(enum.Enum):
     DECODE_FORWARD = "df"
 
 
-@dataclass(frozen=True)
-class RelayHop:
+class RelayHop(NamedTuple):
     geometry: LinkGeometry
     radio: RadioConfig
     atmosphere_fraction: float | None = None  # None = default for the hop
 
 
-@dataclass(frozen=True)
-class RelayChain:
+class RelayChain(NamedTuple):
     hops: tuple[RelayHop, ...]
     mode: RelayMode = RelayMode.AMPLIFY_FORWARD
     scenario: Scenario = Scenario.DENSE_URBAN
@@ -61,9 +59,9 @@ def df_end_to_end_capacity(c1_bps: float, c2_bps: float) -> float:
 
 def af_chain_snr_db(hop_snrs_db: tuple[float, ...]) -> float:
     """AF chain SNR in dB: per-hop linear SNRs folded pairwise in hop order."""
-    gamma = 10.0 ** (hop_snrs_db[0] / 10.0)
+    gamma = snr_linear(hop_snrs_db[0])
     for snr in hop_snrs_db[1:]:
-        gamma = af_end_to_end_snr(gamma, 10.0 ** (snr / 10.0))
+        gamma = af_end_to_end_snr(gamma, snr_linear(snr))
     return 10.0 * math.log10(gamma) if gamma > 0 else -math.inf
 
 

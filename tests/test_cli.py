@@ -366,18 +366,58 @@ class TestFlagValidation:
         assert out == ""
 
 
-def test_preset_imports_no_numpy():
-    # numpy's import alone would about triple a cold one-slice `ntnsim` run.
+CHAIN = ("chain", "--hop", "1200:10", "--hop", "20:10", "--fc", "20", "--got", "15.9")
+
+
+class TestSnrOverflow:
+    # 10^(SNR/10) overflows a float for an SNR above about 3083 dB.
+    @pytest.mark.parametrize(
+        "argv", [LINK, (*CHAIN, "--mode", "af"), (*CHAIN, "--mode", "df")]
+    )
+    def test_overflow_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--txpow", "4000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ntnsim: error: SNR ")
+        assert "too large for a linear power ratio" in err
+
+    @pytest.mark.parametrize(
+        "argv, row",
+        [
+            (LINK, "600,30,20,dense_urban,179.099,0.76,0.174274,19.8,199.834,"
+                   "2965.34,7.8805e+11,1075.09,8e+08,direct"),
+            ((*CHAIN, "--mode", "df"), "1200:10 20:10,df,20,dense_urban,347.583,"
+                   "2.40717,0.682,27.04,377.712,2976.03,7.90893e+11,3208.06,8e+08,df:2hop"),
+        ],
+    )
+    def test_largest_finite_snr_row_unchanged(self, capsys, argv, row):
+        code, out, _ = run_cli(capsys, *argv, "--txpow", "3000")
+        assert code == 0
+        assert out.splitlines()[-1] == row
+
+
+@pytest.mark.parametrize("command", ["preset", "link", "chain", "sweep"])
+def test_cli_imports_no_numpy_or_dataclasses(tmp_path, command):
+    # numpy's import alone would about triple a cold one-slice `ntnsim` run;
+    # dataclasses, which imports inspect, would add about a fifth to every command.
+    spec = tmp_path / "s.cfg"
+    spec.write_text(TestSweepCommand.SPEC)
+    argv = {
+        "preset": ["preset", "--name", "fig2"],
+        "link": [*LINK, "--txpow", "18"],
+        "chain": [*CHAIN, "--txpow", "18"],
+        "sweep": ["sweep", "--spec", str(spec)],
+    }[command]
     code = (
         "import contextlib, io, sys\n"
         "from ntnsim.harness.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['preset', '--name', 'fig2'])\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        f"    code = main({argv!r})\n"
+        "print(code, [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(ntnsim.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.stderr == ""
-    assert proc.stdout == "0 False\n"
+    assert proc.stdout == "0 []\n"

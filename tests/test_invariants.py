@@ -1,4 +1,5 @@
-"""Model invariants over random inputs: relay folds, stage sums, monotonicity.
+"""Model invariants over random inputs: relay folds, stage sums, the G/T
+identity, monotonicity.
 
 Monotonicity is checked on run_sweep rows, the path sweeps take; the
 reuse tests show those rows equal evaluate_link's. Comparisons that
@@ -8,6 +9,7 @@ the scalar path and any fast path must agree.
 """
 
 import itertools
+import math
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from ntnsim import (
     RelayMode,
     Scenario,
     evaluate_chain,
+    evaluate_link,
 )
 from ntnsim.harness import SweepSpec, run_sweep
 
@@ -128,3 +131,70 @@ def test_capacity_monotone_in_altitude_and_elevation(
     for a, (e1, e2) in itertools.product(altitudes, itertools.pairwise(elevations)):
         if (a, e1) in capacity and (a, e2) in capacity:
             assert capacity[a, e2] >= capacity[a, e1] * (1 - TOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(0.5, 100.0),
+    st.floats(-20.0, 60.0),
+    st.floats(-10.0, 80.0),
+    st.floats(1.0, 5000.0),
+    st.floats(200.0, 35000.0),
+    elevations,
+    scenarios,
+    seeds,
+)
+def test_g_rx_and_temperature_equal_the_equivalent_g_over_t(
+    atm_table, scen_table, fc, tx_power, g_rx, temperature, altitude, elevation, scenario, seed
+):
+    geometry = LinkGeometry.from_endpoints(0.0, altitude, elevation)
+    g_over_t = g_rx - 10.0 * math.log10(temperature)
+    snrs = [
+        evaluate_link(
+            geometry,
+            RadioConfig(fc_ghz=fc, tx_power_dbm=tx_power, **receiver),
+            scenario,
+            atm_table,
+            scenario_table=scen_table,
+            sampled_seed=seed,
+        ).snr_db
+        for receiver in (
+            {"g_rx_dbi": g_rx, "noise_temperature_k": temperature},
+            {"g_over_t_dbi_per_k": g_over_t},
+        )
+    ]
+    assert abs(snrs[0] - snrs[1]) <= TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sorted_floats(-10.0, 80.0),
+    st.floats(200.0, 35000.0),
+    elevations,
+    st.floats(0.5, 100.0),
+    scenarios,
+    st.sampled_from(["direct", "relay"]),
+    st.sampled_from(["af", "df"]),
+)
+def test_capacity_non_decreasing_in_receive_gain(
+    atm_table, scen_table, gains, altitude, elevation, fc, scenario, mode, relay_mode
+):
+    spec = SweepSpec(
+        axes=(("g_rx_dbi", tuple(gains)),),
+        fixed={
+            "altitude_km": altitude,
+            "elevation_deg": elevation,
+            "fc_ghz": fc,
+            "scenario": scenario.value,
+            "tx_power_dbm": 18.0,
+            "noise_temperature_k": 290.0,
+            "mode": mode,
+            "hap_altitude_km": 20.0,
+            "relay_mode": relay_mode,
+        },
+    )
+    rows = run_sweep(spec, atm_table, scen_table).rows
+    assert not any(row["error"] for row in rows)
+    capacities = [row["capacity_bps"] for row in rows]
+    for c1, c2 in itertools.pairwise(capacities):
+        assert c2 >= c1 * (1 - TOL)

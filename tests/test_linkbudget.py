@@ -203,6 +203,12 @@ class TestShannonCapacity:
         with pytest.raises(DomainError):
             shannon_capacity_bps(0, 10)
 
+    def test_overflowing_snr_is_domain_error(self):
+        # 10^(SNR/10) overflows a float above about 3083 dB.
+        assert shannon_capacity_bps(1e9, 3000.0) > 0
+        with pytest.raises(DomainError, match="SNR 4000.0 dB is too large"):
+            shannon_capacity_bps(1e9, 4000.0)
+
 
 class TestEvaluateLink:
     def test_purity(self, atm_table, scen_table, got_radio):

@@ -1,7 +1,6 @@
 """Parameter values: config files, spec files, Python specs and CLI flags agree."""
 
 import math
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +21,7 @@ FLAG_KEYS = {
     "--temp": "noise_temperature_k",
     "--bandwidth": "bandwidth_hz",
 }
-CONFIG_KEYS = [k for k in FLAG_KEYS.values() if k in {f.name for f in fields(ResolvedParams)}]
+CONFIG_KEYS = [k for k in FLAG_KEYS.values() if k in ResolvedParams._fields]
 BAD_VALUES = ("nan", "-inf", "1e999", "x")
 
 BASE = {

@@ -8,6 +8,7 @@ run_sweep must reproduce it exactly.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ntnsim import (
@@ -118,6 +119,32 @@ def specs(draw):
 def test_sweep_rows_equal_per_point_evaluation(atm_table, scen_table, spec):
     rows = run_sweep(spec, atm_table, scen_table).rows
     assert list(rows) == reference_rows(spec, atm_table, scen_table)
+
+
+@pytest.mark.parametrize("relay_mode", ["af", "df"])
+def test_snr_overflow_is_the_points_error_row(atm_table, scen_table, relay_mode):
+    # Above about 3083 dB an SNR's power ratio overflows a float. A
+    # 3122.5 dBi receive gain takes the HAP-ground hop of a relay past it,
+    # but not the HAP-GEO hop or the direct link; 4000 dBi takes all.
+    spec = SweepSpec(
+        axes=(("g_rx_dbi", (50.0, 3122.5, 4000.0)), ("mode", ("direct", "relay"))),
+        fixed={
+            "altitude_km": 35786.0,
+            "fc_ghz": 20.0,
+            "elevation_deg": 30.0,
+            "scenario": "rural",
+            "tx_power_dbm": 18.0,
+            "noise_temperature_k": 290.0,
+            "hap_altitude_km": 20.0,
+            "relay_mode": relay_mode,
+        },
+    )
+    rows = run_sweep(spec, atm_table, scen_table).rows
+    assert list(rows) == reference_rows(spec, atm_table, scen_table)
+    overflow = [bool(row["error"]) for row in rows]
+    assert overflow == [False, False, False, True, True, True]
+    for row in rows[3:]:
+        assert "dB is too large for a linear power ratio" in row["error"]
 
 
 def test_reuse_does_not_outlive_a_call(atm_table, scen_table):
