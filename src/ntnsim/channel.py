@@ -429,7 +429,17 @@ def fspl_db(slant_range_km: float, fc_ghz: float) -> float:
             f"slant range and frequency must be > 0, got "
             f"({slant_range_km}, {fc_ghz})"
         )
-    return 92.45 + 20.0 * math.log10(fc_ghz) + 20.0 * math.log10(slant_range_km)
+    return fspl_carrier_db(fc_ghz) + fspl_range_db(slant_range_km)  # the sweep adds these too
+
+
+def fspl_carrier_db(fc_ghz: float) -> float:
+    """The carrier term of fspl_db, 92.45 + 20 log10(fc_GHz); fc_ghz > 0."""
+    return 92.45 + 20.0 * math.log10(fc_ghz)
+
+
+def fspl_range_db(slant_range_km: float) -> float:
+    """The range term of fspl_db, 20 log10(d_km); slant_range_km > 0."""
+    return 20.0 * math.log10(slant_range_km)
 
 
 def gas_attenuation_db(

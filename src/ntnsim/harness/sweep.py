@@ -8,15 +8,18 @@ the sweep continues.
 run_sweep builds one plan per spec: each stage runs once per distinct
 input, through the scalar functions evaluate_link and evaluate_chain
 use (classify_station per altitude, the HAP's included; one resolved
-RadioConfig per carrier and receive gain; a LinkGeometry per hop; gas
-and scintillation per carrier, elevation and atmosphere fraction; the
-scenario cell and its expected clutter per scenario and elevation).
-One loop then does each point's float work in the scalar path's order:
-FSPL, the stage checks and total, SNR, capacity, the AF/DF fold and the
-sampled clutter draw. A stage input that raised is not stored, so a
-point that looks it up runs the stage again and gets its own error.
-Every row, error message included, thus equals evaluate_link's or
-evaluate_chain's for that point alone, with sampled_index its row index.
+RadioConfig and FSPL's carrier term per carrier and receive gain; a
+LinkGeometry and FSPL's range term per hop; gas and scintillation per
+carrier, elevation and atmosphere fraction; the scenario cell and its
+expected clutter per scenario and elevation), and formats each value
+to its CSV text once. One loop then does each point's float work in
+the scalar path's order: FSPL, the stage checks and total, SNR,
+capacity, the AF/DF fold and the sampled clutter draw, and keeps a
+record per point (see SweepResult). A stage input that raised is not
+stored, so a point that looks it up runs the stage again and gets its
+own error. Every row, error message included, thus equals
+evaluate_link's or evaluate_chain's for that point alone, with
+sampled_index its row index.
 
 Sampled clutter gives every point its own stream: the point at row
 index i of a sweep with seed s draws from blake2b(b"<s>:<i>") (see
@@ -40,7 +43,9 @@ from ..channel import (
     AtmosphereTable,
     ScenarioTable,
     default_atmosphere_fraction,
+    fspl_carrier_db,
     fspl_db,
+    fspl_range_db,
     gas_attenuation_db,
     load_scenario_table,
     scintillation_db,
@@ -157,10 +162,33 @@ def _validate_spec(spec: SweepSpec) -> SweepSpec:
     return spec._replace(axes=tuple(axes), fixed=fixed, seed=seed)
 
 
-class SweepResult(NamedTuple):
-    schema: tuple[str, ...]
-    rows: tuple[dict[str, object], ...]
-    provenance: tuple[str, ...] = ()
+class SweepResult:
+    """A sweep's output schema, rows and CSV provenance lines.
+
+    rows holds one dict per grid point: its axis values as the spec gave
+    them, then RESULT_COLUMNS as result_row gives them, or empty metrics
+    and the error of a point that failed. run_sweep's result holds a
+    record per point instead, the value and CSV text of each of
+    RESULT_COLUMNS interleaved (text None for a per-point float), and
+    emit_csv writes it from those. The first read of rows builds the
+    dicts in their place, so that the two are never held together.
+    """
+
+    __slots__ = ("schema", "provenance", "_rows", "_records")
+
+    def __init__(self, schema: tuple[str, ...], rows: tuple | None, provenance: tuple = ()):
+        self.schema, self.provenance, self._rows = schema, provenance, rows
+        self._records = None  # (axes as given, CSV texts of their values, records)
+
+    @property
+    def rows(self) -> tuple[dict[str, object], ...]:
+        if self._rows is None:
+            axes, _, records = self._records
+            columns = tuple(name for name, _ in axes) + RESULT_COLUMNS
+            points = zip(product(*(v for _, v in axes)), records)
+            self._rows = tuple(dict(zip(columns, combo + r[::2])) for combo, r in points)
+            self._records = None
+        return self._rows
 
     def error_rows(self) -> tuple[dict[str, object], ...]:
         return tuple(r for r in self.rows if r.get("error"))
@@ -186,13 +214,22 @@ class _Stage(dict):
         return self.stage(key)
 
 
+def _cell(value: object) -> str:
+    """value's CSV cell: format_value's text, quoted as csv.writer quotes it."""
+    text = format_value(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        csv.writer(buffer := io.StringIO(), lineterminator="\n").writerow((text, ""))
+        return buffer.getvalue()[:-2]
+    return text
+
+
 def _plan(values, fixed, table, scenario_table, seed):
     """Point evaluators of a typed spec by mode (see the module docstring).
 
     values holds the distinct typed values of each of AXIS_NAMES. An
     evaluator takes a point's values of AXIS_NAMES but mode, and its row
-    index; it returns the values of RESULT_COLUMNS or raises the point's
-    NtnSimError.
+    index; it returns the point's record (see SweepResult) or raises the
+    point's NtnSimError.
     """
     altitudes, fcs, elevations, g_rxs, scenarios, modes = map(values.get, AXIS_NAMES)
     hap = fixed.get("hap_altitude_km")
@@ -201,70 +238,89 @@ def _plan(values, fixed, table, scenario_table, seed):
         k: v for k in RadioConfig._fields if k not in AXIS_NAMES and (v := fixed.get(k)) is not None
     }
 
-    def radio(key):
-        fc, g_rx = key
-        resolved = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx).resolve_bandwidth()
-        return (*resolved.budget_terms(), resolved.bandwidth_hz)
+    def radio(key):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth, its text
+        resolved = RadioConfig(**radio_fixed, fc_ghz=key[0], g_rx_dbi=key[1]).resolve_bandwidth()
+        bandwidth = resolved.bandwidth_hz
+        return (*resolved.budget_terms(), fspl_carrier_db(key[0]), bandwidth, _cell(bandwidth))
 
-    def atmosphere(fraction):
-        return _Stage(lambda key: (
-            fraction * gas_attenuation_db(*key, table),
-            fraction * scintillation_db(*key, table),
-        ), product(fcs, elevations))
+    def atmosphere(fraction):  # (carrier, elevation) -> gas, its text, scintillation, its text
+        def stage(key):
+            gas = fraction * gas_attenuation_db(*key, table)
+            scint = fraction * scintillation_db(*key, table)
+            return gas, _cell(gas), scint, _cell(scint)
+        return _Stage(stage, product(fcs, elevations))
 
-    def clutter(key):  # expected clutter in dB, or the cell sampled points draw from
+    def hop(low, key):  # (high, elevation) -> slant range, its text, FSPL's range term
+        slant = LinkGeometry.from_endpoints(low, *key).slant_range_km
+        # None leaves a zero slant range to fspl_db, which raises the point's error
+        return slant, _cell(slant), fspl_range_db(slant) if slant > 0 else None
+
+    def clutter(key):  # expected clutter and its text, or the cell sampled points draw from
         cell = scenario_table.cell(*key)
-        return cell.expected_db() if seed is None else cell
-
-    def slants(low, inputs):  # (high, elevation) -> slant range
-        return _Stage(
-            lambda key: LinkGeometry.from_endpoints(low, *key).slant_range_km, inputs
-        )
+        excess = cell.expected_db()
+        return cell if seed is not None else (excess, _cell(excess))
 
     stations = _Stage(classify_station, altitudes + (hap,) if relay else altitudes)
     radios = _Stage(radio, product(fcs, g_rxs))
     ground_atmosphere = atmosphere(default_atmosphere_fraction(0.0))
     cells = _Stage(clutter, product(scenarios, elevations))
     highs = altitudes if MODE_DIRECT in modes else ()
-    ground_slants = slants(0.0, product(highs + (hap,) if relay else highs, elevations))
-
-    def ground_hop(slant, fc, elevation, scenario, index, gain, bandwidth_db):
-        fspl = fspl_db(slant, fc)
-        gas, scint = ground_atmosphere[fc, elevation]
-        cell = cells[scenario, elevation]
-        excess = cell if seed is None else cell.sampled_db(seed, index)
-        total = stage_total_db(fspl, gas, scint, excess)
-        return fspl, gas, scint, excess, total, snr_sum_db(gain, total, bandwidth_db)
+    ground_hops = _Stage(
+        lambda key: hop(0.0, key), product(highs + (hap,) if relay else highs, elevations)
+    )
 
     def direct(altitude, fc, elevation, g_rx, scenario, index):
         stations[altitude]  # raises for an altitude outside every band
-        gain, bandwidth_db, bandwidth = radios[fc, g_rx]
-        slant = ground_slants[altitude, elevation]
-        *losses, snr = ground_hop(slant, fc, elevation, scenario, index, gain, bandwidth_db)
+        gain, bandwidth_db, carrier_db, bandwidth, bandwidth_text = radios[fc, g_rx]
+        slant, slant_text, range_db = ground_hops[altitude, elevation]
+        fspl = carrier_db + range_db if range_db is not None else fspl_db(slant, fc)
+        gas, gas_text, scint, scint_text = ground_atmosphere[fc, elevation]
+        cell = cells[scenario, elevation]
+        excess, excess_text = cell if seed is None else (cell.sampled_db(seed, index), None)
+        total = stage_total_db(fspl, gas, scint, excess)
+        snr = snr_sum_db(gain, total, bandwidth_db)
         capacity = shannon_capacity_bps(bandwidth, snr)
-        return (slant, *losses, snr, capacity, bandwidth, "direct", "")
+        return (
+            slant, slant_text, fspl, None, gas, gas_text, scint, scint_text,
+            excess, excess_text, total, None, snr, None, capacity, None,
+            bandwidth, bandwidth_text, "direct", "direct", "", "",
+        )
 
     if not relay:
         return {MODE_DIRECT: direct}
     # Hop 0 runs from the HAP up to the station, without clutter; hop 1
-    # from the ground up to the HAP. Both use the point's radio.
-    upper_slants = slants(hap, product(altitudes, elevations))
+    # from the ground up to the HAP. Both use the point's radio. A point's
+    # slant range, gas and scintillation are the sums over its hops.
     hap_atmosphere = atmosphere(default_atmosphere_fraction(hap))
+
+    def relay_hop(key):
+        upper, _, upper_db = hop(hap, key)
+        lower, _, lower_db = ground_hops[hap, key[1]]
+        return upper + lower, _cell(upper + lower), upper, upper_db, lower, lower_db
+
+    def relay_atmosphere(key):
+        gas0, _, scint0, _ = hap_atmosphere[key]
+        gas1, _, scint1, _ = ground_atmosphere[key]
+        gas, scint = gas0 + gas1, scint0 + scint1
+        return gas, _cell(gas), scint, _cell(scint), gas0, scint0, gas1, scint1
+
+    relay_hops = _Stage(relay_hop, product(altitudes, elevations))
+    relay_air = _Stage(relay_atmosphere, product(fcs, elevations))
     mode = fixed["relay_mode"]
     label = chain_label(mode, 2)
 
     def relay_point(altitude, fc, elevation, g_rx, scenario, index):
         stations[altitude]
-        gain, bandwidth_db, bandwidth = radios[fc, g_rx]
+        gain, bandwidth_db, carrier_db, bandwidth, bandwidth_text = radios[fc, g_rx]
         stations[hap]
-        upper = upper_slants[altitude, elevation]
-        lower = ground_slants[hap, elevation]
-        fspl0 = fspl_db(upper, fc)
-        gas0, scint0 = hap_atmosphere[fc, elevation]
+        slant, slant_text, upper, upper_db, lower, lower_db = relay_hops[altitude, elevation]
+        fspl0 = carrier_db + upper_db if upper_db is not None else fspl_db(upper, fc)
+        gas, gas_text, scint, scint_text, gas0, scint0, gas1, scint1 = relay_air[fc, elevation]
         snr0 = snr_sum_db(gain, stage_total_db(fspl0, gas0, scint0, 0.0), bandwidth_db)
-        fspl1, gas1, scint1, excess, _, snr1 = ground_hop(
-            lower, fc, elevation, scenario, index, gain, bandwidth_db
-        )
+        fspl1 = carrier_db + lower_db if lower_db is not None else fspl_db(lower, fc)
+        cell = cells[scenario, elevation]
+        excess, excess_text = cell if seed is None else (cell.sampled_db(seed, index), None)
+        snr1 = snr_sum_db(gain, stage_total_db(fspl1, gas1, scint1, excess), bandwidth_db)
         if mode is RelayMode.AMPLIFY_FORWARD:
             snr = af_chain_snr_db((snr0, snr1))
             capacity = shannon_capacity_bps(bandwidth, snr)
@@ -275,10 +331,13 @@ def _plan(values, fixed, table, scenario_table, seed):
             )
             bottleneck = df_bottleneck(capacities)
             snr, capacity = (snr0, snr1)[bottleneck], capacities[bottleneck]
-        fspl, gas, scint = fspl0 + fspl1, gas0 + gas1, scint0 + scint1
+        fspl = fspl0 + fspl1
         total = stage_total_db(fspl, gas, scint, excess)
-        slant = upper + lower
-        return (slant, fspl, gas, scint, excess, total, snr, capacity, bandwidth, label, "")
+        return (
+            slant, slant_text, fspl, None, gas, gas_text, scint, scint_text,
+            excess, excess_text, total, None, snr, None, capacity, None,
+            bandwidth, bandwidth_text, label, label, "", "",
+        )
 
     return {MODE_DIRECT: direct, MODE_RELAY: relay_point}
 
@@ -293,11 +352,8 @@ def result_row(result: LinkResult) -> dict[str, object]:
     )))
 
 
-# Metric and extra columns of a row whose point failed to evaluate.
-_FAILED_ROW = {
-    **dict.fromkeys(METRIC_COLUMNS + ("slant_range_km", "bandwidth_hz")),
-    "label": "",
-}
+# The record of a failed point (see SweepResult) but for its error and error text.
+_FAILED = (None, None) * 9 + ("", "")
 
 
 def run_sweep(
@@ -320,20 +376,13 @@ def run_sweep(
     distinct = {name: tuple(dict.fromkeys(v)) for name, v in typed_axes.items()}
     evaluators = _plan(distinct, typed.fixed, table, scenario_table, seed)
 
-    axis_names = spec.axis_names()
-    columns = axis_names + RESULT_COLUMNS
-    points = zip(product(*(v for _, v in spec.axes)), product(*typed_axes.values()))
-    rows = []
-    for index, (combo, point) in enumerate(points):
-        # Rows keep the axis values as the spec gave them.
-        *parameters, mode = pick(point)
+    records = []
+    for index, point in enumerate(product(*typed_axes.values())):
+        altitude, fc, elevation, g_rx, scenario, mode = pick(point)
         try:
-            row = dict(zip(columns, combo + evaluators[mode](*parameters, index)))
+            records.append(evaluators[mode](altitude, fc, elevation, g_rx, scenario, index))
         except NtnSimError as exc:
-            row = dict(zip(axis_names, combo))
-            row.update(_FAILED_ROW)
-            row["error"] = str(exc)
-        rows.append(row)
+            records.append(_FAILED + (str(exc), _cell(str(exc))))
 
     provenance = spec.provenance + (
         f"atmosphere table version: {table.version}",
@@ -343,7 +392,10 @@ def run_sweep(
         provenance += (
             f"sampled excess mode, seed {seed}, per-point streams {SAMPLED_STREAMS}",
         )
-    return SweepResult(schema=spec.schema(), rows=tuple(rows), provenance=provenance)
+    # Rows keep the axis values as the spec gave them.
+    result = SweepResult(schema=spec.schema(), rows=None, provenance=provenance)
+    result._records = (spec.axes, tuple(tuple(map(_cell, v)) for _, v in spec.axes), records)
+    return result
 
 
 def format_value(value: object) -> str:
@@ -375,34 +427,47 @@ def emit_csv(result: SweepResult, destination) -> None:
         _write_csv(result, handle)
 
 
-_FLOAT_ONLY = frozenset((float,))
-
-
 def _write_csv(result: SweepResult, handle) -> None:
     for line in result.provenance:
         handle.write(f"# {line}\n")
     writer = csv.writer(handle, lineterminator="\n")
     schema = result.schema
     writer.writerow(schema)
-    numeric = tuple(col for col in schema if col != "error")
-    if len(numeric) < 2:  # itemgetter of one key returns no tuple
+    if result._records is None:
         writer.writerows([format_value(row.get(col)) for col in schema] for row in result.rows)
         return
-    # A row whose cells are all floats but an empty error is written with
-    # one format string: "%.6g" gives format_value's text and never a
-    # character csv would quote. Other rows (error messages, ints, numpy
-    # floats, enums, bools, None, missing cells) go through csv.writer.
-    cells_of = itemgetter(*numeric)
-    line = ",".join("" if col == "error" else "%.6g" for col in schema) + "\n"
-    for row in result.rows:
-        try:
-            cells = cells_of(row)
-        except KeyError:
-            cells = (None,)
-        if _FLOAT_ONLY.issuperset(map(type, cells)) and row.get("error") in ("", None):
-            handle.write(line % cells)
+    # Records: one format string per kind of row, over its axis texts and
+    # record; "%.6g" gives format_value's text of a float, which csv never quotes.
+    axes, texts, records = result._records
+    names = [name for name, _ in axes]
+    n = len(names)
+    sample = next((r for r in records if r[2] is not None), None)  # a point with FSPL
+
+    def line(failed):  # a kind of row's format string, and its cells of axis texts + record
+        formats, indices = [], []
+        for col in schema:
+            if col in names:
+                fmt, index = "%s", names.index(col)
+            elif col not in RESULT_COLUMNS or (col == "error") != failed:
+                fmt, index = "", None  # a point's error, a failed point's metrics
+            else:
+                index = n + 2 * RESULT_COLUMNS.index(col)
+                per_point = not failed and sample[index - n + 1] is None  # text None
+                fmt, index = ("%.6g", index) if per_point else ("%s", index + 1)
+            formats.append(fmt)
+            indices += [index] if fmt else []
+        if formats == [""]:  # csv.writer quotes the only cell of a row when empty
+            formats = ['""']
+        return ",".join(formats) + "\n", itemgetter(*indices) if indices else lambda _: ()
+
+    point, point_cells = line(False) if sample else (None, None)
+    failed, failed_cells = line(True)
+    write = handle.write
+    for cells, record in zip(product(*texts), records):
+        if record[2] is None:  # failed
+            write(failed % failed_cells(cells + record))
         else:
-            writer.writerow([format_value(row.get(col)) for col in schema])
+            write(point % point_cells(cells + record))
 
 
 def csv_bytes(result: SweepResult) -> bytes:

@@ -47,7 +47,11 @@ def af_end_to_end_snr(snr_linear_1: float, snr_linear_2: float) -> float:
         raise DomainError(
             f"linear SNRs must be >= 0, got ({snr_linear_1}, {snr_linear_2})"
         )
-    return snr_linear_1 * snr_linear_2 / (snr_linear_1 + snr_linear_2 + 1.0)
+    product = snr_linear_1 * snr_linear_2
+    if product == math.inf:  # the same ratio without the product: finite, <= min(g1, g2)
+        low, high = sorted((snr_linear_1, snr_linear_2))
+        return low / (1.0 + (low + 1.0) / high)
+    return product / (snr_linear_1 + snr_linear_2 + 1.0)
 
 
 def df_end_to_end_capacity(c1_bps: float, c2_bps: float) -> float:

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, output shape, exit codes."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import pytest
 
 import ntnsim
 from ntnsim.harness import SweepSpec, load_fig_defaults, run_sweep
-from ntnsim.harness.cli import main
+from ntnsim.harness.cli import _parse_hops, _radio_from_args, build_parser, main
 from ntnsim.harness.sweep import EXTRA_COLUMNS, METRIC_COLUMNS, format_value
+from ntnsim.relay import RelayChain, evaluate_chain
 
 
 def run_cli(capsys, *argv):
@@ -394,6 +396,23 @@ class TestSnrOverflow:
         code, out, _ = run_cli(capsys, *argv, "--txpow", "3000")
         assert code == 0
         assert out.splitlines()[-1] == row
+
+    def test_af_product_overflow_gives_a_finite_row(self, capsys, atm_table, scen_table):
+        # Each hop's linear SNR fits a float; their product, the AF fold's
+        # numerator, does not.
+        argv = (*CHAIN, "--mode", "af", "--txpow", "3000")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        (row,) = csv_rows(out)
+        args = build_parser().parse_args(argv)
+        hops = _parse_hops(args.hop, _radio_from_args(args))
+        result = evaluate_chain(RelayChain(hops), atm_table, scen_table)
+        hop_snrs = [hop.snr_db for hop in result.hops]
+        assert sum(hop_snrs) > 3100  # past the product's overflow
+        assert math.isfinite(result.snr_db) and result.snr_db <= min(hop_snrs)
+        assert math.isfinite(result.capacity_bps)
+        assert row["snr_db"] == format_value(result.snr_db)
+        assert row["capacity_bps"] == format_value(result.capacity_bps)
 
 
 @pytest.mark.parametrize("command", ["preset", "link", "chain", "sweep"])

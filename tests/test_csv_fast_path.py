@@ -1,19 +1,23 @@
-"""CSV rows of floats take one format string; the bytes must not change.
+"""CSV bytes of every result equal csv.writer with format_value over its rows.
 
-The reference writes every row through csv.writer and format_value,
-which is what _write_csv does for any row that is not all floats with
-an empty error.
+The reference writes every row dict through csv.writer and format_value,
+which is what _write_csv does for a result built from dict rows. A
+run_sweep result is written from its per-point records instead, with
+the CSV text its plan formatted once per distinct input and one format
+string per kind of row; its bytes must not change either.
 """
 
 import csv
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ntnsim import RelayMode, Scenario
-from ntnsim.harness import SweepResult, csv_bytes
-from ntnsim.harness.sweep import format_value
+from ntnsim.harness import SweepResult, SweepSpec, csv_bytes, emit_csv, run_sweep
+from ntnsim.harness.cli import main
+from ntnsim.harness.sweep import AXIS_NAMES, EXTRA_COLUMNS, METRIC_COLUMNS, format_value
 
 COLUMNS = ("altitude_km", "fspl_db", "snr_db", "capacity_bps", "label", "error")
 
@@ -67,3 +71,92 @@ def reference_csv(result):
 @given(results())
 def test_csv_equals_csv_writer_with_format_value(result):
     assert csv_bytes(result) == reference_csv(result)
+
+
+# Values as a Python spec may give them: ints, numpy floats, words with
+# capitals, spaces or a trailing newline (which csv quotes), enum members.
+# 100 km is a gap altitude, 0.3 and 120 GHz lie outside the atmosphere
+# table and 5 deg below the elevation range: their rows carry an error
+# message with commas.
+SPEC_VALUES = {
+    "altitude_km": (600, 100.0, np.float64(1200.0), 35786.0, 20.0),
+    "fc_ghz": (20, 2.0, np.float64(60.0), 0.3, 120.0),
+    "elevation_deg": (30, 10.0, np.float64(45.5), 5.0, 90.0),
+    "g_rx_dbi": (50, 30.0, np.float64(40.0)),
+    "scenario": ("dense_urban", "Dense Urban", " rural\n", Scenario.SUBURBAN),
+    "mode": ("direct", "Relay", "relay"),
+}
+FIXED = {"tx_power_dbm": 18.0, "noise_temperature_k": 290.0, "hap_altitude_km": 20.0}
+
+
+@st.composite
+def sweep_specs(draw):
+    axes, fixed = [], dict(FIXED)
+    for name in draw(st.permutations(AXIS_NAMES)):
+        values = draw(st.lists(st.sampled_from(SPEC_VALUES[name]), min_size=1, max_size=3))
+        if name in ("altitude_km", "fc_ghz", "elevation_deg") or draw(st.booleans()):
+            axes.append((name, tuple(values)))
+        else:  # a fixed parameter, which a schema may still name
+            fixed[name] = values[0]
+    fixed["relay_mode"] = draw(st.sampled_from(["af", "df"]))
+    fixed["excess_mode"] = draw(st.sampled_from(["expected", "sampled"]))
+    columns = AXIS_NAMES + METRIC_COLUMNS + EXTRA_COLUMNS
+    schema = draw(st.one_of(
+        st.just(()),  # the default schema
+        st.lists(st.sampled_from(columns), min_size=1, max_size=1),
+        st.permutations(columns).flatmap(lambda c: st.lists(st.sampled_from(c), min_size=1)),
+    ))
+    seed = draw(st.integers(-2**40, 2**40)) if fixed["excess_mode"] == "sampled" else None
+    return SweepSpec(
+        axes=tuple(axes), fixed=fixed, output_schema=tuple(schema), seed=seed,
+        provenance=("spec: random",),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_specs())
+def test_records_csv_equals_csv_writer_over_rows(atm_table, scen_table, spec):
+    result = run_sweep(spec, atm_table, scen_table)
+    written = csv_bytes(result)  # from the records: the rows are not built yet
+    assert written == reference_csv(result)
+    assert csv_bytes(result) == written  # from the rows, built by reference_csv
+
+
+SPEC = SweepSpec(
+    axes=(
+        ("altitude_km", (100.0, 600.0)), ("fc_ghz", (20.0, 120.0)), ("mode", ("direct", "relay")),
+    ),
+    fixed={**FIXED, "elevation_deg": 30.0, "scenario": "urban", "g_rx_dbi": 40.0},
+)
+
+
+@pytest.fixture
+def rows_forbidden(monkeypatch):
+    def rows(result):
+        raise AssertionError("row dicts built")
+
+    monkeypatch.setattr(SweepResult, "rows", property(rows))
+
+
+def test_emit_csv_builds_no_row_dicts(atm_table, scen_table, rows_forbidden):
+    out = io.StringIO()
+    emit_csv(run_sweep(SPEC, atm_table, scen_table), out)
+    assert len(out.getvalue().splitlines()) == 3 + 8  # provenance, header, rows
+
+
+def test_sweep_command_builds_no_row_dicts(tmp_path, capsys, rows_forbidden):
+    spec = tmp_path / "s.cfg"
+    spec.write_text(
+        "[axes]\naltitude_km = 100, 600\nelevation_deg = 10, 50\n"
+        "[fixed]\nfc_ghz = 20\nscenario = rural\ntx_power_dbm = 18\n"
+        "g_over_t_dbi_per_k = 15.9\n"
+    )
+    assert main(["sweep", "--spec", str(spec)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3 + 5
+
+
+def test_rows_are_built_once(atm_table, scen_table):
+    result = run_sweep(SPEC, atm_table, scen_table)
+    rows = result.rows
+    assert result.rows is rows
+    assert len(rows) == 8 and sum(1 for row in rows if row["error"]) == 6

@@ -15,6 +15,7 @@ import struct
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ntnsim import (
     DomainError,
@@ -132,6 +133,33 @@ def test_rows_follow_the_documented_scheme(atm_table, scen_table, seed):
         if not row["error"]:
             cell = scen_table.cell(Scenario.from_name(row["scenario"]), row["elevation_deg"])
             assert row["excess_db"] == documented_draw(cell, seed, index)
+
+
+GRID_VALUES = {  # 100 km is a gap altitude and 120 GHz is off the table: error rows
+    "altitude_km": (100.0, 600.0, 1200.0, 35786.0),
+    "fc_ghz": (2.0, 20.0, 120.0),
+    "elevation_deg": (10.0, 33.3, 90.0),
+    "scenario": tuple(s.value for s in Scenario),
+    "mode": ("direct", "relay"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_excess_is_its_cells_draw_at_the_row_index(atm_table, scen_table, data):
+    # Whatever the grid's shape and axis order, row i draws stream i.
+    names = data.draw(st.lists(st.sampled_from(sorted(GRID_VALUES)), unique=True))
+    values = {n: st.lists(st.sampled_from(GRID_VALUES[n]), min_size=1, max_size=4) for n in names}
+    axes = tuple((name, tuple(data.draw(values[name]))) for name in names)
+    fixed = {n: v[0] for n, v in GRID_VALUES.items() if n not in names}
+    seed = data.draw(st.integers(-2**63, 2**63))
+    spec = sampled_spec(seed, axes, **fixed, hap_altitude_km=20.0)
+    rows = run_sweep(spec, atm_table, scen_table).rows
+    for index, row in enumerate(rows):
+        point = {**fixed, **row}
+        if not row["error"]:
+            cell = scen_table.cell(Scenario.from_name(point["scenario"]), point["elevation_deg"])
+            assert row["excess_db"] == cell.sampled_db(seed, index)
 
 
 SINGLE_COLUMNS = METRIC_COLUMNS + tuple(c for c in EXTRA_COLUMNS if c != "error")

@@ -7,6 +7,7 @@ run_sweep must reproduce it exactly.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -145,6 +146,28 @@ def test_snr_overflow_is_the_points_error_row(atm_table, scen_table, relay_mode)
     assert overflow == [False, False, False, True, True, True]
     for row in rows[3:]:
         assert "dB is too large for a linear power ratio" in row["error"]
+
+
+def test_af_product_overflow_row_equals_the_scalar_row(atm_table, scen_table):
+    # The chain of `ntnsim chain --hop 1200:10 --hop 20:10 --txpow 3000`:
+    # each hop's linear SNR fits a float, their product does not.
+    spec = SweepSpec(
+        axes=(("mode", ("relay",)),),
+        fixed={
+            "altitude_km": 1200.0,
+            "fc_ghz": 20.0,
+            "elevation_deg": 10.0,
+            "scenario": "dense_urban",
+            "g_rx_dbi": 40.0,
+            "tx_power_dbm": 3000.0,
+            "noise_temperature_k": 290.0,
+            "hap_altitude_km": 20.0,
+            "relay_mode": "af",
+        },
+    )
+    (row,) = rows = run_sweep(spec, atm_table, scen_table).rows
+    assert list(rows) == reference_rows(spec, atm_table, scen_table)
+    assert row["error"] == "" and math.isfinite(row["snr_db"])
 
 
 def test_reuse_does_not_outlive_a_call(atm_table, scen_table):
