@@ -97,7 +97,25 @@ def stage_total_db(fspl: float, gas: float, scint: float, excess: float) -> floa
     return fspl + gas + scint + excess
 
 
-class LossBreakdown:
+class _ByFields:
+    """Equality, hash and positional repr of a slotted class, by its _fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self._values()!r}"
+
+
+class LossBreakdown(_ByFields):
     """Per-stage attenuation of one hop, in dB.
 
     total_db is always fspl + gas + scintillation + excess accumulated in
@@ -118,18 +136,6 @@ class LossBreakdown:
         expected = stage_total_db(fspl_db, gas_db, scintillation_db, excess_db)
         if total_db != expected:
             raise DomainError(f"total_db {total_db!r} != sum of stages {expected!r}")
-
-    def _values(self) -> tuple[float, ...]:
-        return (self.fspl_db, self.gas_db, self.scintillation_db, self.excess_db, self.total_db)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is LossBreakdown and self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return f"LossBreakdown{self._values()!r}"
 
     @classmethod
     def from_stages(

@@ -151,10 +151,4 @@ class LinkGeometry(NamedTuple):
     ) -> "LinkGeometry":
         """Build a hop, deriving slant range and one-way delay."""
         d = slant_range_km(low_altitude_km, high_altitude_km, elevation_deg)
-        return cls(
-            low_altitude_km=low_altitude_km,
-            high_altitude_km=high_altitude_km,
-            elevation_deg=elevation_deg,
-            slant_range_km=d,
-            one_way_delay_ms=propagation_delay_ms(d),
-        )
+        return cls(low_altitude_km, high_altitude_km, elevation_deg, d, propagation_delay_ms(d))

@@ -172,13 +172,9 @@ def _radio_from_args(args) -> RadioConfig:
     )
 
 
-def _emit(result: SweepResult, args) -> None:
-    emit_csv(result, args.out or sys.stdout)
-
-
 def _emit_single(result: LinkResult, inputs: dict[str, object], args) -> None:
     row = {**inputs, **result_row(result)}
-    _emit(SweepResult(schema=tuple(inputs) + _SINGLE_COLUMNS, rows=(row,)), args)
+    emit_csv(SweepResult(tuple(inputs) + _SINGLE_COLUMNS, (row,)), args.out or sys.stdout)
 
 
 def _cmd_link(args) -> int:
@@ -249,13 +245,13 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(
                 "--seed applies only to a spec with excess_mode = sampled"
             )
-    _emit(run_sweep(spec, table, scenario_table), args)
+    emit_csv(run_sweep(spec, table, scenario_table), args.out or sys.stdout)
     return EXIT_OK
 
 
 def _cmd_preset(args) -> int:
     table, scenario_table = _tables(args)
-    _emit(run_sweep(preset(args.name), table, scenario_table), args)
+    emit_csv(run_sweep(preset(args.name), table, scenario_table), args.out or sys.stdout)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ expected clutter per scenario and elevation), and formats each value
 to its CSV text once. One loop then does each point's float work in
 the scalar path's order: FSPL, the stage checks and total, SNR,
 capacity, the AF/DF fold and the sampled clutter draw, and keeps a
-record per point (see SweepResult). A stage input that raised is not
+record per point (see SweepRows). A stage input that raised is not
 stored, so a point that looks it up runs the stage again and gets its
 own error. Every row, error message included, thus equals
 evaluate_link's or evaluate_chain's for that point alone, with
@@ -33,6 +33,8 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
+from collections.abc import Sequence
 from itertools import product
 from operator import itemgetter
 from pathlib import Path
@@ -97,10 +99,7 @@ class SweepSpec(NamedTuple):
         return self.axis_names() + METRIC_COLUMNS + ("error",)
 
     def grid_size(self) -> int:
-        n = 1
-        for _, values in self.axes:
-            n *= len(values)
-        return n
+        return math.prod(len(values) for _, values in self.axes)
 
 
 def _validate_spec(spec: SweepSpec) -> SweepSpec:
@@ -162,36 +161,54 @@ def _validate_spec(spec: SweepSpec) -> SweepSpec:
     return spec._replace(axes=tuple(axes), fixed=fixed, seed=seed)
 
 
-class SweepResult:
+class SweepResult(NamedTuple):
     """A sweep's output schema, rows and CSV provenance lines.
 
     rows holds one dict per grid point: its axis values as the spec gave
     them, then RESULT_COLUMNS as result_row gives them, or empty metrics
-    and the error of a point that failed. run_sweep's result holds a
-    record per point instead, the value and CSV text of each of
-    RESULT_COLUMNS interleaved (text None for a per-point float), and
-    emit_csv writes it from those. The first read of rows builds the
-    dicts in their place, so that the two are never held together.
+    and the error of a point that failed. run_sweep's rows is a
+    SweepRows, which emit_csv writes from its records; tuple(result.rows)
+    gives a tuple.
     """
 
-    __slots__ = ("schema", "provenance", "_rows", "_records")
-
-    def __init__(self, schema: tuple[str, ...], rows: tuple | None, provenance: tuple = ()):
-        self.schema, self.provenance, self._rows = schema, provenance, rows
-        self._records = None  # (axes as given, CSV texts of their values, records)
-
-    @property
-    def rows(self) -> tuple[dict[str, object], ...]:
-        if self._rows is None:
-            axes, _, records = self._records
-            columns = tuple(name for name, _ in axes) + RESULT_COLUMNS
-            points = zip(product(*(v for _, v in axes)), records)
-            self._rows = tuple(dict(zip(columns, combo + r[::2])) for combo, r in points)
-            self._records = None
-        return self._rows
+    schema: tuple[str, ...]
+    rows: Sequence[dict[str, object]]
+    provenance: tuple[str, ...] = ()
 
     def error_rows(self) -> tuple[dict[str, object], ...]:
         return tuple(r for r in self.rows if r.get("error"))
+
+
+class SweepRows(Sequence):
+    """run_sweep's rows: a read-only view over its per-point records.
+
+    axes are the spec's axes as given. A point's record holds the value
+    and CSV text of each of RESULT_COLUMNS interleaved (text None for a
+    per-point float). Row i's axis values are decoded from i by mixed
+    radix. Each row dict is built when read and never kept.
+    """
+
+    __slots__ = ("axes", "records", "columns")
+
+    def __init__(self, axes: tuple[tuple[str, tuple], ...], records: tuple[tuple, ...]) -> None:
+        self.axes, self.records = axes, records
+        self.columns = tuple(name for name, _ in axes) + RESULT_COLUMNS
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        record, index, combo = self.records[index], index % len(self), ()
+        for _, values in reversed(self.axes):  # last axis fastest
+            index, digit = divmod(index, len(values))
+            combo = (values[digit],) + combo
+        return dict(zip(self.columns, combo + record[::2]))
+
+    def __iter__(self):
+        for combo, record in zip(product(*(v for _, v in self.axes)), self.records):
+            yield dict(zip(self.columns, combo + record[::2]))
 
 
 class _Stage(dict):
@@ -202,7 +219,6 @@ class _Stage(dict):
     """
 
     def __init__(self, stage, inputs) -> None:
-        super().__init__()
         self.stage = stage
         for key in inputs:
             try:
@@ -228,7 +244,7 @@ def _plan(values, fixed, table, scenario_table, seed):
 
     values holds the distinct typed values of each of AXIS_NAMES. An
     evaluator takes a point's values of AXIS_NAMES but mode, and its row
-    index; it returns the point's record (see SweepResult) or raises the
+    index; it returns the point's record (see SweepRows) or raises the
     point's NtnSimError.
     """
     altitudes, fcs, elevations, g_rxs, scenarios, modes = map(values.get, AXIS_NAMES)
@@ -352,7 +368,7 @@ def result_row(result: LinkResult) -> dict[str, object]:
     )))
 
 
-# The record of a failed point (see SweepResult) but for its error and error text.
+# The record of a failed point (see SweepRows) but for its error and error text.
 _FAILED = (None, None) * 9 + ("", "")
 
 
@@ -393,13 +409,11 @@ def run_sweep(
             f"sampled excess mode, seed {seed}, per-point streams {SAMPLED_STREAMS}",
         )
     # Rows keep the axis values as the spec gave them.
-    result = SweepResult(schema=spec.schema(), rows=None, provenance=provenance)
-    result._records = (spec.axes, tuple(tuple(map(_cell, v)) for _, v in spec.axes), records)
-    return result
+    return SweepResult(spec.schema(), SweepRows(spec.axes, tuple(records)), provenance)
 
 
 def format_value(value: object) -> str:
-    """Fixed CSV cell formatting: floats at 6 significant digits."""
+    """Fixed CSV cell formatting: reals but integers at 6 significant digits."""
     if type(value) is float:  # most cells: tested first
         return f"{value:.6g}"
     if value is None:
@@ -408,9 +422,12 @@ def format_value(value: object) -> str:
         return value.value
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+    if hasattr(value, "__float__") and not hasattr(value, "__index__"):
+        try:  # any other real (numpy floats, Fraction, Decimal) as a float
+            return f"{float(value):.6g}"
+        except ValueError:  # a signaling NaN refuses conversion
+            pass
+    return str(value)  # ints, numpy's too, keep their digits
 
 
 def emit_csv(result: SweepResult, destination) -> None:
@@ -420,10 +437,8 @@ def emit_csv(result: SweepResult, destination) -> None:
     LF line endings and is byte-identical for identical results.
     """
     if hasattr(destination, "write"):
-        _write_csv(result, destination)
-        return
-    path = Path(destination)
-    with path.open("w", encoding="utf-8", newline="") as handle:
+        return _write_csv(result, destination)
+    with Path(destination).open("w", encoding="utf-8", newline="") as handle:
         _write_csv(result, handle)
 
 
@@ -433,12 +448,12 @@ def _write_csv(result: SweepResult, handle) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     schema = result.schema
     writer.writerow(schema)
-    if result._records is None:
+    if not isinstance(result.rows, SweepRows):
         writer.writerows([format_value(row.get(col)) for col in schema] for row in result.rows)
         return
     # Records: one format string per kind of row, over its axis texts and
     # record; "%.6g" gives format_value's text of a float, which csv never quotes.
-    axes, texts, records = result._records
+    axes, records = result.rows.axes, result.rows.records
     names = [name for name, _ in axes]
     n = len(names)
     sample = next((r for r in records if r[2] is not None), None)  # a point with FSPL
@@ -463,7 +478,7 @@ def _write_csv(result: SweepResult, handle) -> None:
     point, point_cells = line(False) if sample else (None, None)
     failed, failed_cells = line(True)
     write = handle.write
-    for cells, record in zip(product(*texts), records):
+    for cells, record in zip(product(*(tuple(map(_cell, v)) for _, v in axes)), records):
         if record[2] is None:  # failed
             write(failed % failed_cells(cells + record))
         else:

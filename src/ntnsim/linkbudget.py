@@ -20,6 +20,7 @@ from .channel import (
     LossBreakdown,
     Scenario,
     ScenarioTable,
+    _ByFields,
     default_atmosphere_fraction,
     total_path_loss,
 )
@@ -48,7 +49,7 @@ def default_bandwidth(fc_ghz: float) -> float:
     return 2e9
 
 
-class RadioConfig:
+class RadioConfig(_ByFields):
     """Radio parameters for one hop.
 
     Exactly one receiver form must be given: g_rx_dbi together with
@@ -98,18 +99,6 @@ class RadioConfig:
             )
         if self.bandwidth_hz is not None and self.bandwidth_hz <= 0:
             raise ConfigError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is RadioConfig and self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return f"RadioConfig{self._values()!r}"
 
     def g_over_t(self) -> float:
         """Receiver figure of merit in dBi/K, whichever form was given."""

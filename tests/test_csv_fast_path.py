@@ -9,6 +9,9 @@ string per kind of row; its bytes must not change either.
 
 import csv
 import io
+from contextlib import contextmanager
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 from ntnsim import RelayMode, Scenario
 from ntnsim.harness import SweepResult, SweepSpec, csv_bytes, emit_csv, run_sweep
 from ntnsim.harness.cli import main
-from ntnsim.harness.sweep import AXIS_NAMES, EXTRA_COLUMNS, METRIC_COLUMNS, format_value
+from ntnsim.harness.sweep import (
+    AXIS_NAMES, EXTRA_COLUMNS, METRIC_COLUMNS, SweepRows, format_value,
+)
 
 COLUMNS = ("altitude_km", "fspl_db", "snr_db", "capacity_bps", "label", "error")
 
@@ -29,6 +34,9 @@ others = st.one_of(
     st.integers(-10**8, 10**8),
     st.just(1234567),
     floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.fractions(),
+    st.decimals(allow_nan=True),
     st.sampled_from([*Scenario, *RelayMode, True, False, None]),
     st.text(alphabet=st.sampled_from('ab,"\n\r x1.e'), max_size=8),
 )
@@ -113,13 +121,40 @@ def sweep_specs(draw):
     )
 
 
+@contextmanager
+def no_row_dicts():
+    """Make building a row dict of a SweepRows fail."""
+
+    def build(*args):
+        raise AssertionError("row dicts built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SweepRows, "__getitem__", build)
+        patch.setattr(SweepRows, "__iter__", build)
+        yield
+
+
 @settings(max_examples=150, deadline=None)
 @given(sweep_specs())
 def test_records_csv_equals_csv_writer_over_rows(atm_table, scen_table, spec):
     result = run_sweep(spec, atm_table, scen_table)
-    written = csv_bytes(result)  # from the records: the rows are not built yet
+    written = csv_bytes(result)  # of a result whose rows were never read
     assert written == reference_csv(result)
-    assert csv_bytes(result) == written  # from the rows, built by reference_csv
+    assert csv_bytes(result) == written  # after reference_csv read the rows
+
+    # Reading rows every way changes nothing the CSV is written from.
+    result = run_sweep(spec, atm_table, scen_table)
+    rows = result.rows
+    listed = list(rows)
+    assert [rows[i] for i in range(len(rows))] == listed
+    assert [rows[i] for i in range(-len(rows), 0)] == listed
+    assert rows[-1] == listed[-1]
+    assert rows[::-2] == tuple(listed[::-2]) and rows[1::3] == tuple(listed[1::3])
+    assert result.error_rows() == tuple(row for row in listed if row["error"])
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+    with no_row_dicts():
+        assert csv_bytes(result) == written
 
 
 SPEC = SweepSpec(
@@ -131,17 +166,23 @@ SPEC = SweepSpec(
 
 
 @pytest.fixture
-def rows_forbidden(monkeypatch):
-    def rows(result):
-        raise AssertionError("row dicts built")
-
-    monkeypatch.setattr(SweepResult, "rows", property(rows))
+def rows_forbidden():
+    with no_row_dicts():
+        yield
 
 
 def test_emit_csv_builds_no_row_dicts(atm_table, scen_table, rows_forbidden):
     out = io.StringIO()
     emit_csv(run_sweep(SPEC, atm_table, scen_table), out)
     assert len(out.getvalue().splitlines()) == 3 + 8  # provenance, header, rows
+
+
+@pytest.mark.parametrize("value", [np.float32(1234.5678), Fraction(2469, 2), Decimal("1234.5678")])
+def test_axis_cell_of_any_real_has_six_digits(atm_table, scen_table, value):
+    spec = SweepSpec(axes=(("altitude_km", (value,)),), fixed={**SPEC.fixed, "fc_ghz": 20.0})
+    result = run_sweep(spec, atm_table, scen_table)
+    assert result.rows[0]["altitude_km"] is value  # rows keep the value as given
+    assert csv_bytes(result).decode().splitlines()[-1].split(",")[0] == "%.6g" % float(value)
 
 
 def test_sweep_command_builds_no_row_dicts(tmp_path, capsys, rows_forbidden):

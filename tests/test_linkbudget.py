@@ -107,6 +107,24 @@ class TestRadioConfig:
         assert explicit.resolve_bandwidth().bandwidth_hz == 400e6
 
 
+@pytest.mark.parametrize("cls, values, other", [
+    (LossBreakdown, (100.0, 1.5, 0.25, 2.0, 103.75), (100.0, 1.5, 0.25, 3.0, 104.75)),
+    (
+        RadioConfig,
+        (20.0, 18.0, 39.7, 40.0, None, 290.0, None),
+        (20.0, 18.0, 39.7, None, 15.9, None, 800e6),
+    ),
+])
+def test_equality_hash_and_repr_follow_the_fields(cls, values, other):
+    a, b = cls(*values), cls(*values)
+    assert a == b and not a != b and a is not b
+    assert hash(a) == hash(b) == hash(values)
+    assert repr(a) == cls.__name__ + repr(values)
+    assert a != cls(*other) and hash(a) != hash(cls(*other))
+    assert a != values and values != a  # never equal to its own values as a tuple
+    assert a != 1 and {a: 1}[b] == 1
+
+
 class TestSnr:
     BREAKDOWN = LossBreakdown.from_stages(180.0, 0.0, 0.0, 0.0)
 
