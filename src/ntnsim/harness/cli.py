@@ -158,9 +158,9 @@ def _radio_from_args(args) -> RadioConfig:
     gtx = args.gtx if args.gtx is not None else fx.g_tx_dbi
     if args.grx is None and args.got is None:
         raise ConfigError("one of --grx or --got is required")
-    temp = None
-    if args.grx is not None:
-        temp = args.temp if args.temp is not None else fx.noise_temperature_k
+    temp = args.temp  # with --got, RadioConfig rejects it
+    if temp is None and args.grx is not None:
+        temp = fx.noise_temperature_k
     return RadioConfig(
         fc_ghz=args.fc,
         tx_power_dbm=txpow,

@@ -25,22 +25,7 @@ def preset(name: str) -> SweepSpec:
             f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
         )
     fx = load_fig_defaults()
-    fixture = {
-        "tx_power_dbm": fx.tx_power_dbm,
-        "g_tx_dbi": fx.g_tx_dbi,
-    }
-    sources = {
-        "tx_power_dbm": "calibration fixture fig-defaults",
-        "g_tx_dbi": "calibration fixture fig-defaults",
-        "noise_temperature_k": "calibration fixture fig-defaults",
-        "elevation_deg": "preset constant",
-        "scenario": "preset constant",
-        "altitude_km": "preset constant",
-        "g_over_t_dbi_per_k": "preset constant",
-        "hap_altitude_km": "preset constant",
-        "relay_mode": "preset constant",
-        "fc_ghz": "implementer choice (carrier not part of the preset definition)",
-    }
+    fixture = {"tx_power_dbm": fx.tx_power_dbm, "g_tx_dbi": fx.g_tx_dbi}
 
     if name == "fig2":
         axes = (
@@ -48,24 +33,14 @@ def preset(name: str) -> SweepSpec:
             ("fc_ghz", (2.0, 6.0, 20.0, 30.0, 50.0, 70.0, 90.0)),
             ("g_rx_dbi", (30.0, 40.0, 50.0, 60.0)),
         )
-        fixed: dict[str, object] = {
-            "elevation_deg": 10.0,
-            "scenario": "dense_urban",
-            "noise_temperature_k": fx.noise_temperature_k,
-            **fixture,
-        }
-        sources["fc_ghz"] = "preset constant"
+        fixed: dict[str, object] = {"elevation_deg": 10.0, "scenario": "dense_urban"}
+        fixture["noise_temperature_k"] = fx.noise_temperature_k  # the g_rx_dbi form
     elif name == "fig3":
         axes = (
             ("elevation_deg", _ELEVATIONS),
             ("scenario", ("dense_urban", "rural")),
         )
-        fixed = {
-            "altitude_km": 300.0,
-            "g_over_t_dbi_per_k": 15.9,
-            "fc_ghz": 20.0,
-            **fixture,
-        }
+        fixed = {"altitude_km": 300.0, "g_over_t_dbi_per_k": 15.9, "fc_ghz": 20.0}
     else:
         axes = (
             ("elevation_deg", _ELEVATIONS),
@@ -78,11 +53,16 @@ def preset(name: str) -> SweepSpec:
             "hap_altitude_km": 20.0,
             "relay_mode": "af",
             "g_over_t_dbi_per_k": 15.9,
-            **fixture,
         }
-        sources["fc_ghz"] = "preset constant"
+    fixed.update(fixture)
 
     provenance = [f"preset: {name}"]
     for key in sorted(fixed):
-        provenance.append(f"fixed {key} = {fixed[key]} ({sources[key]})")
+        if key in fixture:
+            source = "calibration fixture fig-defaults"
+        elif name == "fig3" and key == "fc_ghz":
+            source = "implementer choice (carrier not part of the preset definition)"
+        else:
+            source = "preset constant"
+        provenance.append(f"fixed {key} = {fixed[key]} ({source})")
     return SweepSpec(axes=axes, fixed=fixed, provenance=tuple(provenance))

@@ -11,11 +11,11 @@ use (classify_station per altitude, the HAP's included; one resolved
 RadioConfig and FSPL's carrier term per carrier and receive gain; a
 LinkGeometry and FSPL's range term per hop; gas and scintillation per
 carrier, elevation and atmosphere fraction; the scenario cell and its
-expected clutter per scenario and elevation), and formats each value
-to its CSV text once. One loop then does each point's float work in
-the scalar path's order: FSPL, the stage checks and total, SNR,
-capacity, the AF/DF fold and the sampled clutter draw, and keeps a
-record per point (see SweepRows). A stage input that raised is not
+expected clutter per scenario and elevation). One loop then does each
+point's float work in the scalar path's order: FSPL, the stage checks
+and total, SNR, capacity, the AF/DF fold and the sampled clutter draw,
+and keeps a record of the point's values per point (see SweepRows);
+emit_csv formats them when it writes. A stage input that raised is not
 stored, so a point that looks it up runs the stage again and gets its
 own error. Every row, error message included, thus equals
 evaluate_link's or evaluate_chain's for that point alone, with
@@ -147,6 +147,8 @@ def _validate_spec(spec: SweepSpec) -> SweepSpec:
         )
     if has_grx and "noise_temperature_k" not in spec.fixed:
         raise SpecError("noise_temperature_k is required with the g_rx_dbi form")
+    if has_got and "noise_temperature_k" in spec.fixed:
+        raise SpecError("noise_temperature_k only applies to the g_rx_dbi form")
 
     modes = dict(axes).get("mode", (fixed["mode"],))
     if MODE_RELAY in modes and "hap_altitude_km" not in spec.fixed:
@@ -182,10 +184,10 @@ class SweepResult(NamedTuple):
 class SweepRows(Sequence):
     """run_sweep's rows: a read-only view over its per-point records.
 
-    axes are the spec's axes as given. A point's record holds the value
-    and CSV text of each of RESULT_COLUMNS interleaved (text None for a
-    per-point float). Row i's axis values are decoded from i by mixed
-    radix. Each row dict is built when read and never kept.
+    axes are the spec's axes as given. A point's record holds its values
+    of RESULT_COLUMNS, in that order; a failed point's are None but for
+    an empty label and its error. Row i's axis values are decoded from i
+    by mixed radix. Each row dict is built when read and never kept.
     """
 
     __slots__ = ("axes", "records", "columns")
@@ -204,11 +206,11 @@ class SweepRows(Sequence):
         for _, values in reversed(self.axes):  # last axis fastest
             index, digit = divmod(index, len(values))
             combo = (values[digit],) + combo
-        return dict(zip(self.columns, combo + record[::2]))
+        return dict(zip(self.columns, combo + record))
 
     def __iter__(self):
         for combo, record in zip(product(*(v for _, v in self.axes)), self.records):
-            yield dict(zip(self.columns, combo + record[::2]))
+            yield dict(zip(self.columns, combo + record))
 
 
 class _Stage(dict):
@@ -254,88 +256,72 @@ def _plan(values, fixed, table, scenario_table, seed):
         k: v for k in RadioConfig._fields if k not in AXIS_NAMES and (v := fixed.get(k)) is not None
     }
 
-    def radio(key):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth, its text
+    def radio(key):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth
         resolved = RadioConfig(**radio_fixed, fc_ghz=key[0], g_rx_dbi=key[1]).resolve_bandwidth()
-        bandwidth = resolved.bandwidth_hz
-        return (*resolved.budget_terms(), fspl_carrier_db(key[0]), bandwidth, _cell(bandwidth))
+        return (*resolved.budget_terms(), fspl_carrier_db(key[0]), resolved.bandwidth_hz)
 
-    def atmosphere(fraction):  # (carrier, elevation) -> gas, its text, scintillation, its text
+    def atmosphere(fraction):  # (carrier, elevation) -> gas, scintillation
         def stage(key):
             gas = fraction * gas_attenuation_db(*key, table)
-            scint = fraction * scintillation_db(*key, table)
-            return gas, _cell(gas), scint, _cell(scint)
+            return gas, fraction * scintillation_db(*key, table)
         return _Stage(stage, product(fcs, elevations))
 
-    def hop(low, key):  # (high, elevation) -> slant range, its text, FSPL's range term
-        slant = LinkGeometry.from_endpoints(low, *key).slant_range_km
-        # None leaves a zero slant range to fspl_db, which raises the point's error
-        return slant, _cell(slant), fspl_range_db(slant) if slant > 0 else None
+    def hops(low, highs):  # (high, elevation) -> slant range, FSPL's range term
+        def stage(key):
+            slant = LinkGeometry.from_endpoints(low, *key).slant_range_km
+            # None leaves a zero slant range to fspl_db, which raises the point's error
+            return slant, fspl_range_db(slant) if slant > 0 else None
+        return _Stage(stage, product(highs, elevations))
 
-    def clutter(key):  # expected clutter and its text, or the cell sampled points draw from
+    def clutter(key):  # expected clutter, or the cell sampled points draw from
         cell = scenario_table.cell(*key)
-        excess = cell.expected_db()
-        return cell if seed is not None else (excess, _cell(excess))
+        return cell if seed is not None else cell.expected_db()
 
     stations = _Stage(classify_station, altitudes + (hap,) if relay else altitudes)
     radios = _Stage(radio, product(fcs, g_rxs))
     ground_atmosphere = atmosphere(default_atmosphere_fraction(0.0))
     cells = _Stage(clutter, product(scenarios, elevations))
     highs = altitudes if MODE_DIRECT in modes else ()
-    ground_hops = _Stage(
-        lambda key: hop(0.0, key), product(highs + (hap,) if relay else highs, elevations)
-    )
+    ground_hops = hops(0.0, highs + (hap,) if relay else highs)
 
     def direct(altitude, fc, elevation, g_rx, scenario, index):
         stations[altitude]  # raises for an altitude outside every band
-        gain, bandwidth_db, carrier_db, bandwidth, bandwidth_text = radios[fc, g_rx]
-        slant, slant_text, range_db = ground_hops[altitude, elevation]
+        gain, bandwidth_db, carrier_db, bandwidth = radios[fc, g_rx]
+        slant, range_db = ground_hops[altitude, elevation]
         fspl = carrier_db + range_db if range_db is not None else fspl_db(slant, fc)
-        gas, gas_text, scint, scint_text = ground_atmosphere[fc, elevation]
-        cell = cells[scenario, elevation]
-        excess, excess_text = cell if seed is None else (cell.sampled_db(seed, index), None)
+        gas, scint = ground_atmosphere[fc, elevation]
+        excess = cells[scenario, elevation]
+        if seed is not None:
+            excess = excess.sampled_db(seed, index)
         total = stage_total_db(fspl, gas, scint, excess)
         snr = snr_sum_db(gain, total, bandwidth_db)
         capacity = shannon_capacity_bps(bandwidth, snr)
-        return (
-            slant, slant_text, fspl, None, gas, gas_text, scint, scint_text,
-            excess, excess_text, total, None, snr, None, capacity, None,
-            bandwidth, bandwidth_text, "direct", "direct", "", "",
-        )
+        return slant, fspl, gas, scint, excess, total, snr, capacity, bandwidth, "direct", ""
 
     if not relay:
         return {MODE_DIRECT: direct}
     # Hop 0 runs from the HAP up to the station, without clutter; hop 1
     # from the ground up to the HAP. Both use the point's radio. A point's
     # slant range, gas and scintillation are the sums over its hops.
+    hap_hops = hops(hap, altitudes)
     hap_atmosphere = atmosphere(default_atmosphere_fraction(hap))
-
-    def relay_hop(key):
-        upper, _, upper_db = hop(hap, key)
-        lower, _, lower_db = ground_hops[hap, key[1]]
-        return upper + lower, _cell(upper + lower), upper, upper_db, lower, lower_db
-
-    def relay_atmosphere(key):
-        gas0, _, scint0, _ = hap_atmosphere[key]
-        gas1, _, scint1, _ = ground_atmosphere[key]
-        gas, scint = gas0 + gas1, scint0 + scint1
-        return gas, _cell(gas), scint, _cell(scint), gas0, scint0, gas1, scint1
-
-    relay_hops = _Stage(relay_hop, product(altitudes, elevations))
-    relay_air = _Stage(relay_atmosphere, product(fcs, elevations))
     mode = fixed["relay_mode"]
     label = chain_label(mode, 2)
 
     def relay_point(altitude, fc, elevation, g_rx, scenario, index):
         stations[altitude]
-        gain, bandwidth_db, carrier_db, bandwidth, bandwidth_text = radios[fc, g_rx]
+        gain, bandwidth_db, carrier_db, bandwidth = radios[fc, g_rx]
         stations[hap]
-        slant, slant_text, upper, upper_db, lower, lower_db = relay_hops[altitude, elevation]
+        upper, upper_db = hap_hops[altitude, elevation]
+        lower, lower_db = ground_hops[hap, elevation]
         fspl0 = carrier_db + upper_db if upper_db is not None else fspl_db(upper, fc)
-        gas, gas_text, scint, scint_text, gas0, scint0, gas1, scint1 = relay_air[fc, elevation]
+        gas0, scint0 = hap_atmosphere[fc, elevation]
+        gas1, scint1 = ground_atmosphere[fc, elevation]
         snr0 = snr_sum_db(gain, stage_total_db(fspl0, gas0, scint0, 0.0), bandwidth_db)
         fspl1 = carrier_db + lower_db if lower_db is not None else fspl_db(lower, fc)
-        cell = cells[scenario, elevation]
-        excess, excess_text = cell if seed is None else (cell.sampled_db(seed, index), None)
+        excess = cells[scenario, elevation]
+        if seed is not None:
+            excess = excess.sampled_db(seed, index)
         snr1 = snr_sum_db(gain, stage_total_db(fspl1, gas1, scint1, excess), bandwidth_db)
         if mode is RelayMode.AMPLIFY_FORWARD:
             snr = af_chain_snr_db((snr0, snr1))
@@ -347,13 +333,9 @@ def _plan(values, fixed, table, scenario_table, seed):
             )
             bottleneck = df_bottleneck(capacities)
             snr, capacity = (snr0, snr1)[bottleneck], capacities[bottleneck]
-        fspl = fspl0 + fspl1
+        fspl, gas, scint = fspl0 + fspl1, gas0 + gas1, scint0 + scint1
         total = stage_total_db(fspl, gas, scint, excess)
-        return (
-            slant, slant_text, fspl, None, gas, gas_text, scint, scint_text,
-            excess, excess_text, total, None, snr, None, capacity, None,
-            bandwidth, bandwidth_text, label, label, "", "",
-        )
+        return upper + lower, fspl, gas, scint, excess, total, snr, capacity, bandwidth, label, ""
 
     return {MODE_DIRECT: direct, MODE_RELAY: relay_point}
 
@@ -368,8 +350,8 @@ def result_row(result: LinkResult) -> dict[str, object]:
     )))
 
 
-# The record of a failed point (see SweepRows) but for its error and error text.
-_FAILED = (None, None) * 9 + ("", "")
+# The record of a failed point (see SweepRows) but for its error.
+_FAILED = (None,) * 9 + ("",)
 
 
 def run_sweep(
@@ -398,7 +380,7 @@ def run_sweep(
         try:
             records.append(evaluators[mode](altitude, fc, elevation, g_rx, scenario, index))
         except NtnSimError as exc:
-            records.append(_FAILED + (str(exc), _cell(str(exc))))
+            records.append(_FAILED + (str(exc),))
 
     provenance = spec.provenance + (
         f"atmosphere table version: {table.version}",
@@ -456,7 +438,6 @@ def _write_csv(result: SweepResult, handle) -> None:
     axes, records = result.rows.axes, result.rows.records
     names = [name for name, _ in axes]
     n = len(names)
-    sample = next((r for r in records if r[2] is not None), None)  # a point with FSPL
 
     def line(failed):  # a kind of row's format string, and its cells of axis texts + record
         formats, indices = [], []
@@ -464,23 +445,21 @@ def _write_csv(result: SweepResult, handle) -> None:
             if col in names:
                 fmt, index = "%s", names.index(col)
             elif col not in RESULT_COLUMNS or (col == "error") != failed:
-                fmt, index = "", None  # a point's error, a failed point's metrics
+                fmt, index = "", None  # a point's error, a failed point's metrics and label
             else:
-                index = n + 2 * RESULT_COLUMNS.index(col)
-                per_point = not failed and sample[index - n + 1] is None  # text None
-                fmt, index = ("%.6g", index) if per_point else ("%s", index + 1)
+                index = n + RESULT_COLUMNS.index(col)
+                fmt = "%s" if col in ("label", "error") else "%.6g"
             formats.append(fmt)
             indices += [index] if fmt else []
         if formats == [""]:  # csv.writer quotes the only cell of a row when empty
             formats = ['""']
         return ",".join(formats) + "\n", itemgetter(*indices) if indices else lambda _: ()
 
-    point, point_cells = line(False) if sample else (None, None)
-    failed, failed_cells = line(True)
+    (point, point_cells), (failed, failed_cells) = line(False), line(True)
     write = handle.write
     for cells, record in zip(product(*(tuple(map(_cell, v)) for _, v in axes)), records):
-        if record[2] is None:  # failed
-            write(failed % failed_cells(cells + record))
+        if record[0] is None:  # failed: its error is the last cell
+            write(failed % failed_cells(cells + record[:-1] + (_cell(record[-1]),)))
         else:
             write(point % point_cells(cells + record))
 

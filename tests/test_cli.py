@@ -311,6 +311,7 @@ GRX_LINK = (
     "link", "--alt", "600", "--elev", "30", "--fc", "20", "--grx", "50",
     "--temp", "290",
 )
+CHAIN = ("chain", "--hop", "1200:10", "--hop", "20:10", "--fc", "20", "--got", "15.9")
 
 
 class TestFlagValidation:
@@ -347,6 +348,13 @@ class TestFlagValidation:
         assert out == ""
         assert f"argument {flag}: expected a finite number" in err
 
+    @pytest.mark.parametrize("argv", [LINK, CHAIN])
+    def test_temp_with_got_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--temp", "290")
+        assert code == 1
+        assert out == ""
+        assert "noise_temperature_k only applies to the g_rx_dbi form" in err
+
     def test_bandwidth_auto_still_accepted(self, capsys):
         code, out, _ = run_cli(capsys, *LINK, "--bandwidth", "AUTO")
         assert code == 0
@@ -366,9 +374,6 @@ class TestFlagValidation:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-
-
-CHAIN = ("chain", "--hop", "1200:10", "--hop", "20:10", "--fc", "20", "--got", "15.9")
 
 
 class TestSnrOverflow:

@@ -2,9 +2,9 @@
 
 The reference writes every row dict through csv.writer and format_value,
 which is what _write_csv does for a result built from dict rows. A
-run_sweep result is written from its per-point records instead, with
-the CSV text its plan formatted once per distinct input and one format
-string per kind of row; its bytes must not change either.
+run_sweep result is written from its per-point values instead, through
+one format string per kind of row that writes every float column with
+"%.6g"; its bytes must not change either.
 """
 
 import csv
@@ -21,7 +21,7 @@ from ntnsim import RelayMode, Scenario
 from ntnsim.harness import SweepResult, SweepSpec, csv_bytes, emit_csv, run_sweep
 from ntnsim.harness.cli import main
 from ntnsim.harness.sweep import (
-    AXIS_NAMES, EXTRA_COLUMNS, METRIC_COLUMNS, SweepRows, format_value,
+    AXIS_NAMES, EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, SweepRows, format_value,
 )
 
 COLUMNS = ("altitude_km", "fspl_db", "snr_db", "capacity_bps", "label", "error")
@@ -146,6 +146,9 @@ def test_records_csv_equals_csv_writer_over_rows(atm_table, scen_table, spec):
     result = run_sweep(spec, atm_table, scen_table)
     rows = result.rows
     listed = list(rows)
+    # "%.6g" gives format_value's text only of a Python float.
+    float_columns = RESULT_COLUMNS[:-2]  # but label and error
+    assert all(type(row[c]) is float for row in listed if not row["error"] for c in float_columns)
     assert [rows[i] for i in range(len(rows))] == listed
     assert [rows[i] for i in range(-len(rows), 0)] == listed
     assert rows[-1] == listed[-1]

@@ -116,8 +116,15 @@ class TestSweepValidation:
             run_sweep(spec, atm_table)
         assert "fc_ghz" in str(err.value)
 
-    def test_rx_gain_forms_exclusive(self, atm_table):
-        fixed = dict(FIG3_FIXED, scenario="rural", g_rx_dbi=40.0, noise_temperature_k=290.0)
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param({"g_rx_dbi": 40.0}, id="g_rx_and_g_over_t"),
+            pytest.param({}, id="g_over_t_and_temperature"),
+        ],
+    )
+    def test_rx_gain_forms_exclusive(self, atm_table, extra):
+        fixed = dict(FIG3_FIXED, scenario="rural", noise_temperature_k=290.0, **extra)
         spec = SweepSpec(axes=(("elevation_deg", ELEVATIONS),), fixed=fixed)
         with pytest.raises(SpecError):
             run_sweep(spec, atm_table)
