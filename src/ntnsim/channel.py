@@ -83,17 +83,14 @@ def stage_total_db(fspl: float, gas: float, scint: float, excess: float) -> floa
     the other stages are non-negative. LossBreakdown and the sweep plan
     both check their stages here.
     """
-    if not (
-        -_INF < fspl < _INF
-        and -_INF < gas < _INF
-        and -_INF < scint < _INF
-        and -_INF < excess < _INF
-    ):
-        raise DomainError(f"loss stages must be finite, got {(fspl, gas, scint, excess)}")
-    if fspl <= 0:
-        raise DomainError(f"fspl_db must be > 0, got {fspl}")
-    if gas < 0 or scint < 0 or excess < 0:
-        raise DomainError(f"loss stages must be >= 0, got {(fspl, gas, scint, excess)}")
+    if not (0.0 < fspl < _INF and 0.0 <= gas < _INF and 0.0 <= scint < _INF
+            and 0.0 <= excess < _INF):
+        stages = (fspl, gas, scint, excess)  # name the first check that failed
+        if not all(-_INF < stage < _INF for stage in stages):
+            raise DomainError(f"loss stages must be finite, got {stages}")
+        if fspl <= 0:
+            raise DomainError(f"fspl_db must be > 0, got {fspl}")
+        raise DomainError(f"loss stages must be >= 0, got {stages}")
     return fspl + gas + scint + excess
 
 

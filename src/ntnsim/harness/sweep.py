@@ -8,18 +8,18 @@ the sweep continues.
 run_sweep builds one plan per spec: each stage runs once per distinct
 input, through the scalar functions evaluate_link and evaluate_chain
 use (classify_station per altitude, the HAP's included; one resolved
-RadioConfig and FSPL's carrier term per carrier and receive gain; a
-LinkGeometry and FSPL's range term per hop; gas and scintillation per
+RadioConfig and FSPL's carrier term per carrier and receive gain; the
+slant range and FSPL's range term per hop; gas and scintillation per
 carrier, elevation and atmosphere fraction; the scenario cell and its
-expected clutter per scenario and elevation). One loop then does each
-point's float work in the scalar path's order: FSPL, the stage checks
-and total, SNR, capacity, the AF/DF fold and the sampled clutter draw,
-and keeps a record of the point's values per point (see SweepRows);
-emit_csv formats them when it writes. A stage input that raised is not
-stored, so a point that looks it up runs the stage again and gets its
-own error. Every row, error message included, thus equals
-evaluate_link's or evaluate_chain's for that point alone, with
-sampled_index its row index.
+expected clutter per scenario and elevation). A point is
+point(*resolve(...), index): resolve looks up its stage values in the
+scalar path's check order, and point does its float work in the scalar
+path's order (FSPL, the stage checks and total, SNR, capacity, the AF/DF
+fold, the sampled clutter draw) and returns a record of its values (see
+SweepRows), which emit_csv formats. Points run a prefix at a time (see
+_records), and a prefix with a failing point is redone point by point,
+so every row, error message included, equals evaluate_link's or
+evaluate_chain's for that point alone, with sampled_index its row index.
 
 Sampled clutter gives every point its own stream: the point at row
 index i of a sweep with seed s draws from blake2b(b"<s>:<i>") (see
@@ -35,7 +35,7 @@ import enum
 import io
 import math
 from collections.abc import Sequence
-from itertools import product
+from itertools import count, product, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -54,7 +54,7 @@ from ..channel import (
     stage_total_db,
 )
 from ..errors import NtnSimError, SpecError
-from ..geometry import LinkGeometry, classify_station
+from ..geometry import classify_station, slant_range_km
 from ..linkbudget import LinkResult, RadioConfig, shannon_capacity_bps, snr_sum_db
 from ..relay import RelayMode, af_chain_snr_db, chain_label, df_bottleneck
 from .config import DEFAULT_EXCESS_MODE, PARAMETERS, parse_sections, parse_value
@@ -220,16 +220,12 @@ class _Stage(dict):
     runs the stage again, so the point gets the error of its own input.
     """
 
-    def __init__(self, stage, inputs) -> None:
+    def __init__(self, stage) -> None:
         self.stage = stage
-        for key in inputs:
-            try:
-                self[key] = stage(key)
-            except NtnSimError:
-                pass
 
     def __missing__(self, key):
-        return self.stage(key)
+        value = self[key] = self.stage(key)
+        return value
 
 
 def _cell(value: object) -> str:
@@ -241,56 +237,56 @@ def _cell(value: object) -> str:
     return text
 
 
-def _plan(values, fixed, table, scenario_table, seed):
-    """Point evaluators of a typed spec by mode (see the module docstring).
+def _plan(modes, fixed, table, scenario_table, seed):
+    """Each of modes' (resolve, point, keys) for a typed spec.
 
-    values holds the distinct typed values of each of AXIS_NAMES. An
-    evaluator takes a point's values of AXIS_NAMES but mode, and its row
-    index; it returns the point's record (see SweepRows) or raises the
-    point's NtnSimError.
+    resolve maps a point's values of AXIS_NAMES but mode to its stage
+    values or raises its first error; point maps those and the row index
+    to the point's record (see SweepRows); keys holds the axes that each
+    stage value's key reads.
     """
-    altitudes, fcs, elevations, g_rxs, scenarios, modes = map(values.get, AXIS_NAMES)
     hap = fixed.get("hap_altitude_km")
-    relay = MODE_RELAY in modes
     radio_fixed = {  # RadioConfig's defaults stand for radio fields a spec leaves out
         k: v for k in RadioConfig._fields if k not in AXIS_NAMES and (v := fixed.get(k)) is not None
     }
 
-    def radio(key):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth
+    def radio(key):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth, carrier
         resolved = RadioConfig(**radio_fixed, fc_ghz=key[0], g_rx_dbi=key[1]).resolve_bandwidth()
-        return (*resolved.budget_terms(), fspl_carrier_db(key[0]), resolved.bandwidth_hz)
+        return (*resolved.budget_terms(), fspl_carrier_db(key[0]), resolved.bandwidth_hz, key[0])
 
     def atmosphere(fraction):  # (carrier, elevation) -> gas, scintillation
         def stage(key):
             gas = fraction * gas_attenuation_db(*key, table)
             return gas, fraction * scintillation_db(*key, table)
-        return _Stage(stage, product(fcs, elevations))
+        return _Stage(stage)
 
-    def hops(low, highs):  # (high, elevation) -> slant range, FSPL's range term
+    def hops(low):  # (high, elevation) -> slant range, FSPL's range term
         def stage(key):
-            slant = LinkGeometry.from_endpoints(low, *key).slant_range_km
+            slant = slant_range_km(low, *key)
             # None leaves a zero slant range to fspl_db, which raises the point's error
             return slant, fspl_range_db(slant) if slant > 0 else None
-        return _Stage(stage, product(highs, elevations))
+        return _Stage(stage)
 
     def clutter(key):  # expected clutter, or the cell sampled points draw from
         cell = scenario_table.cell(*key)
         return cell if seed is not None else cell.expected_db()
 
-    stations = _Stage(classify_station, altitudes + (hap,) if relay else altitudes)
-    radios = _Stage(radio, product(fcs, g_rxs))
-    ground_atmosphere = atmosphere(default_atmosphere_fraction(0.0))
-    cells = _Stage(clutter, product(scenarios, elevations))
-    highs = altitudes if MODE_DIRECT in modes else ()
-    ground_hops = hops(0.0, highs + (hap,) if relay else highs)
+    stations, radios, cells = _Stage(classify_station), _Stage(radio), _Stage(clutter)
+    ground_atmosphere, ground_hops = atmosphere(default_atmosphere_fraction(0.0)), hops(0.0)
+    fc_grx, fc_elev = ("fc_ghz", "g_rx_dbi"), ("fc_ghz", "elevation_deg")  # keys' axes
+    alt_elev, scen_elev = ("altitude_km", "elevation_deg"), ("scenario", "elevation_deg")
 
-    def direct(altitude, fc, elevation, g_rx, scenario, index):
+    def resolve(altitude, fc, elevation, g_rx, scenario):
         stations[altitude]  # raises for an altitude outside every band
-        gain, bandwidth_db, carrier_db, bandwidth = radios[fc, g_rx]
-        slant, range_db = ground_hops[altitude, elevation]
-        fspl = carrier_db + range_db if range_db is not None else fspl_db(slant, fc)
-        gas, scint = ground_atmosphere[fc, elevation]
-        excess = cells[scenario, elevation]
+        radio, hop = radios[fc, g_rx], ground_hops[altitude, elevation]
+        if hop[1] is None:
+            fspl_db(hop[0], fc)
+        return radio, hop, ground_atmosphere[fc, elevation], cells[scenario, elevation]
+
+    def direct(radio, hop, atmosphere, excess, index):
+        (gain, bandwidth_db, carrier_db, bandwidth, _), (slant, range_db) = radio, hop
+        gas, scint = atmosphere
+        fspl = carrier_db + range_db
         if seed is not None:
             excess = excess.sampled_db(seed, index)
         total = stage_total_db(fspl, gas, scint, excess)
@@ -298,28 +294,34 @@ def _plan(values, fixed, table, scenario_table, seed):
         capacity = shannon_capacity_bps(bandwidth, snr)
         return slant, fspl, gas, scint, excess, total, snr, capacity, bandwidth, "direct", ""
 
-    if not relay:
-        return {MODE_DIRECT: direct}
+    plans = {MODE_DIRECT: (resolve, direct, (fc_grx, alt_elev, fc_elev, scen_elev))}
+    if MODE_RELAY not in modes:
+        return plans
     # Hop 0 runs from the HAP up to the station, without clutter; hop 1
     # from the ground up to the HAP. Both use the point's radio. A point's
     # slant range, gas and scintillation are the sums over its hops.
-    hap_hops = hops(hap, altitudes)
+    hap_hops = hops(hap)
     hap_atmosphere = atmosphere(default_atmosphere_fraction(hap))
     mode = fixed["relay_mode"]
     label = chain_label(mode, 2)
 
-    def relay_point(altitude, fc, elevation, g_rx, scenario, index):
+    def resolve_relay(altitude, fc, elevation, g_rx, scenario):
         stations[altitude]
-        gain, bandwidth_db, carrier_db, bandwidth = radios[fc, g_rx]
+        radio = radios[fc, g_rx]
         stations[hap]
-        upper, upper_db = hap_hops[altitude, elevation]
-        lower, lower_db = ground_hops[hap, elevation]
-        fspl0 = carrier_db + upper_db if upper_db is not None else fspl_db(upper, fc)
-        gas0, scint0 = hap_atmosphere[fc, elevation]
-        gas1, scint1 = ground_atmosphere[fc, elevation]
+        hop0, hop1 = hap_hops[altitude, elevation], ground_hops[hap, elevation]
+        if hop0[1] is None:
+            fspl_db(hop0[0], fc)
+        air0, air1 = hap_atmosphere[fc, elevation], ground_atmosphere[fc, elevation]
+        return radio, hop0, hop1, air0, air1, cells[scenario, elevation]
+
+    def relay_point(radio, hop0, hop1, air0, air1, excess, index):
+        gain, bandwidth_db, carrier_db, bandwidth, fc = radio
+        (upper, upper_db), (lower, lower_db) = hop0, hop1
+        (gas0, scint0), (gas1, scint1) = air0, air1
+        fspl0 = carrier_db + upper_db
         snr0 = snr_sum_db(gain, stage_total_db(fspl0, gas0, scint0, 0.0), bandwidth_db)
         fspl1 = carrier_db + lower_db if lower_db is not None else fspl_db(lower, fc)
-        excess = cells[scenario, elevation]
         if seed is not None:
             excess = excess.sampled_db(seed, index)
         snr1 = snr_sum_db(gain, stage_total_db(fspl1, gas1, scint1, excess), bandwidth_db)
@@ -337,7 +339,8 @@ def _plan(values, fixed, table, scenario_table, seed):
         total = stage_total_db(fspl, gas, scint, excess)
         return upper + lower, fspl, gas, scint, excess, total, snr, capacity, bandwidth, label, ""
 
-    return {MODE_DIRECT: direct, MODE_RELAY: relay_point}
+    keys = fc_grx, alt_elev, ("elevation_deg",), fc_elev, fc_elev, scen_elev
+    return {**plans, MODE_RELAY: (resolve_relay, relay_point, keys)}
 
 
 def result_row(result: LinkResult) -> dict[str, object]:
@@ -350,8 +353,62 @@ def result_row(result: LinkResult) -> dict[str, object]:
     )))
 
 
-# The record of a failed point (see SweepRows) but for its error.
-_FAILED = (None,) * 9 + ("",)
+def _records(axes, plans):
+    """Every point's record in row order, from each of AXIS_NAMES' typed values.
+
+    The inner axis is the last in row order with more than one value. Each
+    value of the other axes, a prefix, maps its mode's point over a column
+    per stage value: the value repeated if its key does not read the inner
+    axis, else its values along it, kept for the call by the rest of its
+    key. Columns whose keys read no other varying axis are built once.
+    """
+    names = list(axes)
+    pick = itemgetter(*map(names.index, AXIS_NAMES))
+
+    def one(point, index):  # point(*resolve(...), index), or a failed point's record
+        *values, mode = pick(point)
+        resolve, evaluate, _ = plans[mode]
+        try:
+            return evaluate(*resolve(*values), index)
+        except NtnSimError as exc:
+            return (None,) * 9 + ("", str(exc))
+
+    varying = [name for name in names if len(axes[name]) > 1]
+    inner = varying.pop() if varying else "mode"
+    if inner == "mode":  # the point function changes along the inner axis
+        return list(map(one, product(*axes.values()), count()))
+    # The inner axis's place in a prefix and among resolve's arguments.
+    at, k, inner_values = names.index(inner), AXIS_NAMES.index(inner), axes[inner]
+    n, states, records = len(inner_values), {}, []
+    for mode, (resolve, point, keys) in plans.items():
+        # (column, None for a repeated value, else the positions of its key's other axes)
+        slots = [(j, [AXIS_NAMES.index(a) for a in key if a != inner] if inner in key else None)
+                 for j, key in enumerate(keys)]
+        changing = [slot for slot, key in zip(slots, keys) if set(key) & set(varying)]
+        states[mode] = [resolve, point, [None] * len(keys), slots, changing, {}]
+    prefixes = product(*(v[:1] if name == inner else v for name, v in axes.items()))
+    for start, prefix in zip(count(0, n), prefixes):
+        *values, mode = pick(prefix)
+        resolve, point, columns, slots, changing, memo = state = states[mode]
+        try:
+            resolved, along = resolve(*values), None
+            for j, others in slots:
+                if others is None:
+                    columns[j] = repeat(resolved[j])
+                    continue
+                key = (j, *[values[i] for i in others])
+                if key not in memo:
+                    along = along or list(zip(resolved, *(
+                        resolve(*values[:k], v, *values[k + 1:]) for v in inner_values[1:])))
+                    memo[key] = along[j]
+                columns[j] = memo[key]
+            state[3] = changing  # the other columns now hold for every prefix
+            records += map(point, *columns, range(start, start + n))
+        except NtnSimError:
+            del records[start:]
+            points = (prefix[:at] + (v,) + prefix[at + 1:] for v in inner_values)
+            records += map(one, points, range(start, start + n))
+    return records
 
 
 def run_sweep(
@@ -370,18 +427,8 @@ def run_sweep(
     typed_axes = dict(typed.axes)
     for name in AXIS_NAMES:
         typed_axes.setdefault(name, (typed.fixed.get(name),))
-    pick = itemgetter(*map(list(typed_axes).index, AXIS_NAMES))
-    distinct = {name: tuple(dict.fromkeys(v)) for name, v in typed_axes.items()}
-    evaluators = _plan(distinct, typed.fixed, table, scenario_table, seed)
-
-    records = []
-    for index, point in enumerate(product(*typed_axes.values())):
-        altitude, fc, elevation, g_rx, scenario, mode = pick(point)
-        try:
-            records.append(evaluators[mode](altitude, fc, elevation, g_rx, scenario, index))
-        except NtnSimError as exc:
-            records.append(_FAILED + (str(exc),))
-
+    plans = _plan(typed_axes["mode"], typed.fixed, table, scenario_table, seed)
+    records = _records(typed_axes, plans)
     provenance = spec.provenance + (
         f"atmosphere table version: {table.version}",
         f"scenario table version: {scenario_table.version}",

@@ -62,11 +62,16 @@ def df_end_to_end_capacity(c1_bps: float, c2_bps: float) -> float:
 
 
 def af_chain_snr_db(hop_snrs_db: tuple[float, ...]) -> float:
-    """AF chain SNR in dB: per-hop linear SNRs folded pairwise in hop order."""
+    """AF chain SNR in dB: per-hop SNRs folded pairwise in hop order, in dB if linear underflows."""
     gamma = snr_linear(hop_snrs_db[0])
     for snr in hop_snrs_db[1:]:
         gamma = af_end_to_end_snr(gamma, snr_linear(snr))
-    return 10.0 * math.log10(gamma) if gamma > 0 else -math.inf
+    return 10.0 * math.log10(gamma) if gamma > 0 else reduce(_af_fold_db, hop_snrs_db)
+
+
+def _af_fold_db(s: float, t: float) -> float:
+    """af_end_to_end_snr in dB: s + t - 10 log10(1 + 10^(s/10) + 10^(t/10))."""
+    return s + t - 10.0 * math.log10(1.0 + 10.0 ** (s / 10.0) + 10.0 ** (t / 10.0))
 
 
 def df_bottleneck(hop_capacities_bps: tuple[float, ...]) -> int:

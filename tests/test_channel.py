@@ -25,6 +25,7 @@ from ntnsim.channel import (
     parse_atmosphere_table,
     parse_scenario_table,
     scintillation_elevation_scale,
+    stage_total_db,
 )
 
 SCENARIOS_ORDERED = [
@@ -170,6 +171,29 @@ class TestLossBreakdown:
             LossBreakdown.from_stages(100, -0.5, 0, 0)
         with pytest.raises(DomainError):
             LossBreakdown.from_stages(-100, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "stages, message",
+        [
+            ((1e-300, -0.0, 0.0, 0.0), None),
+            ((0.0, 1.0, 1.0, 1.0), "fspl_db must be > 0"),
+            ((-0.0, 1.0, 1.0, 1.0), "fspl_db must be > 0"),
+            ((0.0, -1.0, 0.0, 0.0), "fspl_db must be > 0"),
+            ((100.0, 0.0, 0.0, -1e-300), "loss stages must be >= 0"),
+            ((100.0, 0.0, -1.0, 0.0), "loss stages must be >= 0"),
+            ((100.0, 0.0, 0.0, math.inf), "loss stages must be finite"),
+            ((100.0, math.nan, 0.0, 0.0), "loss stages must be finite"),
+            ((-math.inf, -1.0, 0.0, 0.0), "loss stages must be finite"),
+            ((0.0, 0.0, -1.0, math.nan), "loss stages must be finite"),
+        ],
+    )
+    def test_stage_checks_report_the_first_failure(self, stages, message):
+        # Every stage finite first, then FSPL positive, then the others >= 0.
+        if message is None:
+            assert stage_total_db(*stages) == sum(stages)
+            return
+        with pytest.raises(DomainError, match=message):
+            stage_total_db(*stages)
 
     def test_additivity_over_random_inputs(self):
         rng = random.Random(11)

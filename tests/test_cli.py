@@ -402,10 +402,12 @@ class TestSnrOverflow:
         assert code == 0
         assert out.splitlines()[-1] == row
 
-    def test_af_product_overflow_gives_a_finite_row(self, capsys, atm_table, scen_table):
+    @pytest.mark.parametrize("txpow", ["3000", "-2900"])
+    def test_af_product_overflow_gives_a_finite_row(self, capsys, atm_table, scen_table, txpow):
         # Each hop's linear SNR fits a float; their product, the AF fold's
-        # numerator, does not.
-        argv = (*CHAIN, "--mode", "af", "--txpow", "3000")
+        # numerator, does not: it overflows at 3000 dBm and underflows to
+        # zero at -2900 dBm.
+        argv = (*CHAIN, "--mode", "af", "--txpow", txpow)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         (row,) = csv_rows(out)
@@ -413,7 +415,8 @@ class TestSnrOverflow:
         hops = _parse_hops(args.hop, _radio_from_args(args))
         result = evaluate_chain(RelayChain(hops), atm_table, scen_table)
         hop_snrs = [hop.snr_db for hop in result.hops]
-        assert sum(hop_snrs) > 3100  # past the product's overflow
+        sign = 1 if float(txpow) > 0 else -1  # past the product's overflow, or its underflow
+        assert sign * sum(hop_snrs) > 3100
         assert math.isfinite(result.snr_db) and result.snr_db <= min(hop_snrs)
         assert math.isfinite(result.capacity_bps)
         assert row["snr_db"] == format_value(result.snr_db)

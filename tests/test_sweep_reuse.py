@@ -30,9 +30,11 @@ FAILED = {**dict.fromkeys(METRIC_COLUMNS + ("slant_range_km", "bandwidth_hz")), 
 
 # Gap altitudes (100, 26), out-of-range elevations (5, 95) and carriers
 # outside the atmosphere table (0.3, 120) make error rows; 20 km is a HAP,
-# so a relay through a 20 km HAP cannot reach it.
+# so a relay through a 20 km HAP cannot reach it. From the ground, 1e-13 km
+# gives a zero slant range, whose FSPL error comes before a carrier's, and
+# 2e-12 km a negative FSPL, which the carrier's error comes before.
 AXIS_VALUES = {
-    "altitude_km": (20.0, 100.0, 300.0, 600.0, 1200.0, 35786.0),
+    "altitude_km": (1e-13, 2e-12, 20.0, 100.0, 300.0, 600.0, 1200.0, 35786.0),
     "fc_ghz": (0.3, 2.0, 20.0, 60.0, 90.0, 120.0),
     "elevation_deg": (5.0, 10.0, 30.0, 45.5, 90.0, 95.0),
     "g_rx_dbi": (30.0, 50.0),
@@ -100,7 +102,10 @@ def axis(name):
 
 @st.composite
 def specs(draw):
-    axes = tuple((name, tuple(draw(axis(name)))) for name in AXIS_VALUES)
+    # Every axis, declared in any order: row order, and so which axes vary
+    # fastest, follows the declaration.
+    order = draw(st.permutations(tuple(AXIS_VALUES)))
+    axes = tuple((name, tuple(draw(axis(name)))) for name in order)
     excess_mode = draw(st.sampled_from(["expected", "sampled"]))
     fixed = {
         "tx_power_dbm": 18.0,
@@ -122,13 +127,32 @@ def test_sweep_rows_equal_per_point_evaluation(atm_table, scen_table, spec):
     assert list(rows) == reference_rows(spec, atm_table, scen_table)
 
 
-@pytest.mark.parametrize("relay_mode", ["af", "df"])
-def test_snr_overflow_is_the_points_error_row(atm_table, scen_table, relay_mode):
+# Each axis order's axes and error pattern, by test id suffix. Row order
+# (g_rx_dbi, mode) puts the failing points after every good one; (mode,
+# g_rx_dbi) makes the 4000 dBi direct point fail after good points of the
+# same mode, which run_sweep evaluates together.
+OVERFLOW_ORDERS = {
+    "": ("g_rx_dbi", "mode", [False, False, False, True, True, True]),
+    "-g_rx_dbi_last": ("mode", "g_rx_dbi", [False, False, True, False, True, True]),
+}
+
+
+@pytest.mark.parametrize(
+    "relay_mode, order",
+    [
+        pytest.param(mode, order, id=mode + order)
+        for order in OVERFLOW_ORDERS
+        for mode in ("af", "df")
+    ],
+)
+def test_snr_overflow_is_the_points_error_row(atm_table, scen_table, relay_mode, order):
     # Above about 3083 dB an SNR's power ratio overflows a float. A
     # 3122.5 dBi receive gain takes the HAP-ground hop of a relay past it,
     # but not the HAP-GEO hop or the direct link; 4000 dBi takes all.
+    *names, overflow = OVERFLOW_ORDERS[order]
+    values = {"g_rx_dbi": (50.0, 3122.5, 4000.0), "mode": ("direct", "relay")}
     spec = SweepSpec(
-        axes=(("g_rx_dbi", (50.0, 3122.5, 4000.0)), ("mode", ("direct", "relay"))),
+        axes=tuple((name, values[name]) for name in names),
         fixed={
             "altitude_km": 35786.0,
             "fc_ghz": 20.0,
@@ -142,15 +166,17 @@ def test_snr_overflow_is_the_points_error_row(atm_table, scen_table, relay_mode)
     )
     rows = run_sweep(spec, atm_table, scen_table).rows
     assert list(rows) == reference_rows(spec, atm_table, scen_table)
-    overflow = [bool(row["error"]) for row in rows]
-    assert overflow == [False, False, False, True, True, True]
-    for row in rows[3:]:
-        assert "dB is too large for a linear power ratio" in row["error"]
+    assert [bool(row["error"]) for row in rows] == overflow
+    for row in rows:
+        if row["error"]:
+            assert "dB is too large for a linear power ratio" in row["error"]
 
 
-def test_af_product_overflow_row_equals_the_scalar_row(atm_table, scen_table):
+@pytest.mark.parametrize("tx_power_dbm", [3000.0, -2900.0])
+def test_af_product_overflow_row_equals_the_scalar_row(atm_table, scen_table, tx_power_dbm):
     # The chain of `ntnsim chain --hop 1200:10 --hop 20:10 --txpow 3000`:
-    # each hop's linear SNR fits a float, their product does not.
+    # each hop's linear SNR fits a float, their product does not. At
+    # --txpow -2900 the product underflows to zero instead.
     spec = SweepSpec(
         axes=(("mode", ("relay",)),),
         fixed={
@@ -159,7 +185,7 @@ def test_af_product_overflow_row_equals_the_scalar_row(atm_table, scen_table):
             "elevation_deg": 10.0,
             "scenario": "dense_urban",
             "g_rx_dbi": 40.0,
-            "tx_power_dbm": 3000.0,
+            "tx_power_dbm": tx_power_dbm,
             "noise_temperature_k": 290.0,
             "hap_altitude_km": 20.0,
             "relay_mode": "af",
