@@ -253,9 +253,7 @@ class ScenarioRow(NamedTuple):
 class ScenarioTable:
     """LOS probability and clutter loss per scenario over an elevation grid."""
 
-    _fields = ("elevation_grid_deg", "rows", "version")
-    # _columns: per scenario, one tuple per ScenarioRow field over the grid.
-    __slots__ = _fields + ("_columns",)
+    __slots__ = _fields = ("elevation_grid_deg", "rows", "version")
 
     def __init__(
         self, elevation_grid_deg: tuple[float, ...], rows: dict[Scenario, tuple[ScenarioRow, ...]],
@@ -281,7 +279,6 @@ class ScenarioTable:
                     raise TableFormatError(f"p_los out of [0, 1]: {r.p_los}")
                 if min(r.clutter_los_db, r.clutter_nlos_db, r.shadow_sigma_db) < 0:
                     raise TableFormatError("clutter and sigma values must be >= 0")
-        self._columns = {scenario: tuple(zip(*cells)) for scenario, cells in self.rows.items()}
 
     def cell(self, scenario: Scenario, elevation_deg: float) -> ScenarioRow:
         """Row for one scenario at one elevation, interpolating each column."""
@@ -289,7 +286,7 @@ class ScenarioTable:
         grid = self.elevation_grid_deg
         return ScenarioRow(*(
             _interpolate(elevation_deg, grid, column)
-            for column in self._columns[scenario]
+            for column in zip(*self.rows[scenario])
         ))
 
 

@@ -36,9 +36,10 @@ from .sweep import (
     EXTRA_COLUMNS,
     METRIC_COLUMNS,
     SweepResult,
+    SweepRows,
     emit_csv,
     load_sweep_spec,
-    result_row,
+    result_record,
     run_sweep,
 )
 
@@ -173,8 +174,9 @@ def _radio_from_args(args) -> RadioConfig:
 
 
 def _emit_single(result: LinkResult, inputs: dict[str, object], args) -> None:
-    row = {**inputs, **result_row(result)}
-    emit_csv(SweepResult(tuple(inputs) + _SINGLE_COLUMNS, (row,)), args.out or sys.stdout)
+    axes = tuple((name, (value,)) for name, value in inputs.items())  # one point
+    rows = SweepRows(axes, (result_record(result),))
+    emit_csv(SweepResult(tuple(inputs) + _SINGLE_COLUMNS, rows), args.out or sys.stdout)
 
 
 def _cmd_link(args) -> int:

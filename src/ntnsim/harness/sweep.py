@@ -16,10 +16,11 @@ point(*resolve(...), index): resolve looks up its stage values in the
 scalar path's check order, and point does its float work in the scalar
 path's order (FSPL, the stage checks and total, SNR, capacity, the AF/DF
 fold, the sampled clutter draw) and returns a record of its values (see
-SweepRows), which emit_csv formats. Points run a prefix at a time (see
-_records), and a prefix with a failing point is redone point by point,
-so every row, error message included, equals evaluate_link's or
-evaluate_chain's for that point alone, with sampled_index its row index.
+SweepRows), which emit_csv formats, as it does link's and chain's one
+record (result_record). Points run a prefix at a time (see _records),
+and a prefix with a failing point is redone point by point, so every
+row, error message included, equals evaluate_link's or evaluate_chain's
+for that point alone, with sampled_index its row index.
 
 Sampled clutter gives every point its own stream: the point at row
 index i of a sweep with seed s draws from blake2b(b"<s>:<i>") (see
@@ -35,6 +36,7 @@ import enum
 import io
 import math
 from collections.abc import Sequence
+from functools import cache
 from itertools import count, product, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -166,15 +168,14 @@ def _validate_spec(spec: SweepSpec) -> SweepSpec:
 class SweepResult(NamedTuple):
     """A sweep's output schema, rows and CSV provenance lines.
 
-    rows holds one dict per grid point: its axis values as the spec gave
-    them, then RESULT_COLUMNS as result_row gives them, or empty metrics
-    and the error of a point that failed. run_sweep's rows is a
-    SweepRows, which emit_csv writes from its records; tuple(result.rows)
-    gives a tuple.
+    rows is a SweepRows: one dict per grid point, its axis values, then
+    RESULT_COLUMNS, or empty metrics and the error of a point that
+    failed. emit_csv writes it from its records; tuple(result.rows) gives
+    a tuple.
     """
 
     schema: tuple[str, ...]
-    rows: Sequence[dict[str, object]]
+    rows: SweepRows
     provenance: tuple[str, ...] = ()
 
     def error_rows(self) -> tuple[dict[str, object], ...]:
@@ -182,9 +183,10 @@ class SweepResult(NamedTuple):
 
 
 class SweepRows(Sequence):
-    """run_sweep's rows: a read-only view over its per-point records.
+    """A result's rows: a read-only view over its per-point records.
 
-    axes are the spec's axes as given. A point's record holds its values
+    axes are the spec's axes as given (link's and chain's: their inputs,
+    one value each, over result_record). A point's record holds its values
     of RESULT_COLUMNS, in that order; a failed point's are None but for
     an empty label and its error. Row i's axis values are decoded from i
     by mixed radix. Each row dict is built when read and never kept.
@@ -213,21 +215,6 @@ class SweepRows(Sequence):
             yield dict(zip(self.columns, combo + record))
 
 
-class _Stage(dict):
-    """One stage's results by input, each distinct input run once.
-
-    An input whose stage raised NtnSimError is not stored; looking it up
-    runs the stage again, so the point gets the error of its own input.
-    """
-
-    def __init__(self, stage) -> None:
-        self.stage = stage
-
-    def __missing__(self, key):
-        value = self[key] = self.stage(key)
-        return value
-
-
 def _cell(value: object) -> str:
     """value's CSV cell: format_value's text, quoted as csv.writer quotes it."""
     text = format_value(value)
@@ -243,45 +230,50 @@ def _plan(modes, fixed, table, scenario_table, seed):
     resolve maps a point's values of AXIS_NAMES but mode to its stage
     values or raises its first error; point maps those and the row index
     to the point's record (see SweepRows); keys holds the axes that each
-    stage value's key reads.
+    stage value's key reads. Each stage is cached per distinct input; an
+    input whose stage raised is not, so a point gets its own error.
     """
     hap = fixed.get("hap_altitude_km")
     radio_fixed = {  # RadioConfig's defaults stand for radio fields a spec leaves out
         k: v for k in RadioConfig._fields if k not in AXIS_NAMES and (v := fixed.get(k)) is not None
     }
 
-    def radio(key):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth, carrier
-        resolved = RadioConfig(**radio_fixed, fc_ghz=key[0], g_rx_dbi=key[1]).resolve_bandwidth()
-        return (*resolved.budget_terms(), fspl_carrier_db(key[0]), resolved.bandwidth_hz, key[0])
+    @cache
+    def radios(fc, g_rx):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth, carrier
+        resolved = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx).resolve_bandwidth()
+        return (*resolved.budget_terms(), fspl_carrier_db(fc), resolved.bandwidth_hz, fc)
 
-    def atmosphere(fraction):  # (carrier, elevation) -> gas, scintillation
-        def stage(key):
-            gas = fraction * gas_attenuation_db(*key, table)
-            return gas, fraction * scintillation_db(*key, table)
-        return _Stage(stage)
+    def atmosphere(fraction):
+        @cache
+        def stage(fc, elevation):  # gas, scintillation
+            gas = fraction * gas_attenuation_db(fc, elevation, table)
+            return gas, fraction * scintillation_db(fc, elevation, table)
+        return stage
 
-    def hops(low):  # (high, elevation) -> slant range, FSPL's range term
-        def stage(key):
-            slant = slant_range_km(low, *key)
+    def hops(low):
+        @cache
+        def stage(high, elevation):  # slant range, FSPL's range term
+            slant = slant_range_km(low, high, elevation)
             # None leaves a zero slant range to fspl_db, which raises the point's error
             return slant, fspl_range_db(slant) if slant > 0 else None
-        return _Stage(stage)
+        return stage
 
-    def clutter(key):  # expected clutter, or the cell sampled points draw from
-        cell = scenario_table.cell(*key)
+    @cache
+    def cells(scenario, elevation):  # expected clutter, or the cell sampled points draw from
+        cell = scenario_table.cell(scenario, elevation)
         return cell if seed is not None else cell.expected_db()
 
-    stations, radios, cells = _Stage(classify_station), _Stage(radio), _Stage(clutter)
+    stations = cache(classify_station)
     ground_atmosphere, ground_hops = atmosphere(default_atmosphere_fraction(0.0)), hops(0.0)
     fc_grx, fc_elev = ("fc_ghz", "g_rx_dbi"), ("fc_ghz", "elevation_deg")  # keys' axes
     alt_elev, scen_elev = ("altitude_km", "elevation_deg"), ("scenario", "elevation_deg")
 
     def resolve(altitude, fc, elevation, g_rx, scenario):
-        stations[altitude]  # raises for an altitude outside every band
-        radio, hop = radios[fc, g_rx], ground_hops[altitude, elevation]
+        stations(altitude)  # raises for an altitude outside every band
+        radio, hop = radios(fc, g_rx), ground_hops(altitude, elevation)
         if hop[1] is None:
             fspl_db(hop[0], fc)
-        return radio, hop, ground_atmosphere[fc, elevation], cells[scenario, elevation]
+        return radio, hop, ground_atmosphere(fc, elevation), cells(scenario, elevation)
 
     def direct(radio, hop, atmosphere, excess, index):
         (gain, bandwidth_db, carrier_db, bandwidth, _), (slant, range_db) = radio, hop
@@ -306,14 +298,14 @@ def _plan(modes, fixed, table, scenario_table, seed):
     label = chain_label(mode, 2)
 
     def resolve_relay(altitude, fc, elevation, g_rx, scenario):
-        stations[altitude]
-        radio = radios[fc, g_rx]
-        stations[hap]
-        hop0, hop1 = hap_hops[altitude, elevation], ground_hops[hap, elevation]
+        stations(altitude)
+        radio = radios(fc, g_rx)
+        stations(hap)
+        hop0, hop1 = hap_hops(altitude, elevation), ground_hops(hap, elevation)
         if hop0[1] is None:
             fspl_db(hop0[0], fc)
-        air0, air1 = hap_atmosphere[fc, elevation], ground_atmosphere[fc, elevation]
-        return radio, hop0, hop1, air0, air1, cells[scenario, elevation]
+        air0, air1 = hap_atmosphere(fc, elevation), ground_atmosphere(fc, elevation)
+        return radio, hop0, hop1, air0, air1, cells(scenario, elevation)
 
     def relay_point(radio, hop0, hop1, air0, air1, excess, index):
         gain, bandwidth_db, carrier_db, bandwidth, fc = radio
@@ -321,10 +313,14 @@ def _plan(modes, fixed, table, scenario_table, seed):
         (gas0, scint0), (gas1, scint1) = air0, air1
         fspl0 = carrier_db + upper_db
         snr0 = snr_sum_db(gain, stage_total_db(fspl0, gas0, scint0, 0.0), bandwidth_db)
-        fspl1 = carrier_db + lower_db if lower_db is not None else fspl_db(lower, fc)
-        if seed is not None:
-            excess = excess.sampled_db(seed, index)
-        snr1 = snr_sum_db(gain, stage_total_db(fspl1, gas1, scint1, excess), bandwidth_db)
+        try:
+            fspl1 = carrier_db + lower_db if lower_db is not None else fspl_db(lower, fc)
+            if seed is not None:
+                excess = excess.sampled_db(seed, index)
+            snr1 = snr_sum_db(gain, stage_total_db(fspl1, gas1, scint1, excess), bandwidth_db)
+        except NtnSimError:  # evaluate_chain ends hop 0 with its capacity first
+            shannon_capacity_bps(bandwidth, snr0)
+            raise
         if mode is RelayMode.AMPLIFY_FORWARD:
             snr = af_chain_snr_db((snr0, snr1))
             capacity = shannon_capacity_bps(bandwidth, snr)
@@ -343,14 +339,14 @@ def _plan(modes, fixed, table, scenario_table, seed):
     return {**plans, MODE_RELAY: (resolve_relay, relay_point, keys)}
 
 
-def result_row(result: LinkResult) -> dict[str, object]:
-    """Metric and extra columns of one evaluated link or chain."""
+def result_record(result: LinkResult) -> tuple:
+    """The record (see SweepRows) of one evaluated link or chain."""
     slant = sum(h.geometry.slant_range_km for h in result.hops or (result,))
     b = result.breakdown
-    return dict(zip(RESULT_COLUMNS, (
+    return (
         slant, b.fspl_db, b.gas_db, b.scintillation_db, b.excess_db, b.total_db,
         result.snr_db, result.capacity_bps, result.bandwidth_hz, result.label, "",
-    )))
+    )
 
 
 def _records(axes, plans):
@@ -474,37 +470,32 @@ def emit_csv(result: SweepResult, destination) -> None:
 def _write_csv(result: SweepResult, handle) -> None:
     for line in result.provenance:
         handle.write(f"# {line}\n")
-    writer = csv.writer(handle, lineterminator="\n")
     schema = result.schema
-    writer.writerow(schema)
-    if not isinstance(result.rows, SweepRows):
-        writer.writerows([format_value(row.get(col)) for col in schema] for row in result.rows)
-        return
+    csv.writer(handle, lineterminator="\n").writerow(schema)
     # Records: one format string per kind of row, over its axis texts and
     # record; "%.6g" gives format_value's text of a float, which csv never quotes.
     axes, records = result.rows.axes, result.rows.records
     names = [name for name, _ in axes]
     n = len(names)
+    empty = '""' if len(schema) == 1 else ""  # csv.writer quotes the only cell of a row when empty
 
     def line(failed):  # a kind of row's format string, and its cells of axis texts + record
         formats, indices = [], []
         for col in schema:
             if col in names:
-                fmt, index = "%s", names.index(col)
+                formats.append("%s")
+                indices.append(names.index(col))
             elif col not in RESULT_COLUMNS or (col == "error") != failed:
-                fmt, index = "", None  # a point's error, a failed point's metrics and label
+                formats.append(empty)  # a point's error, a failed point's metrics and label
             else:
-                index = n + RESULT_COLUMNS.index(col)
-                fmt = "%s" if col in ("label", "error") else "%.6g"
-            formats.append(fmt)
-            indices += [index] if fmt else []
-        if formats == [""]:  # csv.writer quotes the only cell of a row when empty
-            formats = ['""']
+                formats.append("%s" if col in ("label", "error") else "%.6g")
+                indices.append(n + RESULT_COLUMNS.index(col))
         return ",".join(formats) + "\n", itemgetter(*indices) if indices else lambda _: ()
 
     (point, point_cells), (failed, failed_cells) = line(False), line(True)
     write = handle.write
-    for cells, record in zip(product(*(tuple(map(_cell, v)) for _, v in axes)), records):
+    texts = (tuple(_cell(value) or empty for value in values) for _, values in axes)
+    for cells, record in zip(product(*texts), records):
         if record[0] is None:  # failed: its error is the last cell
             write(failed % failed_cells(cells + record[:-1] + (_cell(record[-1]),)))
         else:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from functools import reduce
 from typing import NamedTuple
 
@@ -62,11 +63,13 @@ def df_end_to_end_capacity(c1_bps: float, c2_bps: float) -> float:
 
 
 def af_chain_snr_db(hop_snrs_db: tuple[float, ...]) -> float:
-    """AF chain SNR in dB: per-hop SNRs folded pairwise in hop order, in dB if linear underflows."""
+    """AF chain SNR in dB: hop SNRs folded pairwise in hop order, in dB if linear is subnormal."""
     gamma = snr_linear(hop_snrs_db[0])
     for snr in hop_snrs_db[1:]:
         gamma = af_end_to_end_snr(gamma, snr_linear(snr))
-    return 10.0 * math.log10(gamma) if gamma > 0 else reduce(_af_fold_db, hop_snrs_db)
+    if gamma >= sys.float_info.min:
+        return 10.0 * math.log10(gamma)
+    return reduce(_af_fold_db, hop_snrs_db)
 
 
 def _af_fold_db(s: float, t: float) -> float:

@@ -314,6 +314,51 @@ GRX_LINK = (
 CHAIN = ("chain", "--hop", "1200:10", "--hop", "20:10", "--fc", "20", "--got", "15.9")
 
 
+HEADER = (
+    "fspl_db,gas_db,scintillation_db,excess_db,total_db,snr_db,capacity_bps,"
+    "slant_range_km,bandwidth_hz,label\n"
+)
+LINK_HEADER = "altitude_km,elevation_deg,fc_ghz,scenario," + HEADER
+CHAIN_HEADER = "hops,mode,fc_ghz,scenario," + HEADER
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (
+            (*LINK, "--scenario", "dense_urban", "--txpow", "18"),
+            LINK_HEADER + "600,30,20,dense_urban,179.099,0.76,0.174274,19.8,199.834,"
+            "-16.6647,2.46128e+07,1075.09,8e+08,direct\n",
+        ),
+        (
+            (*GRX_LINK, "--bandwidth", "400e6"),
+            LINK_HEADER + "600,30,20,dense_urban,179.099,0.76,0.174274,19.8,199.834,"
+            "-4.17833,1.86741e+08,1075.09,4e+08,direct\n",
+        ),
+        (
+            (*CHAIN, "--mode", "af", "--scenario", "dense_urban"),
+            CHAIN_HEADER + "1200:10 20:10,af,20,dense_urban,347.583,2.40717,0.682,27.04,"
+            "377.712,-13.2522,5.33299e+07,3208.06,8e+08,af:2hop\n",
+        ),
+        (
+            (*CHAIN, "--mode", "df", "--scenario", "Rural", "--seed", "5"),
+            CHAIN_HEADER + "1200:10 20:10,df,20,rural,347.583,2.40717,0.682,3.34199,"
+            "354.014,-5.4044,2.92205e+08,3208.06,8e+08,df:2hop\n",
+        ),
+        (
+            (*LINK, "--scenario", "suburban", "--seed", "-3"),
+            LINK_HEADER + "600,30,20,suburban,179.099,0.76,0.174274,24.2197,204.253,"
+            "-21.0844,8.9566e+06,1075.09,8e+08,direct\n",
+        ),
+    ],
+    ids=["link-got", "link-grx-bandwidth", "chain-af", "chain-df-seed", "link-seed"],
+)
+def test_readme_examples_print_exact_bytes(capsys, argv, stdout):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == stdout
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize(
         "extra",

@@ -1,14 +1,14 @@
 """CSV bytes of every result equal csv.writer with format_value over its rows.
 
-The reference writes every row dict through csv.writer and format_value,
-which is what _write_csv does for a result built from dict rows. A
-run_sweep result is written from its per-point values instead, through
-one format string per kind of row that writes every float column with
-"%.6g"; its bytes must not change either.
+The reference writes every row dict through csv.writer and format_value.
+_write_csv writes every result from its per-point records instead,
+through one format string per kind of row that writes every float column
+with "%.6g"; its bytes must equal the reference's.
 """
 
 import csv
 import io
+import math
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
@@ -24,7 +24,10 @@ from ntnsim.harness.sweep import (
     AXIS_NAMES, EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, SweepRows, format_value,
 )
 
-COLUMNS = ("altitude_km", "fspl_db", "snr_db", "capacity_bps", "label", "error")
+# Axis names as run_sweep, link and chain give them; a schema column that
+# is neither an axis nor a result column is an empty cell.
+AXES = ("altitude_km", "hops", "mode")
+COLUMNS = AXES + ("fspl_db", "snr_db", "capacity_bps", "label", "error")
 
 floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -42,24 +45,25 @@ others = st.one_of(
 )
 
 
-@st.composite
-def rows(draw, schema):
-    if draw(st.booleans()):  # floats, and an empty error or a message
-        row = {col: draw(floats) for col in schema}
-        row["error"] = draw(st.one_of(st.sampled_from(["", None]), st.text(min_size=1)))
-    else:
-        row = {col: draw(st.one_of(floats, others)) for col in schema}
-    for col in draw(st.lists(st.sampled_from(schema), max_size=2)):
-        row.pop(col, None)  # a missing column is an empty cell
-    return row
+# A point's record: its floats, its label and an empty error; a failed
+# point's: no values, an empty label and its message.
+records = st.one_of(
+    st.tuples(*[floats] * 9, st.sampled_from(["direct", "af:2hop", "df:3hop"]), st.just("")),
+    st.tuples(*[st.none()] * 9, st.just(""), st.text(min_size=1)),
+)
 
 
 @st.composite
 def results(draw):
-    schema = tuple(draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=7)))
+    # Axis values of any type, empty text and an empty axis (no rows) included.
+    axis = st.lists(st.one_of(floats, others, st.sampled_from(["", None])), max_size=3)
+    names = draw(st.lists(st.sampled_from(AXES), unique=True, max_size=3))
+    axes = tuple((name, tuple(draw(axis))) for name in names)
+    size = math.prod(len(values) for _, values in axes)
+    width = draw(st.sampled_from([1, 7]))  # one column often: csv quotes a lone empty cell
     return SweepResult(
-        schema=schema,
-        rows=tuple(draw(st.lists(rows(schema), max_size=12))),
+        schema=tuple(draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=width))),
+        rows=SweepRows(axes, tuple(draw(st.lists(records, min_size=size, max_size=size)))),
         provenance=("spec: x",),
     )
 

@@ -15,7 +15,7 @@ from ntnsim.harness import (
     preset,
     run_sweep,
 )
-from ntnsim.harness.sweep import SweepResult
+from ntnsim.harness.sweep import RESULT_COLUMNS, SweepResult, SweepRows
 
 FIG3_FIXED = {
     "altitude_km": 300.0,
@@ -235,7 +235,7 @@ class TestRunSweep:
 
 class TestEmitCsv:
     def test_empty_table_is_header_only(self, tmp_path):
-        result = SweepResult(schema=("a", "b"), rows=())
+        result = SweepResult(schema=("a", "b"), rows=SweepRows((("a", ()),), ()))
         out = tmp_path / "empty.csv"
         emit_csv(result, out)
         assert out.read_text() == "a,b\n"
@@ -256,14 +256,22 @@ class TestEmitCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_six_significant_digits_and_lf(self, tmp_path):
-        result = SweepResult(
-            schema=("x", "y"), rows=({"x": 1234567.89, "y": 0.000123456789},)
-        )
+        # An axis cell and a record's float cell.
+        record = {**dict.fromkeys(RESULT_COLUMNS, 1.0), "snr_db": 0.000123456789,
+                  "label": "direct", "error": ""}
+        rows = SweepRows((("x", (1234567.89,)),), (tuple(record.values()),))
+        result = SweepResult(schema=("x", "snr_db"), rows=rows)
         out = tmp_path / "fmt.csv"
         emit_csv(result, out)
         raw = out.read_bytes()
         assert b"\r" not in raw
-        assert raw == b"x,y\n1.23457e+06,0.000123457\n"
+        assert raw == b"x,snr_db\n1.23457e+06,0.000123457\n"
+
+    def test_lone_empty_cell_is_quoted(self):
+        # As csv.writer writes a row of one empty cell.
+        failed = (None,) * 9 + ("", "error")
+        rows = SweepRows((("x", ("", None)),), (failed, failed))
+        assert csv_bytes(SweepResult(schema=("x",), rows=rows)) == b'x\n""\n""\n'
 
     def test_provenance_comments(self, atm_table, scen_table):
         data = csv_bytes(run_sweep(preset("fig3"), atm_table, scen_table))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import reduce
 
 import pytest
 
@@ -20,7 +21,8 @@ from ntnsim import (
     evaluate_link,
 )
 from ntnsim.harness import SweepSpec, run_sweep
-from ntnsim.relay import df_bottleneck
+from ntnsim.linkbudget import snr_linear
+from ntnsim.relay import _af_fold_db, af_chain_snr_db, df_bottleneck
 
 
 def leo_hap_ground_chain(radio, h_leo=1200.0, h_hap=20.0, elev=10.0,
@@ -56,6 +58,18 @@ class TestAfSnr:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             af_end_to_end_snr(-1, 1)
+
+    @pytest.mark.parametrize("snr_db", [-1618.0, -1610.0])
+    def test_subnormal_fold_is_done_in_db(self, snr_db):
+        # The linear fold of two such hops is subnormal and keeps few bits.
+        hops = (snr_db, snr_db)
+        assert af_end_to_end_snr(*map(snr_linear, hops)) > 0.0
+        assert af_chain_snr_db(hops) == reduce(_af_fold_db, hops)
+
+    @pytest.mark.parametrize("hops", [(-1500.0, -1500.0), (-1500.0, 20.0), (20.0, -1500.0)])
+    def test_normal_fold_keeps_the_linear_bits(self, hops):
+        linear = af_end_to_end_snr(*map(snr_linear, hops))
+        assert af_chain_snr_db(hops) == 10.0 * math.log10(linear)
 
 
 class TestDfCapacity:

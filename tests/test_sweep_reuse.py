@@ -23,7 +23,7 @@ from ntnsim import (
     evaluate_link,
 )
 from ntnsim.harness import SweepSpec, run_sweep
-from ntnsim.harness.sweep import METRIC_COLUMNS, result_row
+from ntnsim.harness.sweep import METRIC_COLUMNS, RESULT_COLUMNS, result_record
 from ntnsim.relay import RelayChain, RelayHop, RelayMode
 
 FAILED = {**dict.fromkeys(METRIC_COLUMNS + ("slant_range_km", "bandwidth_hz")), "label": ""}
@@ -76,7 +76,7 @@ def reference_row(point, fixed, table, scenario_table, seed, index):
             result = evaluate_chain(
                 chain, table, scenario_table, sampled_seed=seed, sampled_index=index,
             )
-        return result_row(result)
+        return dict(zip(RESULT_COLUMNS, result_record(result)))
     except NtnSimError as exc:
         return {**FAILED, "error": str(exc)}
 
@@ -170,6 +170,37 @@ def test_snr_overflow_is_the_points_error_row(atm_table, scen_table, relay_mode,
     for row in rows:
         if row["error"]:
             assert "dB is too large for a linear power ratio" in row["error"]
+
+
+@pytest.mark.parametrize("g_rx_dbi", [3122.5, 4000.0])
+@pytest.mark.parametrize("relay_mode", ["af", "df"])
+@pytest.mark.parametrize("hap_altitude_km", [1e-13, 2e-12, 20.0])
+def test_relay_error_is_the_first_hops_overflow(
+    atm_table, scen_table, hap_altitude_km, relay_mode, g_rx_dbi
+):
+    # Both gains take the LEO-HAP hop's SNR past a float's power ratio.
+    # evaluate_chain computes that hop's capacity before the HAP-ground
+    # hop, whose slant range is zero through a HAP at 1e-13 km and whose
+    # FSPL is negative through one at 2e-12 km, so the overflow is the
+    # point's error.
+    spec = SweepSpec(
+        axes=(("g_rx_dbi", (g_rx_dbi,)),),
+        fixed={
+            "altitude_km": 600.0,
+            "fc_ghz": 20.0,
+            "elevation_deg": 30.0,
+            "scenario": "rural",
+            "mode": "relay",
+            "tx_power_dbm": 18.0,
+            "noise_temperature_k": 290.0,
+            "hap_altitude_km": hap_altitude_km,
+            "relay_mode": relay_mode,
+        },
+    )
+    (row,) = run_sweep(spec, atm_table, scen_table).rows
+    (expected,) = reference_rows(spec, atm_table, scen_table)
+    assert "dB is too large for a linear power ratio" in expected["error"]
+    assert row["error"] == expected["error"]
 
 
 @pytest.mark.parametrize("tx_power_dbm", [3000.0, -2900.0])
