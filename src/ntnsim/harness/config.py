@@ -11,11 +11,10 @@ specs and CLI flags.
 from __future__ import annotations
 
 import math
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from ..channel import Scenario
+from ..channel import Scenario, _data_text
 from ..errors import ConfigError
 from ..linkbudget import DEFAULT_G_TX_DBI, RadioConfig
 from ..relay import RelayMode
@@ -55,16 +54,14 @@ def parse_sections(
     return out
 
 
-def parse_kv_lines(
-    text: str, name: str, error_cls: type[Exception] = ConfigError
-) -> dict[str, tuple[str, int]]:
+def parse_kv_lines(text: str, name: str) -> dict[str, tuple[str, int]]:
     """Parse `key = value` lines, flattening sections into one namespace."""
-    sections = parse_sections(text, name, error_cls)
+    sections = parse_sections(text, name)
     out: dict[str, tuple[str, int]] = {}
     for keys in sections.values():
         for key, (value, lineno) in keys.items():
             if key in out:
-                raise error_cls(f"{name}:{lineno}: duplicate key {key!r}")
+                raise ConfigError(f"{name}:{lineno}: duplicate key {key!r}")
             out[key] = (value, lineno)
     return out
 
@@ -168,8 +165,6 @@ def load_config(path: str | Path) -> ResolvedParams:
 
 def load_fig_defaults() -> ResolvedParams:
     """The packaged fig-defaults calibration fixture used by the presets."""
-    text = (resources.files("ntnsim") / "data" / "fig_defaults.cfg").read_text(
-        encoding="utf-8"
-    )
+    text = _data_text("fig_defaults.cfg")
     return resolve_params(parse_kv_lines(text, "fig_defaults.cfg"), "fig_defaults.cfg")
 

@@ -55,7 +55,7 @@ from ..channel import (
     scintillation_db,
     stage_total_db,
 )
-from ..errors import NtnSimError, SpecError
+from ..errors import ConfigError, NtnSimError, SpecError
 from ..geometry import classify_station, slant_range_km
 from ..linkbudget import LinkResult, RadioConfig, shannon_capacity_bps, snr_sum_db
 from ..relay import RelayMode, af_chain_snr_db, chain_label, df_bottleneck
@@ -104,6 +104,11 @@ class SweepSpec(NamedTuple):
         return math.prod(len(values) for _, values in self.axes)
 
 
+def _fixed_radio(fixed: dict[str, object]) -> dict[str, object]:
+    """A typed spec's fixed RadioConfig fields, but the two an axis may sweep."""
+    return {k: fixed[k] for k in RadioConfig._fields if k in fixed and k not in AXIS_NAMES}
+
+
 def _validate_spec(spec: SweepSpec) -> SweepSpec:
     """Check a spec; return it with its values typed through PARAMETERS.
 
@@ -140,17 +145,13 @@ def _validate_spec(spec: SweepSpec) -> SweepSpec:
     if "tx_power_dbm" not in spec.fixed:
         raise SpecError("fixed parameter 'tx_power_dbm' is required")
 
-    has_grx = provided("g_rx_dbi")
-    has_got = "g_over_t_dbi_per_k" in spec.fixed
-    if has_grx == has_got:
-        raise SpecError(
-            "exactly one receiver form is required: g_rx_dbi (axis or fixed) "
-            "or fixed g_over_t_dbi_per_k"
-        )
-    if has_grx and "noise_temperature_k" not in spec.fixed:
-        raise SpecError("noise_temperature_k is required with the g_rx_dbi form")
-    if has_got and "noise_temperature_k" in spec.fixed:
-        raise SpecError("noise_temperature_k only applies to the g_rx_dbi form")
+    # RadioConfig's rules, with stand-ins for the fields an axis may sweep: those are
+    # checked per point.
+    g_rx = 0.0 if provided("g_rx_dbi") else None
+    try:
+        RadioConfig(**_fixed_radio(fixed), fc_ghz=1.0, g_rx_dbi=g_rx)
+    except ConfigError as exc:
+        raise SpecError(str(exc)) from None
 
     modes = dict(axes).get("mode", (fixed["mode"],))
     if MODE_RELAY in modes and "hap_altitude_km" not in spec.fixed:
@@ -234,9 +235,7 @@ def _plan(modes, fixed, table, scenario_table, seed):
     input whose stage raised is not, so a point gets its own error.
     """
     hap = fixed.get("hap_altitude_km")
-    radio_fixed = {  # RadioConfig's defaults stand for radio fields a spec leaves out
-        k: v for k in RadioConfig._fields if k not in AXIS_NAMES and (v := fixed.get(k)) is not None
-    }
+    radio_fixed = _fixed_radio(fixed)  # RadioConfig's defaults stand for fields left out
 
     @cache
     def radios(fc, g_rx):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth, carrier

@@ -173,7 +173,6 @@ def evaluate_link(
     *,
     sampled_seed: int | None = None,
     sampled_index: int = 0,
-    label: str = "direct",
 ) -> LinkResult:
     """Evaluate one hop end to end: losses, SNR, Shannon capacity.
 
@@ -196,5 +195,5 @@ def evaluate_link(
         capacity_bps=shannon_capacity_bps(resolved.bandwidth_hz, snr),
         bandwidth_hz=resolved.bandwidth_hz,
         geometry=geometry,
-        label=label,
+        label="direct",
     )

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ntnsim
+from ntnsim.errors import SpecError
 from ntnsim.harness import SweepSpec, load_fig_defaults, run_sweep
 from ntnsim.harness.cli import _parse_hops, _radio_from_args, build_parser, main
 from ntnsim.harness.sweep import EXTRA_COLUMNS, METRIC_COLUMNS, format_value
@@ -186,6 +187,21 @@ g_over_t_dbi_per_k = 15.9
     def test_missing_spec_file(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--spec", str(tmp_path / "nope.cfg"))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "key, value", [("noise_temperature_k", 0), ("noise_temperature_k", -1),
+                       ("bandwidth_hz", 0), ("bandwidth_hz", -5)]
+    )
+    def test_bad_fixed_radio_value_is_spec_error(self, tmp_path, capsys, atm_table, key, value):
+        fixed = {"altitude_km": 300, "fc_ghz": 20, "scenario": "rural", "tx_power_dbm": 18,
+                 "g_rx_dbi": 40, "noise_temperature_k": 290, key: value}
+        with pytest.raises(SpecError, match=f"{key} must be > 0"):
+            run_sweep(SweepSpec(axes=(("elevation_deg", (10, 50)),), fixed=fixed), atm_table)
+        spec = tmp_path / "s.cfg"
+        text = "".join(f"{k} = {v}\n" for k, v in fixed.items())
+        spec.write_text("[axes]\nelevation_deg = 10, 50\n[fixed]\n" + text)
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert (code, out) == (3, "") and f"{key} must be > 0" in err
 
 
 class TestPresetCommand:

@@ -8,12 +8,11 @@ checksum, so that the column and value checks behind it run too.
 """
 
 import hashlib
-from importlib import resources
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ntnsim import NtnSimError, Scenario
-from ntnsim.channel import parse_atmosphere_table, parse_scenario_table
+from ntnsim.channel import _data_text, parse_atmosphere_table, parse_scenario_table
 from ntnsim.harness import SweepSpec, load_config, load_sweep_spec
 from ntnsim.harness.config import PARAMETERS, parse_sections
 from ntnsim.harness.sweep import AXIS_NAMES, EXTRA_COLUMNS, METRIC_COLUMNS
@@ -46,8 +45,7 @@ config_texts = st.lists(lines, max_size=16).map("\n".join)
 
 def table_texts(filename):
     """Lines of the shipped table, perturbed, under a header whose checksum may match."""
-    shipped = (resources.files("ntnsim") / "data" / filename).read_text(encoding="utf-8")
-    data = [line for line in shipped.splitlines() if line and not line.startswith("#")]
+    data = [line for line in _data_text(filename).splitlines() if line and not line.startswith("#")]
     fields = st.sampled_from([
         "0.3", "1", "-1", "60", "100", "120", "10", "90", "nan", "1e999", "x", "rural",
         "urban", "dense_urban", "suburban", "0.5", "2",
@@ -80,9 +78,9 @@ def table_texts(filename):
     return text()
 
 
-def parses_or_ntnsim_error(parse, text):
+def parses_or_ntnsim_error(parse, *args):
     try:
-        parse(text)
+        parse(*args)
     except NtnSimError:
         pass
 
@@ -90,7 +88,7 @@ def parses_or_ntnsim_error(parse, text):
 @FUZZ
 @given(config_texts)
 def test_parse_sections_fuzz(text):
-    parses_or_ntnsim_error(lambda t: parse_sections(t, "fuzz"), text)
+    parses_or_ntnsim_error(parse_sections, text, "fuzz")
 
 
 @FUZZ
@@ -98,7 +96,7 @@ def test_parse_sections_fuzz(text):
 def test_load_sweep_spec_fuzz(tmp_path, text, seed):
     path = tmp_path / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
-    parses_or_ntnsim_error(lambda _: load_sweep_spec(path, seed), text)
+    parses_or_ntnsim_error(load_sweep_spec, path, seed)
 
 
 @FUZZ
@@ -106,7 +104,7 @@ def test_load_sweep_spec_fuzz(tmp_path, text, seed):
 def test_load_config_fuzz(tmp_path, text):
     path = tmp_path / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
-    parses_or_ntnsim_error(lambda _: load_config(path), text)
+    parses_or_ntnsim_error(load_config, path)
 
 
 @FUZZ
@@ -126,6 +124,7 @@ def test_parse_scenario_table_fuzz(text):
 # ---------------------------------------------------------------------------
 
 numbers = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 words = {
     "scenario": st.sampled_from([s.value for s in Scenario] + ["Dense Urban", "RURAL"]),
     "mode": st.sampled_from(["direct", "Relay"]),
@@ -144,13 +143,13 @@ def specs(draw):
     if "g_rx_dbi" in fixed and draw(st.booleans()):
         del fixed["g_rx_dbi"]  # the G/T form
     if "g_rx_dbi" in names or "g_rx_dbi" in fixed:
-        fixed["noise_temperature_k"] = draw(numbers)
+        fixed["noise_temperature_k"] = draw(positive)
     else:
         fixed["g_over_t_dbi_per_k"] = draw(numbers)
     fixed["tx_power_dbm"] = draw(numbers)
     fixed["hap_altitude_km"] = draw(numbers)
     fixed["relay_mode"] = draw(st.sampled_from(["af", "DF"]))
-    fixed["bandwidth_hz"] = draw(st.one_of(st.just("auto"), numbers))
+    fixed["bandwidth_hz"] = draw(st.one_of(st.just("auto"), positive))
     fixed["excess_mode"] = draw(st.sampled_from(["expected", "sampled"]))
     seed = draw(st.integers(-2**70, 2**70)) if fixed["excess_mode"] == "sampled" else None
     columns = AXIS_NAMES + METRIC_COLUMNS + EXTRA_COLUMNS
