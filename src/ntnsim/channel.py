@@ -214,6 +214,12 @@ class AtmosphereTable:
         return _interpolate(fc_ghz, self.frequency_grid_ghz, self.scintillation_ref_db)
 
 
+@lru_cache(maxsize=8)  # keyed by int only: sampled_db checks the type first
+def _stream_prefix(seed: int):
+    """blake2b over b"<seed>:", which draws copy and never update in place."""
+    return hashlib.blake2b(b"%d:" % seed, digest_size=24)
+
+
 class ScenarioRow(NamedTuple):
     p_los: float
     clutter_los_db: float
@@ -233,12 +239,14 @@ class ScenarioRow(NamedTuple):
         normal sqrt(-2 ln(1 - u2)) cos(2 pi u3), and the total is clamped
         at zero. Each (seed, index) pair hashes to its own stream, so
         adjacent seeds, adjacent points and seeds s and -s are unrelated.
+        A draw copies its seed's hashed prefix b"<seed>:" and hashes only
+        the index, which leaves every stream unchanged.
         """
         if type(seed) is not int:  # "%d" would truncate 2.5 to the stream of 2
             raise DomainError(f"sampled_seed must be an integer, got {seed!r}")
-        a, b, c = _STREAM_WORDS(
-            hashlib.blake2b(b"%d:%d" % (seed, index), digest_size=24).digest()
-        )
+        stream = _stream_prefix(seed).copy()
+        stream.update(b"%d" % index)
+        a, b, c = _STREAM_WORDS(stream.digest())
         clutter = (
             self.clutter_los_db if (a >> 11) * _UNIT_53 < self.p_los
             else self.clutter_nlos_db

@@ -473,6 +473,8 @@ def _write_csv(result: SweepResult, handle) -> None:
     csv.writer(handle, lineterminator="\n").writerow(schema)
     # Records: one format string per kind of row, over its axis texts and
     # record; "%.6g" gives format_value's text of a float, which csv never quotes.
+    # Failed points share few messages (every point at a gap altitude has the
+    # same one), so errors quotes each distinct message once per write.
     axes, records = result.rows.axes, result.rows.records
     names = [name for name, _ in axes]
     n = len(names)
@@ -492,11 +494,14 @@ def _write_csv(result: SweepResult, handle) -> None:
         return ",".join(formats) + "\n", itemgetter(*indices) if indices else lambda _: ()
 
     (point, point_cells), (failed, failed_cells) = line(False), line(True)
-    write = handle.write
+    write, errors = handle.write, {}
     texts = (tuple(_cell(value) or empty for value in values) for _, values in axes)
     for cells, record in zip(product(*texts), records):
         if record[0] is None:  # failed: its error is the last cell
-            write(failed % failed_cells(cells + record[:-1] + (_cell(record[-1]),)))
+            error = errors.get(record[-1])
+            if error is None:
+                error = errors[record[-1]] = _cell(record[-1])
+            write(failed % failed_cells(cells + record[:-1] + (error,)))
         else:
             write(point % point_cells(cells + record))
 

@@ -29,6 +29,7 @@ from .errors import ConfigError, DomainError
 from .geometry import LinkGeometry
 
 _LN2 = math.log(2.0)
+_INF = math.inf
 
 # Transmit gain a radio or config file leaves out (dBi).
 DEFAULT_G_TX_DBI = 39.7
@@ -137,7 +138,9 @@ def snr_db(radio: RadioConfig, breakdown: LossBreakdown) -> float:
 
 
 def snr_linear(snr_db: float) -> float:
-    """SNR as a power ratio; DomainError above about 3083 dB, where it overflows a float."""
+    """SNR as a power ratio; DomainError if not finite or above about 3083 dB (overflow)."""
+    if not -_INF < snr_db < _INF:  # inf, -inf or nan: a budget term overflowed a float
+        raise DomainError(f"SNR {snr_db} dB is not finite: the link budget overflows a float")
     try:
         return 10.0 ** (snr_db / 10.0)
     except OverflowError:

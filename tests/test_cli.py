@@ -450,6 +450,35 @@ class TestSnrOverflow:
         assert "too large for a linear power ratio" in err
 
     @pytest.mark.parametrize(
+        "argv", [LINK, (*CHAIN, "--mode", "af"), (*CHAIN, "--mode", "df")]
+    )
+    @pytest.mark.parametrize("power", ["1e308", "-1e308"])
+    def test_overflowing_budget_is_usage_error(self, capsys, argv, power):
+        # txpow + G/T is inf at +1e308 and -inf at -1e308: the SNR is not
+        # finite, so no row is written (AF once folded two inf hops to nan).
+        code, out, err = run_cli(capsys, *argv, f"--got={power}", f"--txpow={power}")
+        assert code == 1
+        assert out == ""
+        snr = "inf" if power == "1e308" else "-inf"
+        message = f"SNR {snr} dB is not finite: the link budget overflows a float"
+        assert err == f"ntnsim: error: {message}\n"
+
+    @pytest.mark.parametrize("relay_mode", ["af", "df"])
+    def test_overflowing_budget_is_every_sweep_rows_error(self, tmp_path, capsys, relay_mode):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(
+            "[axes]\nmode = direct, relay\nelevation_deg = 10, 60\n[fixed]\n"
+            "altitude_km = 1200\nfc_ghz = 20\nscenario = rural\nhap_altitude_km = 20\n"
+            f"relay_mode = {relay_mode}\ntx_power_dbm = 1e308\ng_over_t_dbi_per_k = 1e308\n"
+        )
+        code, out, _ = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == 0
+        rows = csv_rows(out)
+        assert [(row["snr_db"], row["capacity_bps"], row["error"]) for row in rows] == [
+            ("", "", "SNR inf dB is not finite: the link budget overflows a float")
+        ] * 4
+
+    @pytest.mark.parametrize(
         "argv, row",
         [
             (LINK, "600,30,20,dense_urban,179.099,0.76,0.174274,19.8,199.834,"

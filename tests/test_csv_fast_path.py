@@ -46,10 +46,18 @@ others = st.one_of(
 
 
 # A point's record: its floats, its label and an empty error; a failed
-# point's: no values, an empty label and its message.
+# point's: no values, an empty label and its message, often from a small
+# pool of messages that csv quotes, so one result repeats a message.
+messages = st.one_of(
+    st.sampled_from([
+        "altitude 140.0 km lies in the gap (25, 200) km between HAP and LEO bands",
+        'a "quoted" word', "two\nlines", "carriage\rreturn", "no quotes",
+    ]),
+    st.text(min_size=1),
+)
 records = st.one_of(
     st.tuples(*[floats] * 9, st.sampled_from(["direct", "af:2hop", "df:3hop"]), st.just("")),
-    st.tuples(*[st.none()] * 9, st.just(""), st.text(min_size=1)),
+    st.tuples(*[st.none()] * 9, st.just(""), messages),
 )
 
 

@@ -17,6 +17,7 @@ from ntnsim import (
     shannon_capacity_bps,
     snr_db,
 )
+from ntnsim.relay import af_chain_snr_db
 
 
 def capacity_identity(result):
@@ -226,6 +227,15 @@ class TestShannonCapacity:
         assert shannon_capacity_bps(1e9, 3000.0) > 0
         with pytest.raises(DomainError, match="SNR 4000.0 dB is too large"):
             shannon_capacity_bps(1e9, 4000.0)
+
+    @pytest.mark.parametrize("snr", [math.inf, -math.inf, math.nan])
+    def test_non_finite_snr_is_domain_error(self, snr):
+        # A budget whose terms overflow a float sums to inf, -inf or nan dB;
+        # capacity and the AF fold both reach it through snr_linear.
+        with pytest.raises(DomainError, match=f"SNR {snr} dB is not finite"):
+            shannon_capacity_bps(1e9, snr)
+        with pytest.raises(DomainError, match=f"SNR {snr} dB is not finite"):
+            af_chain_snr_db((10.0, snr))
 
 
 class TestEvaluateLink:

@@ -24,6 +24,7 @@ from ntnsim import (
     load_atmosphere_table,
     load_scenario_table,
 )
+from ntnsim.channel import _stream_prefix
 from ntnsim.harness import SweepSpec, run_sweep
 from ntnsim.harness.cli import main
 from ntnsim.harness.sweep import EXTRA_COLUMNS, METRIC_COLUMNS, format_value
@@ -112,6 +113,17 @@ def documented_draw(cell, seed, index):
     clutter = cell.clutter_los_db if u1 < cell.p_los else cell.clutter_nlos_db
     normal = math.sqrt(-2.0 * math.log(1.0 - u2)) * math.cos(2.0 * math.pi * u3)
     return max(0.0, clutter + cell.shadow_sigma_db * normal)
+
+
+def test_cached_seed_prefixes_leave_every_stream_unchanged(scen_table):
+    # Draws interleave more seeds than the prefix cache holds, so prefixes
+    # are hit, evicted and hashed again, and every (seed, index) pair comes
+    # back; a cached prefix hashed further in place would corrupt later draws.
+    cell = scen_table.cell(SCENARIO, ELEVATION)
+    seeds = [0, 2**63, -2**63, *range(-_stream_prefix.cache_info().maxsize, 12)]
+    for index in (0, 1, 0, 12345, 1):
+        for seed in seeds + seeds[::-1]:
+            assert cell.sampled_db(seed, index) == documented_draw(cell, seed, index)
 
 
 @pytest.mark.parametrize("seed", [0, -3, 2**40])

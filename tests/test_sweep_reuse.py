@@ -172,6 +172,30 @@ def test_snr_overflow_is_the_points_error_row(atm_table, scen_table, relay_mode,
             assert "dB is too large for a linear power ratio" in row["error"]
 
 
+@pytest.mark.parametrize("relay_mode", ["af", "df"])
+@pytest.mark.parametrize("power", [1e308, -1e308])
+def test_non_finite_snr_rows_equal_the_scalar_rows(atm_table, scen_table, relay_mode, power):
+    # Transmit power and receive gain of 1e308 each sum to an infinite
+    # budget, of -1e308 to a budget of -inf: every point's SNR is not finite.
+    spec = SweepSpec(
+        axes=(("mode", ("direct", "relay")), ("elevation_deg", (10.0, 60.0))),
+        fixed={
+            "altitude_km": 600.0,
+            "fc_ghz": 20.0,
+            "g_rx_dbi": power,
+            "scenario": "rural",
+            "tx_power_dbm": power,
+            "noise_temperature_k": 290.0,
+            "hap_altitude_km": 20.0,
+            "relay_mode": relay_mode,
+        },
+    )
+    rows = run_sweep(spec, atm_table, scen_table).rows
+    assert list(rows) == reference_rows(spec, atm_table, scen_table)
+    message = "dB is not finite: the link budget overflows a float"
+    assert all(row["error"].endswith(message) for row in rows)
+
+
 @pytest.mark.parametrize("g_rx_dbi", [3122.5, 4000.0])
 @pytest.mark.parametrize("relay_mode", ["af", "df"])
 @pytest.mark.parametrize("hap_altitude_km", [1e-13, 2e-12, 20.0])
