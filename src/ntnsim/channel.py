@@ -214,12 +214,6 @@ class AtmosphereTable:
         return _interpolate(fc_ghz, self.frequency_grid_ghz, self.scintillation_ref_db)
 
 
-@lru_cache(maxsize=8)  # keyed by int only: sampled_db checks the type first
-def _stream_prefix(seed: int):
-    """blake2b over b"<seed>:", which draws copy and never update in place."""
-    return hashlib.blake2b(b"%d:" % seed, digest_size=24)
-
-
 class ScenarioRow(NamedTuple):
     p_los: float
     clutter_los_db: float
@@ -239,23 +233,36 @@ class ScenarioRow(NamedTuple):
         normal sqrt(-2 ln(1 - u2)) cos(2 pi u3), and the total is clamped
         at zero. Each (seed, index) pair hashes to its own stream, so
         adjacent seeds, adjacent points and seeds s and -s are unrelated.
-        A draw copies its seed's hashed prefix b"<seed>:" and hashes only
-        the index, which leaves every stream unchanged.
+        This is self.sampler(seed)(index), with index checked as well.
+        """
+        draw = self.sampler(seed)
+        if type(index) is not int:  # "%d" would truncate 2.5 to the stream of 2
+            raise DomainError(f"sampled_index must be an integer, got {index!r}")
+        return draw(index)
+
+    def sampler(self, seed: int):
+        """draw(index): sampled_db(seed, index), with seed checked once, here.
+
+        A sweep makes one per cell. Each draw copies the hashed b"<seed>:"
+        and adds only the index, so streams stay blake2b(b"<seed>:<index>").
         """
         if type(seed) is not int:  # "%d" would truncate 2.5 to the stream of 2
             raise DomainError(f"sampled_seed must be an integer, got {seed!r}")
-        stream = _stream_prefix(seed).copy()
-        stream.update(b"%d" % index)
-        a, b, c = _STREAM_WORDS(stream.digest())
-        clutter = (
-            self.clutter_los_db if (a >> 11) * _UNIT_53 < self.p_los
-            else self.clutter_nlos_db
-        )
-        shadow = math.sqrt(-2.0 * math.log(1.0 - (b >> 11) * _UNIT_53)) * math.cos(
-            _TWO_PI * ((c >> 11) * _UNIT_53)
-        )
-        total = clutter + self.shadow_sigma_db * shadow
-        return total if total > 0.0 else 0.0
+        copy = hashlib.blake2b(b"%d:" % seed, digest_size=24).copy
+        p_los, los, nlos, sigma = self
+        unpack, sqrt, log, cos = _STREAM_WORDS, math.sqrt, math.log, math.cos
+
+        def draw(index: int) -> float:
+            stream = copy()
+            stream.update(b"%d" % index)
+            a, b, c = unpack(stream.digest())
+            clutter = los if (a >> 11) * _UNIT_53 < p_los else nlos
+            total = clutter + sigma * (
+                sqrt(-2.0 * log(1.0 - (b >> 11) * _UNIT_53)) * cos(_TWO_PI * ((c >> 11) * _UNIT_53))
+            )
+            return total if total > 0.0 else 0.0
+
+        return draw
 
 
 class ScenarioTable:

@@ -10,23 +10,24 @@ input, through the scalar functions evaluate_link and evaluate_chain
 use (classify_station per altitude, the HAP's included; one resolved
 RadioConfig and FSPL's carrier term per carrier and receive gain; the
 slant range and FSPL's range term per hop; gas and scintillation per
-carrier, elevation and atmosphere fraction; the scenario cell and its
-expected clutter per scenario and elevation). A point is
-point(*resolve(...), index): resolve looks up its stage values in the
-scalar path's check order, and point does its float work in the scalar
-path's order (FSPL, the stage checks and total, SNR, capacity, the AF/DF
-fold, the sampled clutter draw) and returns a record of its values (see
-SweepRows), which emit_csv formats, as it does link's and chain's one
-record (result_record). Points run a prefix at a time (see _records),
-and a prefix with a failing point is redone point by point, so every
-row, error message included, equals evaluate_link's or evaluate_chain's
-for that point alone, with sampled_index its row index.
+carrier and elevation, scaled per atmosphere fraction; the scenario
+cell's expected clutter, or its sampler, per scenario and elevation). A
+point is point(*resolve(...), index): resolve looks up its stage values
+in the scalar path's check order, and point does its float work in the
+scalar path's order (FSPL, the stage checks and total, SNR, capacity,
+the AF/DF fold, the sampled clutter draw) and returns a record of its
+values (see SweepRows), which emit_csv formats, as it does link's and
+chain's one record (result_record). Points run a prefix at a time, and
+a failing prefix gets its altitude's station error at every point or is
+redone point by point (see _records), so every row, error message
+included, equals evaluate_link's or evaluate_chain's for that point
+alone, with sampled_index its row index.
 
 Sampled clutter gives every point its own stream: the point at row
-index i of a sweep with seed s draws from blake2b(b"<s>:<i>") (see
-channel.ScenarioRow.sampled_db). Streams of distinct seeds and of
-distinct points are unrelated, and a single link or chain with
-sampled_seed s draws the stream of row 0.
+index i of a sweep with seed s draws from blake2b(b"<s>:<i>"), through
+its cell's sampler (channel.ScenarioRow.sampler). Streams of distinct
+seeds and of distinct points are unrelated, and a single link or chain
+with sampled_seed s draws the stream of row 0.
 """
 
 from __future__ import annotations
@@ -242,12 +243,13 @@ def _plan(modes, fixed, table, scenario_table, seed):
         resolved = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx).resolve_bandwidth()
         return (*resolved.budget_terms(), fspl_carrier_db(fc), resolved.bandwidth_hz, fc)
 
-    def atmosphere(fraction):
-        @cache
-        def stage(fc, elevation):  # gas, scintillation
-            gas = fraction * gas_attenuation_db(fc, elevation, table)
-            return gas, fraction * scintillation_db(fc, elevation, table)
-        return stage
+    # The share of the column a hop sees from the ground and, given a HAP, from the HAP.
+    fractions = [default_atmosphere_fraction(low) for low in (0.0, hap) if low is not None]
+
+    @cache
+    def atmosphere(fc, elevation):  # (gas, scintillation) at each fraction, from one lookup
+        gas, scint = gas_attenuation_db(fc, elevation, table), scintillation_db(fc, elevation, table)
+        return tuple((fraction * gas, fraction * scint) for fraction in fractions)
 
     def hops(low):
         @cache
@@ -258,12 +260,12 @@ def _plan(modes, fixed, table, scenario_table, seed):
         return stage
 
     @cache
-    def cells(scenario, elevation):  # expected clutter, or the cell sampled points draw from
+    def cells(scenario, elevation):  # expected clutter, or the cell's sampler: draw(index)
         cell = scenario_table.cell(scenario, elevation)
-        return cell if seed is not None else cell.expected_db()
+        return cell.sampler(seed) if seed is not None else cell.expected_db()
 
     stations = cache(classify_station)
-    ground_atmosphere, ground_hops = atmosphere(default_atmosphere_fraction(0.0)), hops(0.0)
+    ground_hops = hops(0.0)
     fc_grx, fc_elev = ("fc_ghz", "g_rx_dbi"), ("fc_ghz", "elevation_deg")  # keys' axes
     alt_elev, scen_elev = ("altitude_km", "elevation_deg"), ("scenario", "elevation_deg")
 
@@ -272,14 +274,14 @@ def _plan(modes, fixed, table, scenario_table, seed):
         radio, hop = radios(fc, g_rx), ground_hops(altitude, elevation)
         if hop[1] is None:
             fspl_db(hop[0], fc)
-        return radio, hop, ground_atmosphere(fc, elevation), cells(scenario, elevation)
+        return radio, hop, atmosphere(fc, elevation)[0], cells(scenario, elevation)
 
-    def direct(radio, hop, atmosphere, excess, index):
+    def direct(radio, hop, air, excess, index):
         (gain, bandwidth_db, carrier_db, bandwidth, _), (slant, range_db) = radio, hop
-        gas, scint = atmosphere
+        gas, scint = air
         fspl = carrier_db + range_db
         if seed is not None:
-            excess = excess.sampled_db(seed, index)
+            excess = excess(index)
         total = stage_total_db(fspl, gas, scint, excess)
         snr = snr_sum_db(gain, total, bandwidth_db)
         capacity = shannon_capacity_bps(bandwidth, snr)
@@ -292,7 +294,6 @@ def _plan(modes, fixed, table, scenario_table, seed):
     # from the ground up to the HAP. Both use the point's radio. A point's
     # slant range, gas and scintillation are the sums over its hops.
     hap_hops = hops(hap)
-    hap_atmosphere = atmosphere(default_atmosphere_fraction(hap))
     mode = fixed["relay_mode"]
     label = chain_label(mode, 2)
 
@@ -303,7 +304,7 @@ def _plan(modes, fixed, table, scenario_table, seed):
         hop0, hop1 = hap_hops(altitude, elevation), ground_hops(hap, elevation)
         if hop0[1] is None:
             fspl_db(hop0[0], fc)
-        air0, air1 = hap_atmosphere(fc, elevation), ground_atmosphere(fc, elevation)
+        air1, air0 = atmosphere(fc, elevation)  # from the ground, from the HAP
         return radio, hop0, hop1, air0, air1, cells(scenario, elevation)
 
     def relay_point(radio, hop0, hop1, air0, air1, excess, index):
@@ -315,7 +316,7 @@ def _plan(modes, fixed, table, scenario_table, seed):
         try:
             fspl1 = carrier_db + lower_db if lower_db is not None else fspl_db(lower, fc)
             if seed is not None:
-                excess = excess.sampled_db(seed, index)
+                excess = excess(index)
             snr1 = snr_sum_db(gain, stage_total_db(fspl1, gas1, scint1, excess), bandwidth_db)
         except NtnSimError:  # evaluate_chain ends hop 0 with its capacity first
             shannon_capacity_bps(bandwidth, snr0)
@@ -355,7 +356,10 @@ def _records(axes, plans):
     value of the other axes, a prefix, maps its mode's point over a column
     per stage value: the value repeated if its key does not read the inner
     axis, else its values along it, kept for the call by the rest of its
-    key. Columns whose keys read no other varying axis are built once.
+    key. Columns whose keys read no other varying axis are built once. A
+    prefix whose altitude, not the inner axis, fails classify_station (both
+    resolves' first check) gets that failed record at every point; another
+    failing prefix is redone point by point.
     """
     names = list(axes)
     pick = itemgetter(*map(names.index, AXIS_NAMES))
@@ -399,8 +403,14 @@ def _records(axes, plans):
                 columns[j] = memo[key]
             state[3] = changing  # the other columns now hold for every prefix
             records += map(point, *columns, range(start, start + n))
-        except NtnSimError:
+        except NtnSimError as exc:
             del records[start:]
+            if inner != "altitude_km":
+                try:  # both resolves check the altitude's station first
+                    classify_station(values[0])
+                except NtnSimError:  # so every point of the prefix fails with exc
+                    records += [(None,) * 9 + ("", str(exc))] * n
+                    continue
             points = (prefix[:at] + (v,) + prefix[at + 1:] for v in inner_values)
             records += map(one, points, range(start, start + n))
     return records

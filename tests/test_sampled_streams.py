@@ -19,15 +19,18 @@ from hypothesis import given, settings, strategies as st
 
 from ntnsim import (
     DomainError,
+    LinkGeometry,
     Scenario,
+    evaluate_chain,
+    evaluate_link,
     excess_loss_db,
     load_atmosphere_table,
     load_scenario_table,
 )
-from ntnsim.channel import _stream_prefix
 from ntnsim.harness import SweepSpec, run_sweep
 from ntnsim.harness.cli import main
 from ntnsim.harness.sweep import EXTRA_COLUMNS, METRIC_COLUMNS, format_value
+from ntnsim.relay import RelayChain, RelayHop
 
 N_POINTS = 10_000
 # One (scenario, elevation) cell: dense_urban at 10 deg, where the LOS
@@ -101,6 +104,8 @@ def test_negative_seed_differs(scen_table):
 def test_non_integer_seed_rejected(scen_table, seed):
     with pytest.raises(DomainError, match="sampled_seed must be an integer"):
         scen_table.cell(SCENARIO, ELEVATION).sampled_db(seed)
+    with pytest.raises(DomainError, match="sampled_seed must be an integer"):
+        scen_table.cell(SCENARIO, ELEVATION).sampler(seed)  # before any draw
     if seed is not None:  # None is expected mode
         with pytest.raises(DomainError, match="sampled_seed must be an integer"):
             excess_loss_db(SCENARIO, 20.0, ELEVATION, scen_table, sampled_seed=seed)
@@ -115,15 +120,46 @@ def documented_draw(cell, seed, index):
     return max(0.0, clutter + cell.shadow_sigma_db * normal)
 
 
+SEEDS = [0, 2**63, -2**63, *range(-8, 12)]
+
+
 def test_cached_seed_prefixes_leave_every_stream_unchanged(scen_table):
-    # Draws interleave more seeds than the prefix cache holds, so prefixes
-    # are hit, evicted and hashed again, and every (seed, index) pair comes
-    # back; a cached prefix hashed further in place would corrupt later draws.
+    # Draws interleave many seeds, and every (seed, index) pair comes back;
+    # a seed's hashed prefix updated in place would corrupt later draws.
     cell = scen_table.cell(SCENARIO, ELEVATION)
-    seeds = [0, 2**63, -2**63, *range(-_stream_prefix.cache_info().maxsize, 12)]
     for index in (0, 1, 0, 12345, 1):
-        for seed in seeds + seeds[::-1]:
+        for seed in SEEDS + SEEDS[::-1]:
             assert cell.sampled_db(seed, index) == documented_draw(cell, seed, index)
+
+
+def test_samplers_leave_every_stream_unchanged(scen_table):
+    # One sampler draws repeated indices, and the samplers of several seeds
+    # draw in turn; each holds its seed's prefix, which no draw may update.
+    cell = scen_table.cell(SCENARIO, ELEVATION)
+    draws = {seed: cell.sampler(seed) for seed in SEEDS}
+    for index in (0, 1, 0, 12345, 1, 1):
+        for seed in SEEDS + SEEDS[::-1]:
+            assert draws[seed](index) == documented_draw(cell, seed, index)
+
+
+@pytest.mark.parametrize("index", [2.5, True])
+def test_non_integer_index_rejected(atm_table, scen_table, got_radio, index):
+    # "%d" would draw row 2's stream for 2.5 and row 1's for True.
+    message = "sampled_index must be an integer"
+    with pytest.raises(DomainError, match=message):
+        scen_table.cell(SCENARIO, ELEVATION).sampled_db(3, index)
+    geometry = LinkGeometry.from_endpoints(0.0, 600.0, 30.0)
+    with pytest.raises(DomainError, match=message):
+        evaluate_link(
+            geometry, got_radio(), SCENARIO, atm_table, scenario_table=scen_table,
+            sampled_seed=3, sampled_index=index,
+        )
+    chain = RelayChain(hops=(
+        RelayHop(LinkGeometry.from_endpoints(20.0, 600.0, 30.0), got_radio()),
+        RelayHop(LinkGeometry.from_endpoints(0.0, 20.0, 30.0), got_radio()),
+    ), scenario=SCENARIO)
+    with pytest.raises(DomainError, match=message):
+        evaluate_chain(chain, atm_table, scen_table, sampled_seed=3, sampled_index=index)
 
 
 @pytest.mark.parametrize("seed", [0, -3, 2**40])

@@ -281,3 +281,83 @@ def test_reuse_does_not_outlive_a_call(atm_table, scen_table):
     for table, rows in runs:
         assert rows == reference_rows(spec, table, scen_table)
     assert runs[0][1] != runs[1][1]
+
+
+# A prefix whose altitude fails its station check, the first check of
+# both modes, fails at every point with that one error; run_sweep fills
+# it without evaluating its points. 100 km lies in the HAP-LEO gap, and
+# 120 GHz is off the atmosphere table, a prefix failure that depends on
+# the point.
+FILL_FIXED = {
+    "tx_power_dbm": 18.0, "noise_temperature_k": 290.0, "g_rx_dbi": 40.0, "relay_mode": "af",
+}
+
+
+@pytest.mark.parametrize("excess_mode", ["expected", "sampled"])
+@pytest.mark.parametrize("mode", ["direct", "relay"])
+def test_gap_altitude_prefixes_equal_the_scalar_rows(atm_table, scen_table, mode, excess_mode):
+    spec = SweepSpec(
+        axes=(
+            ("altitude_km", (600.0, 100.0, 1200.0, 100.0)),
+            ("fc_ghz", (2.0, 20.0, 120.0)),  # the inner axis
+        ),
+        fixed={
+            **FILL_FIXED,
+            "elevation_deg": 30.0,
+            "scenario": "urban",
+            "mode": mode,
+            "hap_altitude_km": 20.0,
+            "excess_mode": excess_mode,
+        },
+        seed=7 if excess_mode == "sampled" else None,
+    )
+    rows = list(run_sweep(spec, atm_table, scen_table).rows)
+    assert rows == reference_rows(spec, atm_table, scen_table)
+    gap = ["lies in the gap" in row["error"] for row in rows]
+    assert gap == [False] * 3 + [True] * 3 + [False] * 3 + [True] * 3
+    assert [bool(row["error"]) for row in rows] == [False, False, True, *[True] * 3] * 2
+
+
+def test_gap_hap_fails_after_the_radio_check_point_by_point(atm_table, scen_table):
+    # Through a 26 km HAP, in the gap, a relay point fails at the HAP's
+    # station check, after its altitude's and its radio's; a carrier of
+    # -2 GHz fails the radio check first. So a 600 km prefix is not
+    # filled, and a 100 km prefix is, with the altitude's error.
+    spec = SweepSpec(
+        axes=(("altitude_km", (600.0, 100.0)), ("fc_ghz", (2.0, 120.0, -2.0))),
+        fixed={
+            **FILL_FIXED,
+            "elevation_deg": 30.0,
+            "scenario": "rural",
+            "mode": "relay",
+            "hap_altitude_km": 26.0,
+            "excess_mode": "sampled",
+        },
+        seed=3,
+    )
+    rows = list(run_sweep(spec, atm_table, scen_table).rows)
+    assert rows == reference_rows(spec, atm_table, scen_table)
+    errors = [row["error"].split(" lies")[0] for row in rows]
+    assert errors == ["altitude 26.0 km"] * 2 + ["fc_ghz must be > 0, got -2.0"] + [
+        "altitude 100.0 km"
+    ] * 3
+
+
+@pytest.mark.parametrize("mode", ["direct", "relay"])
+def test_altitude_as_the_inner_axis_is_never_filled(atm_table, scen_table, mode):
+    spec = SweepSpec(
+        axes=(("fc_ghz", (20.0, 120.0)), ("altitude_km", (100.0, 600.0, 100.0))),
+        fixed={
+            **FILL_FIXED,
+            "elevation_deg": 45.0,
+            "scenario": "dense_urban",
+            "mode": mode,
+            "hap_altitude_km": 20.0,
+            "relay_mode": "df",
+            "excess_mode": "sampled",
+        },
+        seed=11,
+    )
+    rows = list(run_sweep(spec, atm_table, scen_table).rows)
+    assert rows == reference_rows(spec, atm_table, scen_table)
+    assert [bool(row["error"]) for row in rows] == [True, False, True, True, True, True]
