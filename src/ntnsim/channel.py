@@ -309,12 +309,13 @@ class ScenarioTable:
 # Table file parsing
 # ---------------------------------------------------------------------------
 
-def _read_table_lines(text: str, name: str) -> tuple[list[str], str]:
-    """Split table text into data lines and metadata; verify the checksum.
+def _read_table(text: str, name: str, columns: tuple[str, ...]):
+    """Check table text's headers and checksum; return (version, rows).
 
-    Returns (data_lines, version). The checksum header covers the data
-    lines exactly as shipped (stripped of trailing whitespace, joined
-    with single newlines).
+    The checksum header covers the data lines exactly as shipped (stripped
+    of trailing whitespace, joined with single newlines). rows yields each
+    data line's (fields, line) in file order, once the line is checked to
+    have one field per name in columns.
     """
     version = None
     checksum = None
@@ -343,7 +344,17 @@ def _read_table_lines(text: str, name: str) -> tuple[list[str], str]:
             f"{name}: checksum mismatch (file corrupted or edited without "
             f"updating the header); expected sha256={digest}"
         )
-    return data_lines, version
+
+    def rows():
+        for line in data_lines:
+            fields = line.split()
+            if len(fields) != len(columns):
+                raise TableFormatError(
+                    f"{name}: expected {len(columns)} columns ({' '.join(columns)}), got {line!r}"
+                )
+            yield fields, line
+
+    return version, rows()
 
 
 def _table_numbers(fields: list[str], line: str, name: str) -> list[float]:
@@ -357,39 +368,15 @@ def _table_numbers(fields: list[str], line: str, name: str) -> list[float]:
 
 
 def parse_atmosphere_table(text: str, name: str = "atmosphere table") -> AtmosphereTable:
-    data_lines, version = _read_table_lines(text, name)
-    freqs: list[float] = []
-    gas: list[float] = []
-    scint: list[float] = []
-    for line in data_lines:
-        fields = line.split()
-        if len(fields) != 3:
-            raise TableFormatError(
-                f"{name}: expected 3 columns "
-                f"(frequency_ghz zenith_gas_db scint_ref_db), got {line!r}"
-            )
-        f, g, s = _table_numbers(fields, line, name)
-        freqs.append(f)
-        gas.append(g)
-        scint.append(s)
-    return AtmosphereTable(
-        frequency_grid_ghz=tuple(freqs),
-        zenith_gas_db=tuple(gas),
-        scintillation_ref_db=tuple(scint),
-        version=version,
-    )
+    version, rows = _read_table(text, name, ("frequency_ghz", "zenith_gas_db", "scint_ref_db"))
+    columns = tuple(zip(*(_table_numbers(fields, line, name) for fields, line in rows)))
+    return AtmosphereTable(*columns or ((), (), ()), version=version)  # no rows: it raises
 
 
 def parse_scenario_table(text: str, name: str = "scenario table") -> ScenarioTable:
-    data_lines, version = _read_table_lines(text, name)
+    version, rows = _read_table(text, name, ("scenario", "elevation_deg", *ScenarioRow._fields))
     cells: dict[Scenario, dict[float, ScenarioRow]] = {s: {} for s in Scenario}
-    for line in data_lines:
-        fields = line.split()
-        if len(fields) != 6:
-            raise TableFormatError(
-                f"{name}: expected 6 columns (scenario elevation_deg p_los "
-                f"clutter_los_db clutter_nlos_db shadow_sigma_db), got {line!r}"
-            )
+    for fields, line in rows:
         try:
             scenario = Scenario.from_name(fields[0])
         except DomainError as exc:
@@ -400,7 +387,7 @@ def parse_scenario_table(text: str, name: str = "scenario table") -> ScenarioTab
                 f"{name}: duplicate row for {scenario.value} at {elev:g} deg"
             )
         cells[scenario][elev] = ScenarioRow(p, los, nlos, sigma)
-    grids = {tuple(sorted(rows)) for rows in cells.values()}
+    grids = {tuple(sorted(elevations)) for elevations in cells.values()}
     if len(grids) != 1:
         raise TableFormatError(f"{name}: scenarios use different elevation grids")
     grid = grids.pop()
@@ -415,22 +402,26 @@ def _data_text(filename: str) -> str:
     return (resources.files("ntnsim") / "data" / filename).read_text(encoding="utf-8")
 
 
+def _load(parse, filename: str, path: str | Path | None):
+    """parse the table file at path, or the packaged filename if path is None."""
+    name = filename if path is None else str(Path(path))
+    try:
+        text = _data_text(filename) if path is None else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"{name}: not UTF-8 text: {exc}") from None
+    return parse(text, name)
+
+
 @lru_cache(maxsize=None)
 def load_atmosphere_table(path: str | Path | None = None) -> AtmosphereTable:
     """Load an atmosphere table; None loads the packaged default."""
-    if path is None:
-        return parse_atmosphere_table(_data_text("atmosphere.tsv"), "atmosphere.tsv")
-    p = Path(path)
-    return parse_atmosphere_table(p.read_text(encoding="utf-8"), str(p))
+    return _load(parse_atmosphere_table, "atmosphere.tsv", path)
 
 
 @lru_cache(maxsize=None)
 def load_scenario_table(path: str | Path | None = None) -> ScenarioTable:
     """Load a scenario table; None loads the packaged default."""
-    if path is None:
-        return parse_scenario_table(_data_text("scenario.tsv"), "scenario.tsv")
-    p = Path(path)
-    return parse_scenario_table(p.read_text(encoding="utf-8"), str(p))
+    return _load(parse_scenario_table, "scenario.tsv", path)
 
 
 # ---------------------------------------------------------------------------

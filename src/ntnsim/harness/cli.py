@@ -30,7 +30,7 @@ from ..errors import (
 from ..geometry import LinkGeometry, classify_station
 from ..linkbudget import LinkResult, RadioConfig, evaluate_link
 from ..relay import RelayChain, RelayHop, evaluate_chain
-from .config import DEFAULT_EXCESS_MODE, PARAMETERS, finite_number, load_fig_defaults
+from .config import PARAMETERS, finite_number, load_fig_defaults
 from .presets import PRESET_NAMES, preset
 from .sweep import (
     EXTRA_COLUMNS,
@@ -241,12 +241,6 @@ def _cmd_chain(args) -> int:
 def _cmd_sweep(args) -> int:
     table, scenario_table = _tables(args)
     spec = load_sweep_spec(args.spec, seed=args.seed)
-    if args.seed is not None:
-        excess_mode = spec.fixed.get("excess_mode", DEFAULT_EXCESS_MODE)
-        if PARAMETERS["excess_mode"](excess_mode) != "sampled":
-            raise ConfigError(
-                "--seed applies only to a spec with excess_mode = sampled"
-            )
     emit_csv(run_sweep(spec, table, scenario_table), args.out or sys.stdout)
     return EXIT_OK
 

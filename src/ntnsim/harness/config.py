@@ -110,7 +110,7 @@ PARAMETERS = {
     "bandwidth_hz": _auto_or_number,  # in place of the RadioConfig entry
     "scenario": lambda v: v if isinstance(v, Scenario) else Scenario.from_name(str(v)),
     "mode": _word("direct", "relay"),
-    "relay_mode": lambda v: RelayMode(_relay_word(v)),
+    "relay_mode": lambda v: v if isinstance(v, RelayMode) else RelayMode(_relay_word(v)),
     "excess_mode": _word("expected", "sampled"),
     "seed": _integer,
 }
@@ -158,7 +158,7 @@ def load_config(path: str | Path) -> ResolvedParams:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     return resolve_params(parse_kv_lines(text, p.name), p.name)
 

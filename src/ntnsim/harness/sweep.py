@@ -110,24 +110,25 @@ def _fixed_radio(fixed: dict[str, object]) -> dict[str, object]:
     return {k: fixed[k] for k in RadioConfig._fields if k in fixed and k not in AXIS_NAMES}
 
 
-def _validate_spec(spec: SweepSpec) -> SweepSpec:
-    """Check a spec; return it with its values typed through PARAMETERS.
+def _validate_spec(spec: SweepSpec) -> tuple[dict[str, tuple], dict[str, object], int | None]:
+    """Check a spec; return its plan's inputs (axes, fixed, seed), typed through PARAMETERS.
 
-    The fixed parameters of the typed spec include the defaults.
+    axes holds every name of AXIS_NAMES: the spec's axes in their order,
+    then each other name with its fixed value, or None, as its one value.
+    fixed includes the defaults. seed is None unless the excess mode is
+    sampled.
     """
-    seen: set[str] = set()
-    axes = []
+    axes: dict[str, tuple] = {}
     for name, values in spec.axes:
         if name not in AXIS_NAMES:
             raise SpecError(f"unknown axis {name!r}; axes may be {AXIS_NAMES}")
-        if name in seen:
+        if name in axes:
             raise SpecError(f"axis {name!r} declared twice")
-        seen.add(name)
         if len(values) == 0:
             raise SpecError(f"axis {name!r} is empty")
         if name in spec.fixed:
             raise SpecError(f"{name!r} appears in both axes and fixed")
-        axes.append((name, tuple(parse_value(name, v, SpecError) for v in values)))
+        axes[name] = tuple(parse_value(name, v, SpecError) for v in values)
     for key in spec.fixed:
         if key not in PARAMETERS or key == "seed":
             raise SpecError(f"unknown fixed parameter {key!r}")
@@ -138,7 +139,7 @@ def _validate_spec(spec: SweepSpec) -> SweepSpec:
     seed = None if spec.seed is None else parse_value("seed", spec.seed, SpecError)
 
     def provided(key: str) -> bool:
-        return key in seen or key in spec.fixed
+        return key in axes or key in spec.fixed
 
     for required in ("altitude_km", "fc_ghz", "elevation_deg", "scenario"):
         if not provided(required):
@@ -154,17 +155,20 @@ def _validate_spec(spec: SweepSpec) -> SweepSpec:
     except ConfigError as exc:
         raise SpecError(str(exc)) from None
 
-    modes = dict(axes).get("mode", (fixed["mode"],))
+    modes = axes.get("mode", (fixed["mode"],))
     if MODE_RELAY in modes and "hap_altitude_km" not in spec.fixed:
         raise SpecError("relay mode requires fixed parameter 'hap_altitude_km'")
-    if fixed["excess_mode"] == "sampled" and seed is None:
+    sampled = fixed["excess_mode"] == "sampled"
+    if sampled and seed is None:
         raise SpecError("sampled excess mode requires a seed")
 
     known_metrics = set(METRIC_COLUMNS) | set(EXTRA_COLUMNS) | set(AXIS_NAMES)
     for col in spec.schema():
         if col not in known_metrics:
             raise SpecError(f"unknown output column {col!r}")
-    return spec._replace(axes=tuple(axes), fixed=fixed, seed=seed)
+    for name in AXIS_NAMES:
+        axes.setdefault(name, (fixed.get(name),))
+    return axes, fixed, seed if sampled else None
 
 
 class SweepResult(NamedTuple):
@@ -227,7 +231,7 @@ def _cell(value: object) -> str:
 
 
 def _plan(modes, fixed, table, scenario_table, seed):
-    """Each of modes' (resolve, point, keys) for a typed spec.
+    """Each of modes' (resolve, point, keys) for _validate_spec's fixed and seed.
 
     resolve maps a point's values of AXIS_NAMES but mode to its stage
     values or raises its first error; point maps those and the row index
@@ -421,24 +425,21 @@ def run_sweep(
     table: AtmosphereTable,
     scenario_table: ScenarioTable | None = None,
 ) -> SweepResult:
-    """Evaluate every grid point of a sweep spec, in the spec's row order."""
-    typed = _validate_spec(spec)
+    """Evaluate every grid point of a sweep spec, in the spec's row order.
+
+    A point takes a value of every name of AXIS_NAMES from _validate_spec's
+    axes; a name the spec fixes is a one-value axis after the spec's own,
+    so the row order stays the spec's.
+    """
+    axes, fixed, seed = _validate_spec(spec)
     if scenario_table is None:
         scenario_table = load_scenario_table()
-    sampled = typed.fixed["excess_mode"] == "sampled"
-    seed = typed.seed if sampled else None
-    # A parameter of AXIS_NAMES the spec fixes is one more single-valued
-    # axis after the spec's own, so each typed point carries all of them.
-    typed_axes = dict(typed.axes)
-    for name in AXIS_NAMES:
-        typed_axes.setdefault(name, (typed.fixed.get(name),))
-    plans = _plan(typed_axes["mode"], typed.fixed, table, scenario_table, seed)
-    records = _records(typed_axes, plans)
+    records = _records(axes, _plan(axes["mode"], fixed, table, scenario_table, seed))
     provenance = spec.provenance + (
         f"atmosphere table version: {table.version}",
         f"scenario table version: {scenario_table.version}",
     )
-    if sampled:
+    if seed is not None:
         provenance += (
             f"sampled excess mode, seed {seed}, per-point streams {SAMPLED_STREAMS}",
         )
@@ -530,12 +531,13 @@ def load_sweep_spec(path: str | Path, seed: int | None = None) -> SweepSpec:
     """Read a sweep spec file ([axes] and [fixed] sections, optional seed).
 
     A seed given here supplies the spec's seed, or replaces the one the
-    file sets (ntnsim sweep --seed), before the spec is checked.
+    file sets (ntnsim sweep --seed), before the spec is checked; it is a
+    ConfigError unless the spec's excess mode is sampled.
     """
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read sweep spec {p}: {exc}") from exc
     sections = parse_sections(text, p.name, SpecError)
     known = {"", "axes", "fixed", "output"}
@@ -562,9 +564,7 @@ def load_sweep_spec(path: str | Path, seed: int | None = None) -> SweepSpec:
 
     schema: tuple[str, ...] = ()
     top = dict(sections.get("", {}))
-    if "seed" in top:
-        file_seed = value_of("seed", *top.pop("seed"))  # checked even when replaced
-        seed = file_seed if seed is None else seed
+    file_seed = value_of("seed", *top.pop("seed")) if "seed" in top else None  # checked if replaced
     if top:
         raise SpecError(f"{p.name}: unexpected top-level keys {sorted(top)}")
     if "columns" in sections.get("output", {}):
@@ -575,8 +575,10 @@ def load_sweep_spec(path: str | Path, seed: int | None = None) -> SweepSpec:
         axes=axes,
         fixed=fixed,
         output_schema=schema,
-        seed=seed,
+        seed=file_seed if seed is None else seed,
         provenance=(f"sweep spec: {p.name}",),
     )
-    _validate_spec(spec)
+    _, typed, _ = _validate_spec(spec)
+    if seed is not None and typed["excess_mode"] != "sampled":
+        raise ConfigError("--seed applies only to a spec with excess_mode = sampled")
     return spec

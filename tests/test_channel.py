@@ -320,9 +320,29 @@ class TestTableParsing:
             parse_atmosphere_table("# checksum: sha256=00\n0.5 0.1 0.1\n")
 
     def test_bad_column_count(self):
-        text = self._atm_text(["0.5 0.1", "100 0.2"])
-        with pytest.raises(TableFormatError):
-            parse_atmosphere_table(text)
+        # (parser, rows, message): each table's own column-count message, and
+        # two-fault files whose first fault in file order is the one reported.
+        atmosphere = "t: expected 3 columns (frequency_ghz zenith_gas_db scint_ref_db), got "
+        scenario = ("t: expected 6 columns (scenario elevation_deg p_los clutter_los_db "
+                    "clutter_nlos_db shadow_sigma_db), got ")
+        cases = [
+            (parse_atmosphere_table, ["0.5 0.1", "100 0.2"], atmosphere + "'0.5 0.1'"),
+            (parse_atmosphere_table, ["0.5 0.1 0.1", "100 0.2 0.2 7"],
+             atmosphere + "'100 0.2 0.2 7'"),
+            (parse_scenario_table, ["rural 10 0.8 0.5 14"], scenario + "'rural 10 0.8 0.5 14'"),
+            (parse_atmosphere_table, ["0.5 x 0.1", "100 0.2"],
+             "t: bad numeric field in line '0.5 x 0.1'"),
+            (parse_atmosphere_table, ["0.5 0.1", "100 x 0.2"], atmosphere + "'0.5 0.1'"),
+            (parse_scenario_table, ["megacity 10 0.8 0.5 14 2.5", "rural 10 0.8"],
+             "t: unknown scenario 'megacity'; expected one of dense_urban, urban, suburban, "
+             "rural in line 'megacity 10 0.8 0.5 14 2.5'"),
+            (parse_scenario_table, ["rural 10 0.8", "megacity 10 0.8 0.5 14 2.5"],
+             scenario + "'rural 10 0.8'"),
+        ]
+        for parse, rows, message in cases:
+            with pytest.raises(TableFormatError) as err:
+                parse(self._atm_text(rows), "t")
+            assert str(err.value) == message
 
     def test_oxygen_peak_required(self):
         rows = [f"{f} 1.0 0.5" for f in (0.5, 40, 60, 80, 100)]

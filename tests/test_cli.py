@@ -185,8 +185,13 @@ g_over_t_dbi_per_k = 15.9
         assert run_cli(capsys, "sweep", "--spec", str(spec)) == (code, out, err)
 
     def test_missing_spec_file(self, tmp_path, capsys):
-        code, _, _ = run_cli(capsys, "sweep", "--spec", str(tmp_path / "nope.cfg"))
-        assert code == 3
+        latin1 = tmp_path / "latin1.cfg"  # not UTF-8
+        latin1.write_bytes(self.SPEC.encode() + b"# caf\xe9\n")
+        for spec in (tmp_path / "nope.cfg", latin1):
+            code, out, err = run_cli(capsys, "sweep", "--spec", str(spec))
+            assert (code, out) == (3, "")
+            assert err.startswith(f"ntnsim: spec error: cannot read sweep spec {spec}: ")
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "key, value", [("noise_temperature_k", 0), ("noise_temperature_k", -1),
@@ -258,6 +263,18 @@ class TestTablesFlag:
         assert code == 2
         assert out == ""
         assert "table error" in err and "megacity" in err
+
+    @pytest.mark.parametrize("name", ["atmosphere.tsv", "scenario.tsv"])
+    def test_non_utf8_table_is_data_error(self, tmp_path, capsys, name):
+        self._copy_tables(tmp_path)
+        table = tmp_path / name
+        table.write_bytes(table.read_bytes() + b"# \xff\n")
+        code, out, err = run_cli(
+            capsys, "link", "--alt", "600", "--elev", "30", "--fc", "20",
+            "--got", "15.9", "--tables", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ntnsim: table error: {table}: ") and err.count("\n") == 1
 
     def test_missing_tables_dir_is_data_error(self, tmp_path, capsys):
         code, _, _ = run_cli(

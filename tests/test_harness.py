@@ -62,6 +62,12 @@ class TestConfig:
         path.write_text("tx_power_dbm = 18\nbandwidth_hz = 400e6\n")
         assert load_config(path).bandwidth_hz == 400e6
 
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"tx_power_dbm = 18\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=f"cannot read config {path}: "):
+            load_config(path)
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("tx_power_dbm = 18\nnonsense line\n")
@@ -368,3 +374,11 @@ columns = elevation_deg, scenario, capacity_bps, error
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpecError):
             load_sweep_spec(tmp_path / "absent.cfg")
+
+    def test_seed_applies_only_to_sampled_spec(self, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(self.SPEC_TEXT)
+        with pytest.raises(ConfigError, match="--seed applies only to a spec with excess_mode"):
+            load_sweep_spec(path, seed=3)
+        path.write_text(self.SPEC_TEXT.replace("[fixed]\n", "[fixed]\nexcess_mode = Sampled\n"))
+        assert load_sweep_spec(path, seed=3).seed == 3

@@ -5,9 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ntnsim import ConfigError, SpecError
+from ntnsim import ConfigError, RelayMode, Scenario, SpecError
 from ntnsim.harness import ResolvedParams, SweepSpec, load_config, load_sweep_spec, run_sweep
-from ntnsim.harness.config import finite_number
+from ntnsim.harness.config import PARAMETERS, finite_number
 
 # Every numeric key that has a CLI flag, by flag.
 FLAG_KEYS = {
@@ -97,6 +97,39 @@ def test_capitalised_words_accepted_everywhere(tmp_path, atm_table, scen_table):
     (row,) = run_sweep(load_sweep_spec(spec_file), atm_table, scen_table).rows
     assert row["error"] == ""
     assert row["label"] == "df:2hop"
+
+
+# Valid values of every key of PARAMETERS, as text and as typed values.
+VALID = {
+    **{key: ["0", "-2.5", "1e300", 7, 600.0] for key in PARAMETERS},
+    "bandwidth_hz": ["auto", "AUTO", None, "4e8", 4e8],
+    "scenario": ["dense_urban", "Dense Urban", "rural", *Scenario],
+    "mode": ["direct", "Relay"],
+    "relay_mode": ["af", "DF", *RelayMode],
+    "excess_mode": ["expected", "Sampled"],
+    "seed": ["3", "-7", 2**70, 0],
+}
+
+
+@pytest.mark.parametrize("key", sorted(PARAMETERS))
+def test_every_parser_returns_its_own_output_unchanged(key):
+    assert set(VALID) == set(PARAMETERS)
+    for value in VALID[key]:
+        parsed = PARAMETERS[key](value)
+        assert PARAMETERS[key](parsed) == parsed, value
+
+
+def test_relay_mode_member_gives_the_rows_of_its_word(atm_table, scen_table):
+    fixed = {k: v if k == "scenario" else float(v) for k, v in {**BASE, **GOT_FORM}.items()}
+    del fixed["altitude_km"], fixed["elevation_deg"]
+    fixed.update(mode="relay", hap_altitude_km=20.0)
+    axes = (("elevation_deg", (30.0, 50.0)), ("altitude_km", (600.0, 100.0)))  # 100 km: a gap
+    rows = [
+        list(run_sweep(SweepSpec(axes, {**fixed, "relay_mode": mode}), atm_table, scen_table).rows)
+        for mode in ("df", RelayMode.DECODE_FORWARD)
+    ]
+    assert rows[0] == rows[1]
+    assert {row["label"] for row in rows[1]} == {"", "df:2hop"}
 
 
 @given(st.one_of(
