@@ -115,31 +115,21 @@ class _ByFields:
 class LossBreakdown(_ByFields):
     """Per-stage attenuation of one hop, in dB.
 
-    total_db is always fspl + gas + scintillation + excess accumulated in
-    that order; construction enforces the identity.
+    total_db is derived: fspl + gas + scintillation + excess accumulated
+    in that order by stage_total_db, which also checks the stages.
     """
 
-    __slots__ = _fields = ("fspl_db", "gas_db", "scintillation_db", "excess_db", "total_db")
+    __slots__ = ("fspl_db", "gas_db", "scintillation_db", "excess_db", "total_db")
+    _fields = __slots__[:4]
 
     def __init__(
-        self, fspl_db: float, gas_db: float, scintillation_db: float, excess_db: float,
-        total_db: float,
+        self, fspl_db: float, gas_db: float, scintillation_db: float, excess_db: float
     ) -> None:
         self.fspl_db = fspl_db
         self.gas_db = gas_db
         self.scintillation_db = scintillation_db
         self.excess_db = excess_db
-        self.total_db = total_db
-        expected = stage_total_db(fspl_db, gas_db, scintillation_db, excess_db)
-        if total_db != expected:
-            raise DomainError(f"total_db {total_db!r} != sum of stages {expected!r}")
-
-    @classmethod
-    def from_stages(
-        cls, fspl_db: float, gas_db: float, scintillation_db: float, excess_db: float
-    ) -> "LossBreakdown":
-        total_db = fspl_db + gas_db + scintillation_db + excess_db
-        return cls(fspl_db, gas_db, scintillation_db, excess_db, total_db)
+        self.total_db = stage_total_db(fspl_db, gas_db, scintillation_db, excess_db)
 
 
 def _interpolate(x: float, grid: tuple[float, ...], values: tuple[float, ...]) -> float:
@@ -471,7 +461,6 @@ def scintillation_db(
 
 def excess_loss_db(
     scenario: Scenario,
-    fc_ghz: float,
     elevation_deg: float,
     table: ScenarioTable | None = None,
     *,
@@ -485,13 +474,9 @@ def excess_loss_db(
     shadowing term (normal in dB, clamped at zero total) from the stream
     of point sampled_index of a sweep with seed sampled_seed,
     blake2b(b"<sampled_seed>:<sampled_index>") (see ScenarioRow.sampled_db),
-    so equal seeds and indices give equal values.
-
-    The shipped table is frequency-flat; fc_ghz is part of the contract
-    so frequency-dependent tables can be swapped in without changing
-    call sites.
+    so equal seeds and indices give equal values. The scenario table has
+    no frequency column, so the loss does not depend on the carrier.
     """
-    del fc_ghz  # shipped table carries no frequency axis
     if not isinstance(scenario, Scenario):
         raise DomainError(f"unknown scenario: {scenario!r}")
     cell = (table or load_scenario_table()).cell(scenario, elevation_deg)
@@ -501,7 +486,7 @@ def excess_loss_db(
 
 
 def default_atmosphere_fraction(low_altitude_km: float) -> float:
-    """Default share of the atmospheric column for a hop's lower endpoint."""
+    """Share of the atmospheric column a hop crosses, fixed by its lower endpoint."""
     if low_altitude_km < HAP_FLOOR_KM:
         return 1.0
     if low_altitude_km < ATMOSPHERE_TOP_KM:
@@ -514,7 +499,6 @@ def total_path_loss(
     fc_ghz: float,
     scenario: Scenario | None,
     table: AtmosphereTable,
-    atmosphere_fraction: float,
     scenario_table: ScenarioTable | None = None,
     *,
     sampled_seed: int | None = None,
@@ -522,23 +506,20 @@ def total_path_loss(
 ) -> LossBreakdown:
     """Full staged breakdown for one hop.
 
-    Gas and scintillation are scaled by atmosphere_fraction (in [0, 1])
-    for hops that do not traverse the whole atmospheric column. A None
-    scenario means no ground clutter applies (hops that never approach
-    the ground); excess is then exactly zero. Sampled clutter draws the
-    stream of point sampled_index of a sweep with seed sampled_seed (see
-    excess_loss_db).
+    Gas and scintillation are scaled by default_atmosphere_fraction of
+    the hop's lower endpoint: 1.0 from the ground, 0.1 from HAP altitude
+    (17-100 km), 0.0 above the atmosphere. A None scenario means no
+    ground clutter applies (hops that never approach the ground); excess
+    is then exactly zero. Sampled clutter draws the stream of point
+    sampled_index of a sweep with seed sampled_seed (see excess_loss_db).
     """
-    if not (0.0 <= atmosphere_fraction <= 1.0):
-        raise DomainError(
-            f"atmosphere_fraction must be in [0, 1], got {atmosphere_fraction}"
-        )
+    fraction = default_atmosphere_fraction(geometry.low_altitude_km)
     elevation = geometry.elevation_deg
     fspl = fspl_db(geometry.slant_range_km, fc_ghz)
-    gas = atmosphere_fraction * gas_attenuation_db(fc_ghz, elevation, table)
-    scint = atmosphere_fraction * scintillation_db(fc_ghz, elevation, table)
+    gas = fraction * gas_attenuation_db(fc_ghz, elevation, table)
+    scint = fraction * scintillation_db(fc_ghz, elevation, table)
     excess = 0.0 if scenario is None else excess_loss_db(
-        scenario, fc_ghz, elevation, scenario_table,
+        scenario, elevation, scenario_table,
         sampled_seed=sampled_seed, sampled_index=sampled_index,
     )
-    return LossBreakdown.from_stages(fspl, gas, scint, excess)
+    return LossBreakdown(fspl, gas, scint, excess)

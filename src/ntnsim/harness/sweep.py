@@ -163,9 +163,12 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[str, tuple], dict[str, object]
         raise SpecError("sampled excess mode requires a seed")
 
     known_metrics = set(METRIC_COLUMNS) | set(EXTRA_COLUMNS) | set(AXIS_NAMES)
-    for col in spec.schema():
+    schema = spec.schema()
+    for i, col in enumerate(schema):
         if col not in known_metrics:
             raise SpecError(f"unknown output column {col!r}")
+        if col in schema[:i]:
+            raise SpecError(f"output column {col!r} listed twice")
     for name in AXIS_NAMES:
         axes.setdefault(name, (fixed.get(name),))
     return axes, fixed, seed if sampled else None
@@ -191,10 +194,11 @@ class SweepResult(NamedTuple):
 class SweepRows(Sequence):
     """A result's rows: a read-only view over its per-point records.
 
-    axes are the spec's axes as given (link's and chain's: their inputs,
-    one value each, over result_record). A point's record holds its values
-    of RESULT_COLUMNS, in that order; a failed point's are None but for
-    an empty label and its error. Row i's axis values are decoded from i
+    axes are the spec's axes as given, then the schema's unswept axes with
+    one value each (link's and chain's: their inputs, one value each, over
+    result_record). A point's record holds its values of RESULT_COLUMNS,
+    in that order; a failed point's are None but for an empty label and
+    its error. Row i's axis values are decoded from i
     by mixed radix. Each row dict is built when read and never kept.
     """
 
@@ -429,7 +433,9 @@ def run_sweep(
 
     A point takes a value of every name of AXIS_NAMES from _validate_spec's
     axes; a name the spec fixes is a one-value axis after the spec's own,
-    so the row order stays the spec's.
+    so the row order stays the spec's. The rows' axes append the same way
+    each unswept axis the schema names, holding its value as the spec
+    fixed it, or its default; one neither swept nor fixed stays empty.
     """
     axes, fixed, seed = _validate_spec(spec)
     if scenario_table is None:
@@ -444,7 +450,10 @@ def run_sweep(
             f"sampled excess mode, seed {seed}, per-point streams {SAMPLED_STREAMS}",
         )
     # Rows keep the axis values as the spec gave them.
-    return SweepResult(spec.schema(), SweepRows(spec.axes, tuple(records)), provenance)
+    given, schema = {**_DEFAULTS, **spec.fixed}, spec.schema()
+    unswept = tuple((name, (given[name],)) for name in schema
+                    if name in AXIS_NAMES and name in given and name not in spec.axis_names())
+    return SweepResult(schema, SweepRows(spec.axes + unswept, tuple(records)), provenance)
 
 
 def format_value(value: object) -> str:
@@ -528,7 +537,7 @@ def csv_bytes(result: SweepResult) -> bytes:
 # ---------------------------------------------------------------------------
 
 def load_sweep_spec(path: str | Path, seed: int | None = None) -> SweepSpec:
-    """Read a sweep spec file ([axes] and [fixed] sections, optional seed).
+    """Read a sweep spec file ([axes], [fixed] and [output] sections, optional seed).
 
     A seed given here supplies the spec's seed, or replaces the one the
     file sets (ntnsim sweep --seed), before the spec is checked; it is a
@@ -567,9 +576,12 @@ def load_sweep_spec(path: str | Path, seed: int | None = None) -> SweepSpec:
     file_seed = value_of("seed", *top.pop("seed")) if "seed" in top else None  # checked if replaced
     if top:
         raise SpecError(f"{p.name}: unexpected top-level keys {sorted(top)}")
-    if "columns" in sections.get("output", {}):
-        value, _ = sections["output"]["columns"]
+    for key, (value, lineno) in sections.get("output", {}).items():
+        if key != "columns":
+            raise SpecError(f"{p.name}:{lineno}: unknown output key {key!r}; expected 'columns'")
         schema = tuple(v.strip() for v in value.split(",") if v.strip())
+        if not schema:
+            raise SpecError(f"{p.name}:{lineno}: columns lists no column")
 
     spec = SweepSpec(
         axes=axes,

@@ -21,7 +21,6 @@ from .channel import (
     Scenario,
     ScenarioTable,
     _ByFields,
-    default_atmosphere_fraction,
     total_path_loss,
 )
 from .constants import BOLTZMANN_DBM_PER_K_HZ
@@ -175,7 +174,6 @@ def evaluate_link(
     radio: RadioConfig,
     scenario: Scenario | None,
     table: AtmosphereTable,
-    atmosphere_fraction: float | None = None,
     scenario_table: ScenarioTable | None = None,
     *,
     sampled_seed: int | None = None,
@@ -183,16 +181,14 @@ def evaluate_link(
 ) -> LinkResult:
     """Evaluate one hop end to end: losses, SNR, Shannon capacity.
 
-    atmosphere_fraction None picks the default for the hop's lower
-    endpoint (1.0 from the ground, 0.1 from HAP altitude, 0.0 above the
-    atmosphere). Sampled clutter draws the stream of point sampled_index
-    of a sweep with seed sampled_seed, so the default 0 gives row 0's.
+    The hop's losses are total_path_loss's, so its atmosphere fraction
+    follows its lower endpoint. Sampled clutter draws the stream of point
+    sampled_index of a sweep with seed sampled_seed, so the default 0
+    gives row 0's.
     """
-    if atmosphere_fraction is None:
-        atmosphere_fraction = default_atmosphere_fraction(geometry.low_altitude_km)
     resolved = radio.resolve_bandwidth()
     breakdown = total_path_loss(
-        geometry, resolved.fc_ghz, scenario, table, atmosphere_fraction, scenario_table,
+        geometry, resolved.fc_ghz, scenario, table, scenario_table,
         sampled_seed=sampled_seed, sampled_index=sampled_index,
     )
     snr = snr_db(resolved, breakdown)

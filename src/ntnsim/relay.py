@@ -31,9 +31,10 @@ class RelayMode(enum.Enum):
 
 
 class RelayHop(NamedTuple):
+    """One hop of a chain; its atmosphere fraction follows its geometry."""
+
     geometry: LinkGeometry
     radio: RadioConfig
-    atmosphere_fraction: float | None = None  # None = default for the hop
 
 
 class RelayChain(NamedTuple):
@@ -115,7 +116,7 @@ def _aggregate_breakdown(results: tuple[LinkResult, ...]) -> LossBreakdown:
         gas += r.breakdown.gas_db
         scint += r.breakdown.scintillation_db
         excess += r.breakdown.excess_db
-    return LossBreakdown.from_stages(fspl, gas, scint, excess)
+    return LossBreakdown(fspl, gas, scint, excess)
 
 
 def evaluate_chain(
@@ -131,17 +132,17 @@ def evaluate_chain(
     AF folds per-hop linear SNRs pairwise in hop order and uses the
     minimum hop bandwidth (a transparent repeater cannot widen the
     signal). DF reports the bottleneck hop's SNR, bandwidth and capacity.
-    The aggregated breakdown sums each stage over the hops. The ground
-    hop's sampled clutter draws the stream of point sampled_index of a
-    sweep with seed sampled_seed (see evaluate_link).
+    Each hop's atmosphere fraction follows its lower endpoint (see
+    total_path_loss). The aggregated breakdown sums each stage over the
+    hops. The ground hop's sampled clutter draws the stream of point
+    sampled_index of a sweep with seed sampled_seed (see evaluate_link).
     """
     _validate_chain(chain)
     per_hop: list[LinkResult] = []
     for hop in chain.hops:
         on_ground = hop.geometry.low_altitude_km == 0.0
         per_hop.append(evaluate_link(
-            hop.geometry, hop.radio, chain.scenario if on_ground else None, table,
-            hop.atmosphere_fraction, scenario_table,
+            hop.geometry, hop.radio, chain.scenario if on_ground else None, table, scenario_table,
             sampled_seed=sampled_seed if on_ground else None, sampled_index=sampled_index,
         ))
     if len(per_hop) == 1:

@@ -103,31 +103,31 @@ class TestExcessLoss:
     def test_expected_mode_mixture(self, scen_table):
         # dense_urban at 10 deg: p=0.28, los=4, nlos=36
         expected = 0.28 * 4.0 + 0.72 * 36.0
-        got = excess_loss_db(Scenario.DENSE_URBAN, 20, 10, scen_table)
+        got = excess_loss_db(Scenario.DENSE_URBAN, 10, scen_table)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_rural_zenith_is_table_minimum(self, scen_table):
-        floor = excess_loss_db(Scenario.RURAL, 20, 90, scen_table)
+        floor = excess_loss_db(Scenario.RURAL, 90, scen_table)
         for scenario in Scenario:
             for elev in scen_table.elevation_grid_deg:
-                assert excess_loss_db(scenario, 20, elev, scen_table) >= floor
+                assert excess_loss_db(scenario, elev, scen_table) >= floor
 
     def test_scenario_ordering_everywhere(self, scen_table):
         for elev in range(10, 91, 10):
-            losses = [excess_loss_db(s, 20, elev, scen_table) for s in SCENARIOS_ORDERED]
+            losses = [excess_loss_db(s, elev, scen_table) for s in SCENARIOS_ORDERED]
             assert losses == sorted(losses, reverse=True)
 
     def test_elevation_interpolation(self, scen_table):
         # midway between the 10 and 20 deg rows of dense_urban
-        lo = excess_loss_db(Scenario.DENSE_URBAN, 20, 10, scen_table)
-        hi = excess_loss_db(Scenario.DENSE_URBAN, 20, 20, scen_table)
-        mid = excess_loss_db(Scenario.DENSE_URBAN, 20, 15, scen_table)
+        lo = excess_loss_db(Scenario.DENSE_URBAN, 10, scen_table)
+        hi = excess_loss_db(Scenario.DENSE_URBAN, 20, scen_table)
+        mid = excess_loss_db(Scenario.DENSE_URBAN, 15, scen_table)
         assert hi < mid < lo
 
     def test_sampled_mode_deterministic_per_seed(self, scen_table):
-        a = excess_loss_db(Scenario.URBAN, 20, 30, scen_table, sampled_seed=123)
-        b = excess_loss_db(Scenario.URBAN, 20, 30, scen_table, sampled_seed=123)
-        c = excess_loss_db(Scenario.URBAN, 20, 30, scen_table, sampled_seed=124)
+        a = excess_loss_db(Scenario.URBAN, 30, scen_table, sampled_seed=123)
+        b = excess_loss_db(Scenario.URBAN, 30, scen_table, sampled_seed=123)
+        c = excess_loss_db(Scenario.URBAN, 30, scen_table, sampled_seed=124)
         assert a == b
         assert a != c
 
@@ -135,7 +135,7 @@ class TestExcessLoss:
         # dense_urban at 10 deg separates cleanly: LOS cluster around 4 dB,
         # NLOS around 36 dB, sigma 4. Estimate sigma from the NLOS cluster.
         draws = [
-            excess_loss_db(Scenario.DENSE_URBAN, 20, 10, scen_table, sampled_seed=i)
+            excess_loss_db(Scenario.DENSE_URBAN, 10, scen_table, sampled_seed=i)
             for i in range(10_000)
         ]
         nlos = [d for d in draws if d > 20]
@@ -145,32 +145,33 @@ class TestExcessLoss:
 
     def test_sampled_never_negative(self, scen_table):
         draws = [
-            excess_loss_db(Scenario.RURAL, 20, 90, scen_table, sampled_seed=i)
+            excess_loss_db(Scenario.RURAL, 90, scen_table, sampled_seed=i)
             for i in range(500)
         ]
         assert min(draws) >= 0.0
 
     def test_unknown_scenario(self, scen_table):
         with pytest.raises(DomainError):
-            excess_loss_db("megacity", 20, 30, scen_table)
+            excess_loss_db("megacity", 30, scen_table)
         with pytest.raises(DomainError):
             Scenario.from_name("megacity")
 
 
 class TestLossBreakdown:
     def test_total_is_enforced(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             LossBreakdown(
                 fspl_db=100, gas_db=1, scintillation_db=1, excess_db=1, total_db=104
             )
-        ok = LossBreakdown.from_stages(100, 1, 1, 1)
+        ok = LossBreakdown(fspl_db=100, gas_db=1, scintillation_db=1, excess_db=1)
         assert ok.total_db == 103.0
+        assert ok.total_db == stage_total_db(100, 1, 1, 1)
 
     def test_negative_component_rejected(self):
         with pytest.raises(DomainError):
-            LossBreakdown.from_stages(100, -0.5, 0, 0)
+            LossBreakdown(100, -0.5, 0, 0)
         with pytest.raises(DomainError):
-            LossBreakdown.from_stages(-100, 0, 0, 0)
+            LossBreakdown(-100, 0, 0, 0)
 
     @pytest.mark.parametrize(
         "stages, message",
@@ -204,21 +205,21 @@ class TestLossBreakdown:
                 rng.uniform(0, 5),
                 rng.uniform(0, 40),
             )
-            b = LossBreakdown.from_stages(*stages)
+            b = LossBreakdown(*stages)
             assert b.total_db == b.fspl_db + b.gas_db + b.scintillation_db + b.excess_db
 
 
 class TestTotalPathLoss:
     def test_zero_fraction_leaves_fspl_and_excess(self, atm_table, scen_table):
-        g = LinkGeometry.from_endpoints(0, 600, 30)
-        b = total_path_loss(g, 20, Scenario.URBAN, atm_table, 0.0, scen_table)
+        g = LinkGeometry.from_endpoints(100, 700, 30)  # above the atmosphere: fraction 0
+        b = total_path_loss(g, 20, Scenario.URBAN, atm_table, scen_table)
         assert b.gas_db == 0.0
         assert b.scintillation_db == 0.0
         assert b.total_db == b.fspl_db + b.excess_db
 
     def test_component_composition(self, atm_table, scen_table):
         g = LinkGeometry.from_endpoints(0, 300, 10)
-        b = total_path_loss(g, 20, Scenario.DENSE_URBAN, atm_table, 1.0, scen_table)
+        b = total_path_loss(g, 20, Scenario.DENSE_URBAN, atm_table, scen_table)
         assert b.fspl_db == pytest.approx(179.76034597016428, rel=1e-12)
         assert b.fspl_db == fspl_db(g.slant_range_km, 20)
         assert b.gas_db == pytest.approx(gas_attenuation_db(20, 10, atm_table), rel=1e-12)
@@ -229,7 +230,7 @@ class TestTotalPathLoss:
 
     def test_none_scenario_means_zero_excess(self, atm_table, scen_table):
         g = LinkGeometry.from_endpoints(20, 1200, 10)
-        b = total_path_loss(g, 20, None, atm_table, 0.1, scen_table)
+        b = total_path_loss(g, 20, None, atm_table, scen_table)
         assert b.excess_db == 0.0
 
     def test_elevation_monotonicity(self, atm_table, scen_table):
@@ -241,7 +242,6 @@ class TestTotalPathLoss:
                         fc,
                         scenario,
                         atm_table,
-                        1.0,
                         scen_table,
                     ).total_db
                     for e in range(10, 91, 5)
@@ -253,7 +253,7 @@ class TestTotalPathLoss:
             for e in range(10, 91, 10):
                 g = LinkGeometry.from_endpoints(0, 600, e)
                 totals = [
-                    total_path_loss(g, fc, s, atm_table, 1.0, scen_table).total_db
+                    total_path_loss(g, fc, s, atm_table, scen_table).total_db
                     for s in SCENARIOS_ORDERED
                 ]
                 assert totals == sorted(totals, reverse=True)
@@ -262,31 +262,27 @@ class TestTotalPathLoss:
         g = LinkGeometry.from_endpoints(0, 600, 30)
         freqs = [50 + 0.5 * i for i in range(41)]  # 50..70 GHz
         totals = [
-            total_path_loss(g, f, Scenario.RURAL, atm_table, 1.0, scen_table).total_db
+            total_path_loss(g, f, Scenario.RURAL, atm_table, scen_table).total_db
             for f in freqs
         ]
         peak_freq = freqs[totals.index(max(totals))]
         assert 55 <= peak_freq <= 65
         assert max(totals) > totals[0] and max(totals) > totals[-1]
 
-    def test_fraction_domain(self, atm_table, scen_table):
-        g = LinkGeometry.from_endpoints(0, 600, 30)
-        for bad in [-0.1, 1.1]:
-            with pytest.raises(DomainError):
-                total_path_loss(g, 20, Scenario.RURAL, atm_table, bad, scen_table)
-
     def test_additivity_over_random_inputs(self, atm_table, scen_table):
+        # Lower endpoints on the ground, at a HAP and above the atmosphere
+        # cover each derived fraction: 1.0, 0.1 and 0.0.
         rng = random.Random(5)
         for _ in range(1000):
+            low = rng.choice((0.0, rng.uniform(17, 99), rng.uniform(100, 600)))
             g = LinkGeometry.from_endpoints(
-                0, rng.uniform(200, 2000), rng.uniform(10, 90)
+                low, low + rng.uniform(200, 2000), rng.uniform(10, 90)
             )
             b = total_path_loss(
                 g,
                 rng.uniform(0.5, 100),
                 rng.choice(list(Scenario)),
                 atm_table,
-                rng.random(),
                 scen_table,
             )
             assert b.total_db == b.fspl_db + b.gas_db + b.scintillation_db + b.excess_db

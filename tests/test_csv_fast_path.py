@@ -124,7 +124,9 @@ def sweep_specs(draw):
     schema = draw(st.one_of(
         st.just(()),  # the default schema
         st.lists(st.sampled_from(columns), min_size=1, max_size=1),
-        st.permutations(columns).flatmap(lambda c: st.lists(st.sampled_from(c), min_size=1)),
+        st.permutations(columns).flatmap(
+            lambda c: st.lists(st.sampled_from(c), min_size=1, unique=True)
+        ),
     ))
     seed = draw(st.integers(-2**40, 2**40)) if fixed["excess_mode"] == "sampled" else None
     return SweepSpec(

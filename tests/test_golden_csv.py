@@ -49,7 +49,8 @@ CASES = {
     # upper hop's out-of-table carrier does.
     "hap_on_ground": case("df", hap=0.0),
     # G/T form, fixed bandwidth, other axis order, a mode word in capitals,
-    # and a schema with string and extra columns.
+    # and a schema with string and extra columns, the fixed scenario's
+    # among them (it carries "urban").
     "got_schema": SweepSpec(
         axes=(
             ("elevation_deg", (90.0, 5.0, 30.0)),
@@ -81,7 +82,7 @@ DIGESTS = {
     "df_sampled_11": "afcd8f277ff9078d26e73689df90462ad5f21f3f1fb96e7f3868399420feb72e",
     "hap_in_gap": "9424c2da88c97ef33a617b2cee0b32618802819ee5d6956f8e42f4a60fbfdabc",
     "hap_on_ground": "d4d60c6d299bb3db330994869685856260449a5669cf0f4eb5b0b3aaa0206faa",
-    "got_schema": "cbb06baf5053b0621fd5850fb0379ab08a9d615f32ed619d11d7c1fe18152616",
+    "got_schema": "f5335b3345dbaf68411b5f6e7e60a6bcabdda82d5d2f454a3c194eeecac278b8",
 }
 
 

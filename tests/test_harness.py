@@ -210,6 +210,36 @@ class TestRunSweep:
         assert "gap (25, 200) km between HAP and LEO" in relay["error"]
         assert relay["capacity_bps"] is None
 
+    def test_output_columns_of_unswept_axes_carry_their_values(
+        self, tmp_path, atm_table, scen_table
+    ):
+        # A fixed axis carries its value as given, mode its default; g_rx_dbi,
+        # neither swept nor fixed in the G/T form, stays empty.
+        def body(spec):
+            lines = csv_bytes(run_sweep(spec, atm_table, scen_table)).decode().splitlines()
+            return [line for line in lines if not line.startswith("#")]
+
+        columns = (
+            "elevation_deg", "altitude_km", "fc_ghz", "scenario", "mode", "g_rx_dbi", "snr_db"
+        )
+        snrs = [r["snr_db"] for r in run_sweep(fig3_rural_spec(), atm_table, scen_table).rows]
+        assert body(fig3_rural_spec(output_schema=columns)) == [",".join(columns)] + [
+            f"{e:g},300,20,rural,direct,,{snr:.6g}" for e, snr in zip(ELEVATIONS, snrs)
+        ]
+        path = tmp_path / "sweep.cfg"
+        path.write_text(TestSweepSpecFiles.SPEC_TEXT.replace(
+            "columns = elevation_deg, scenario, capacity_bps, error",
+            "columns = altitude_km, elevation_deg, fc_ghz, mode, scenario",
+        ))
+        spec = load_sweep_spec(path)
+        rows = run_sweep(spec, atm_table, scen_table).rows
+        assert [(r["altitude_km"], r["fc_ghz"], r["mode"]) for r in rows] == [
+            (300.0, 20.0, "direct")
+        ] * 6
+        assert body(spec)[1:] == [
+            f"300,{e},20,direct,{s}" for e in (10, 50, 90) for s in ("dense_urban", "rural")
+        ]
+
     def test_rerun_is_byte_identical(self, atm_table, scen_table):
         spec = preset("fig4")
         a = csv_bytes(run_sweep(spec, atm_table, scen_table))
@@ -360,9 +390,20 @@ columns = elevation_deg, scenario, capacity_bps, error
 
     def test_unknown_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("[axis]\nelevation_deg = 10\n")
-        with pytest.raises(SpecError):
-            load_sweep_spec(path)
+        columns = "columns = elevation_deg, scenario, capacity_bps, error"
+        # Each text and its message: [output] is checked as [fixed] is.
+        for text, message in [
+            ("[axis]\nelevation_deg = 10\n", "bad.cfg: unknown sections ['axis']"),
+            (self.SPEC_TEXT.replace("columns", "colums"),
+             "bad.cfg:11: unknown output key 'colums'; expected 'columns'"),
+            (self.SPEC_TEXT.replace(columns, "columns = ,"), "bad.cfg:11: columns lists no column"),
+            (self.SPEC_TEXT.replace(columns, "columns = elevation_deg, scenario, elevation_deg"),
+             "output column 'elevation_deg' listed twice"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(SpecError) as err:
+                load_sweep_spec(path)
+            assert str(err.value) == message
 
     def test_bad_number_reports_line(self, tmp_path):
         path = tmp_path / "bad2.cfg"

@@ -109,7 +109,7 @@ class TestRadioConfig:
 
 
 @pytest.mark.parametrize("cls, values, other", [
-    (LossBreakdown, (100.0, 1.5, 0.25, 2.0, 103.75), (100.0, 1.5, 0.25, 3.0, 104.75)),
+    (LossBreakdown, (100.0, 1.5, 0.25, 2.0), (100.0, 1.5, 0.25, 3.0)),
     (
         RadioConfig,
         (20.0, 18.0, 39.7, 40.0, None, 290.0, None),
@@ -127,7 +127,7 @@ def test_equality_hash_and_repr_follow_the_fields(cls, values, other):
 
 
 class TestSnr:
-    BREAKDOWN = LossBreakdown.from_stages(180.0, 0.0, 0.0, 0.0)
+    BREAKDOWN = LossBreakdown(180.0, 0.0, 0.0, 0.0)
 
     def test_reference_budget(self):
         # 30 + 39.7 + 15.9 - 180 + 198.6 - 10log10(800e6)

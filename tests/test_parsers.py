@@ -4,7 +4,8 @@ Any text given to a parser either parses or raises an NtnSimError,
 never another exception. Texts are drawn from the grammar's own pieces
 (section headers, known keys, values at and past every boundary) mixed
 with arbitrary lines; two table headers in five carry the body's valid
-checksum, so that the column and value checks behind it run too.
+checksum, and three config texts in four are a text the loader accepts
+with lines inserted, so that the checks behind the grammar run too.
 """
 
 import hashlib
@@ -40,7 +41,37 @@ lines = st.one_of(
     st.builds("{}{}{}".format, keys, st.sampled_from([" = ", "=", " =", ": ", " "]), values),
     any_text,
 )
-config_texts = st.lists(lines, max_size=16).map("\n".join)
+# Texts the loaders accept: data/FORMATS.md's spec, also sampled, and a config file.
+SPEC = """\
+seed = 7
+[axes]
+elevation_deg = 10, 20, 30, 40, 50, 60, 70, 80, 90
+scenario = dense_urban, rural
+[fixed]
+altitude_km = 300
+fc_ghz = 20
+tx_power_dbm = 18
+g_over_t_dbi_per_k = 15.9
+[output]
+columns = elevation_deg, scenario, snr_db, capacity_bps, error"""
+SAMPLED_SPEC = SPEC.replace("[output]", "excess_mode = sampled\n[output]")
+FIG_DEFAULTS = _data_text("fig_defaults.cfg")
+
+
+def config_texts(*valid):
+    """Grammar lines one draw in four, else one of valid with up to three lines inserted."""
+
+    @st.composite
+    def text(draw):
+        if draw(st.integers(0, 3)) == 0:
+            return "\n".join(draw(st.lists(lines, max_size=16)))
+        body = draw(st.sampled_from(valid)).splitlines()
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(body)))
+            body[at:at] = draw(st.lists(lines, max_size=1))
+        return "\n".join(body)
+
+    return text()
 
 
 def table_texts(filename):
@@ -86,13 +117,13 @@ def parses_or_ntnsim_error(parse, *args):
 
 
 @FUZZ
-@given(config_texts)
+@given(config_texts(SPEC, SAMPLED_SPEC, FIG_DEFAULTS))
 def test_parse_sections_fuzz(text):
     parses_or_ntnsim_error(parse_sections, text, "fuzz")
 
 
 @FUZZ
-@given(text=config_texts, seed=st.one_of(st.none(), st.integers(-2**70, 2**70)))
+@given(text=config_texts(SPEC, SAMPLED_SPEC), seed=st.one_of(st.none(), st.integers(-2**70, 2**70)))
 def test_load_sweep_spec_fuzz(tmp_path, text, seed):
     path = tmp_path / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
@@ -100,7 +131,7 @@ def test_load_sweep_spec_fuzz(tmp_path, text, seed):
 
 
 @FUZZ
-@given(config_texts)
+@given(config_texts(FIG_DEFAULTS))
 def test_load_config_fuzz(tmp_path, text):
     path = tmp_path / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
@@ -153,7 +184,7 @@ def specs(draw):
     fixed["excess_mode"] = draw(st.sampled_from(["expected", "sampled"]))
     seed = draw(st.integers(-2**70, 2**70)) if fixed["excess_mode"] == "sampled" else None
     columns = AXIS_NAMES + METRIC_COLUMNS + EXTRA_COLUMNS
-    schema = tuple(draw(st.lists(st.sampled_from(columns), max_size=6)))
+    schema = tuple(draw(st.lists(st.sampled_from(columns), max_size=6, unique=True)))
     return SweepSpec(axes=axes, fixed=fixed, output_schema=schema, seed=seed)
 
 

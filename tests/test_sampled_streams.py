@@ -96,8 +96,8 @@ def test_negative_seed_differs(scen_table):
     assert cell_draws(-1) != cell_draws(1)
     assert cell_draws(-1)[0] != cell_draws(1)[0]
     assert excess_loss_db(
-        SCENARIO, 20.0, ELEVATION, scen_table, sampled_seed=-5
-    ) != excess_loss_db(SCENARIO, 20.0, ELEVATION, scen_table, sampled_seed=5)
+        SCENARIO, ELEVATION, scen_table, sampled_seed=-5
+    ) != excess_loss_db(SCENARIO, ELEVATION, scen_table, sampled_seed=5)
 
 
 @pytest.mark.parametrize("seed", [2.5, 3.0, True, "3", None])
@@ -108,7 +108,7 @@ def test_non_integer_seed_rejected(scen_table, seed):
         scen_table.cell(SCENARIO, ELEVATION).sampler(seed)  # before any draw
     if seed is not None:  # None is expected mode
         with pytest.raises(DomainError, match="sampled_seed must be an integer"):
-            excess_loss_db(SCENARIO, 20.0, ELEVATION, scen_table, sampled_seed=seed)
+            excess_loss_db(SCENARIO, ELEVATION, scen_table, sampled_seed=seed)
 
 
 def documented_draw(cell, seed, index):
