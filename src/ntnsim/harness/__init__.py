@@ -1,6 +1,6 @@
-"""Sweep engine, figure presets, config loading and the CLI."""
+"""Sweep engine, figure presets, the fig-defaults fixture and the CLI."""
 
-from .config import ResolvedParams, load_config, load_fig_defaults
+from .config import load_fig_defaults
 from .presets import PRESET_NAMES, preset
 from .sweep import (
     AXIS_NAMES,
@@ -15,12 +15,10 @@ from .sweep import (
 __all__ = [
     "AXIS_NAMES",
     "PRESET_NAMES",
-    "ResolvedParams",
     "SweepResult",
     "SweepSpec",
     "csv_bytes",
     "emit_csv",
-    "load_config",
     "load_fig_defaults",
     "load_sweep_spec",
     "preset",

@@ -155,13 +155,13 @@ def _tables(args):
 
 def _radio_from_args(args) -> RadioConfig:
     fx = load_fig_defaults()
-    txpow = args.txpow if args.txpow is not None else fx.tx_power_dbm
-    gtx = args.gtx if args.gtx is not None else fx.g_tx_dbi
+    txpow = args.txpow if args.txpow is not None else fx["tx_power_dbm"]
+    gtx = args.gtx if args.gtx is not None else fx["g_tx_dbi"]
     if args.grx is None and args.got is None:
         raise ConfigError("one of --grx or --got is required")
     temp = args.temp  # with --got, RadioConfig rejects it
     if temp is None and args.grx is not None:
-        temp = fx.noise_temperature_k
+        temp = fx["noise_temperature_k"]
     return RadioConfig(
         fc_ghz=args.fc,
         tx_power_dbm=txpow,

@@ -1,25 +1,19 @@
-"""Line-oriented config files: `key = value` with [section] headers.
+"""The `key = value` grammar, its value parsers and the fig-defaults fixture.
 
 Grammar (documented in data/FORMATS.md): blank lines and '#' comments
-are ignored; a line is either `[section]` or `key = value`. Section
-headers are organisational only; keys must be unique across the whole
-file and are validated against a whitelist. Unknown keys are errors,
-not warnings. PARAMETERS checks and types every value, here as in sweep
-specs and CLI flags.
+are ignored; a line is either `[section]` or `key = value`. Sweep specs
+and the packaged fig-defaults fixture are read through parse_sections;
+PARAMETERS checks and types every value, there as for CLI flags.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
-from typing import NamedTuple
 
 from ..channel import Scenario, _data_text
 from ..errors import ConfigError
-from ..linkbudget import DEFAULT_G_TX_DBI, RadioConfig
+from ..linkbudget import RadioConfig
 from ..relay import RelayMode
-
-DEFAULT_EXCESS_MODE = "expected"
 
 
 def parse_sections(
@@ -51,18 +45,6 @@ def parse_sections(
         if key in out[section]:
             raise error_cls(f"{name}:{lineno}: duplicate key {key!r}")
         out[section][key] = (value, lineno)
-    return out
-
-
-def parse_kv_lines(text: str, name: str) -> dict[str, tuple[str, int]]:
-    """Parse `key = value` lines, flattening sections into one namespace."""
-    sections = parse_sections(text, name)
-    out: dict[str, tuple[str, int]] = {}
-    for keys in sections.values():
-        for key, (value, lineno) in keys.items():
-            if key in out:
-                raise ConfigError(f"{name}:{lineno}: duplicate key {key!r}")
-            out[key] = (value, lineno)
     return out
 
 
@@ -102,7 +84,7 @@ def _word(*choices: str):
 
 _relay_word = _word(*(mode.value for mode in RelayMode))
 
-# Every parameter of config files, sweep specs and CLI flags, with the
+# Every parameter of sweep specs, the fixture and CLI flags, with the
 # parser that checks and types its value; a parser raises ValueError.
 PARAMETERS = {
     **dict.fromkeys(("altitude_km", "elevation_deg", "hap_altitude_km"), finite_number),
@@ -124,47 +106,21 @@ def parse_value(key: str, value: object, error_cls: type, where: str = "") -> ob
         raise error_cls(f"{where}{key}: {exc}") from None
 
 
-class ResolvedParams(NamedTuple):
-    """A config file with defaults applied."""
-
-    tx_power_dbm: float
-    g_tx_dbi: float = DEFAULT_G_TX_DBI
-    g_rx_dbi: float | None = None
-    g_over_t_dbi_per_k: float | None = None
-    noise_temperature_k: float | None = None
-    bandwidth_hz: float | None = None  # None = Auto
-    excess_mode: str = DEFAULT_EXCESS_MODE
-    seed: int | None = None
+# The fixture's keys, all required, all in its [radio] section.
+_FIG_DEFAULT_KEYS = ("tx_power_dbm", "g_tx_dbi", "noise_temperature_k")
 
 
-_CONFIG_KEYS = frozenset(ResolvedParams._fields)
-
-
-def resolve_params(kv: dict[str, tuple[str, int]], name: str) -> ResolvedParams:
-    """Validate parsed key/value pairs and apply defaults."""
-    values: dict[str, object] = {}
-    for key, (value, lineno) in kv.items():
-        where = f"{name}:{lineno}: "
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{where}unknown key {key!r}")
-        values[key] = parse_value(key, value, ConfigError, where)
-    if "tx_power_dbm" not in values:
-        raise ConfigError(f"{name}: missing required key 'tx_power_dbm'")
-    return ResolvedParams(**values)  # type: ignore[arg-type]
-
-
-def load_config(path: str | Path) -> ResolvedParams:
-    """Load and resolve a config file from disk."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {p}: {exc}") from exc
-    return resolve_params(parse_kv_lines(text, p.name), p.name)
-
-
-def load_fig_defaults() -> ResolvedParams:
-    """The packaged fig-defaults calibration fixture used by the presets."""
-    text = _data_text("fig_defaults.cfg")
-    return resolve_params(parse_kv_lines(text, "fig_defaults.cfg"), "fig_defaults.cfg")
-
+def load_fig_defaults() -> dict[str, float]:
+    """The packaged fig-defaults calibration fixture used by the presets and the CLI."""
+    name = "fig_defaults.cfg"
+    values: dict[str, float] = {}
+    for section, keys in parse_sections(_data_text(name), name).items():
+        for key, (value, lineno) in keys.items():
+            where = f"{name}:{lineno}: "
+            if section != "radio" or key not in _FIG_DEFAULT_KEYS:
+                raise ConfigError(f"{where}unknown key {key!r}; [radio] takes {_FIG_DEFAULT_KEYS}")
+            values[key] = parse_value(key, value, ConfigError, where)
+    for key in _FIG_DEFAULT_KEYS:
+        if key not in values:
+            raise ConfigError(f"{name}: missing required key {key!r}")
+    return values

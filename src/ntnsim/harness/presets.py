@@ -25,7 +25,7 @@ def preset(name: str) -> SweepSpec:
             f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
         )
     fx = load_fig_defaults()
-    fixture = {"tx_power_dbm": fx.tx_power_dbm, "g_tx_dbi": fx.g_tx_dbi}
+    fixture = {"tx_power_dbm": fx["tx_power_dbm"], "g_tx_dbi": fx["g_tx_dbi"]}
 
     if name == "fig2":
         axes = (
@@ -34,7 +34,7 @@ def preset(name: str) -> SweepSpec:
             ("g_rx_dbi", (30.0, 40.0, 50.0, 60.0)),
         )
         fixed: dict[str, object] = {"elevation_deg": 10.0, "scenario": "dense_urban"}
-        fixture["noise_temperature_k"] = fx.noise_temperature_k  # the g_rx_dbi form
+        fixture["noise_temperature_k"] = fx["noise_temperature_k"]  # the g_rx_dbi form
     elif name == "fig3":
         axes = (
             ("elevation_deg", _ELEVATIONS),

@@ -60,7 +60,7 @@ from ..errors import ConfigError, NtnSimError, SpecError
 from ..geometry import classify_station, slant_range_km
 from ..linkbudget import LinkResult, RadioConfig, shannon_capacity_bps, snr_sum_db
 from ..relay import RelayMode, af_chain_snr_db, chain_label, df_bottleneck
-from .config import DEFAULT_EXCESS_MODE, PARAMETERS, parse_sections, parse_value
+from .config import PARAMETERS, parse_sections, parse_value
 
 AXIS_NAMES = ("altitude_km", "fc_ghz", "elevation_deg", "g_rx_dbi", "scenario", "mode")
 
@@ -81,13 +81,16 @@ RESULT_COLUMNS = ("slant_range_km",) + METRIC_COLUMNS + EXTRA_COLUMNS[1:]
 MODE_DIRECT = "direct"
 MODE_RELAY = "relay"
 # Fixed parameters a spec may leave out, as spec text.
-_DEFAULTS = {"mode": MODE_DIRECT, "relay_mode": "af", "excess_mode": DEFAULT_EXCESS_MODE}
+_DEFAULTS = {"mode": MODE_DIRECT, "relay_mode": "af", "excess_mode": "expected"}
 
 
 class SweepSpec(NamedTuple):
-    """A parameter grid: swept axes, fixed parameters, output schema."""
+    """A parameter grid: swept axes, fixed parameters, output schema.
 
-    axes: tuple[tuple[str, tuple], ...]
+    axes is any sequence of (name, values) pairs, values a sequence.
+    """
+
+    axes: Sequence[tuple[str, Sequence]]
     fixed: dict[str, object]
     output_schema: tuple[str, ...] = ()
     seed: int | None = None
@@ -119,7 +122,13 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[str, tuple], dict[str, object]
     sampled.
     """
     axes: dict[str, tuple] = {}
-    for name, values in spec.axes:
+    for entry in spec.axes:
+        try:
+            name, values = entry
+        except (TypeError, ValueError):
+            raise SpecError(f"axes entry {entry!r} is not a (name, values) pair") from None
+        if isinstance(values, (str, bytes)):
+            raise SpecError(f"axis {name!r} takes a sequence of values, not {values!r}")
         if name not in AXIS_NAMES:
             raise SpecError(f"unknown axis {name!r}; axes may be {AXIS_NAMES}")
         if name in axes:
@@ -453,7 +462,7 @@ def run_sweep(
     given, schema = {**_DEFAULTS, **spec.fixed}, spec.schema()
     unswept = tuple((name, (given[name],)) for name in schema
                     if name in AXIS_NAMES and name in given and name not in spec.axis_names())
-    return SweepResult(schema, SweepRows(spec.axes + unswept, tuple(records)), provenance)
+    return SweepResult(schema, SweepRows((*spec.axes, *unswept), tuple(records)), provenance)
 
 
 def format_value(value: object) -> str:

@@ -30,7 +30,7 @@ from .geometry import LinkGeometry
 _LN2 = math.log(2.0)
 _INF = math.inf
 
-# Transmit gain a radio or config file leaves out (dBi).
+# Transmit gain a RadioConfig leaves out (dBi).
 DEFAULT_G_TX_DBI = 39.7
 
 

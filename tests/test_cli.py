@@ -297,8 +297,8 @@ class TestSingleRowMatchesSweep:
                 fc_ghz=20.0,
                 scenario="dense_urban",
                 g_over_t_dbi_per_k=15.9,
-                tx_power_dbm=fx.tx_power_dbm,
-                g_tx_dbi=fx.g_tx_dbi,
+                tx_power_dbm=fx["tx_power_dbm"],
+                g_tx_dbi=fx["g_tx_dbi"],
                 **fixed,
             ),
         )

@@ -1,21 +1,25 @@
-"""Harness tests: config files, sweep specs, CSV emission, presets."""
+"""Harness tests: the fig-defaults fixture, sweep specs, CSV emission, presets."""
 
 import hashlib
+import re
 
 import pytest
 
 from ntnsim import ConfigError, SpecError, PresetError
+from ntnsim.channel import _data_text
 from ntnsim.harness import (
     SweepSpec,
+    config,
     csv_bytes,
     emit_csv,
-    load_config,
     load_fig_defaults,
     load_sweep_spec,
     preset,
     run_sweep,
 )
 from ntnsim.harness.sweep import RESULT_COLUMNS, SweepResult, SweepRows
+
+FIG_DEFAULTS = _data_text("fig_defaults.cfg")
 
 FIG3_FIXED = {
     "altitude_km": 300.0,
@@ -34,71 +38,73 @@ def fig3_rural_spec(**overrides):
 
 
 class TestConfig:
-    def test_minimal_file_applies_defaults(self, tmp_path):
-        path = tmp_path / "min.cfg"
-        path.write_text("tx_power_dbm = 18\n")
-        params = load_config(path)
-        assert params.tx_power_dbm == 18.0
-        assert params.g_tx_dbi == 39.7
-        assert params.bandwidth_hz is None  # Auto
-        assert params.excess_mode == "expected"
+    """load_fig_defaults, on fixture text given in place of the packaged file."""
 
-    def test_unknown_key_named(self, tmp_path):
-        path = tmp_path / "typo.cfg"
-        path.write_text("tx_power_dbm = 18\ngtx_dbi_typo = 39.7\n")
+    @staticmethod
+    def load(monkeypatch, text):
+        monkeypatch.setattr(config, "_data_text", lambda name: text)
+        return load_fig_defaults()
+
+    def test_unknown_key_named(self, monkeypatch):
+        text = FIG_DEFAULTS + "gtx_dbi_typo = 39.7\n"
+        with pytest.raises(ConfigError, match=r"fig_defaults\.cfg:11: unknown key 'gtx_dbi_typo'"):
+            self.load(monkeypatch, text)
+        text = FIG_DEFAULTS.replace("g_tx_dbi =", "[sim]\ng_tx_dbi =")  # a key outside [radio]
+        with pytest.raises(ConfigError, match=r"fig_defaults\.cfg:10: unknown key 'g_tx_dbi'"):
+            self.load(monkeypatch, text)
+
+    def test_missing_tx_power(self, monkeypatch):
+        text = FIG_DEFAULTS.replace("tx_power_dbm = 18.0\n", "")
+        with pytest.raises(ConfigError, match="missing required key 'tx_power_dbm'"):
+            self.load(monkeypatch, text)
+
+    def test_parse_error_reports_line(self, monkeypatch):
+        text = "[radio]\nnonsense line\n"
         with pytest.raises(ConfigError) as err:
-            load_config(path)
-        assert "gtx_dbi_typo" in str(err.value)
+            self.load(monkeypatch, text)
+        assert "fig_defaults.cfg:2:" in str(err.value)
 
-    def test_missing_tx_power(self, tmp_path):
-        path = tmp_path / "empty.cfg"
-        path.write_text("g_tx_dbi = 39.7\n")
-        with pytest.raises(ConfigError) as err:
-            load_config(path)
-        assert "tx_power_dbm" in str(err.value)
+    def test_duplicate_key_rejected(self, monkeypatch):
+        text = FIG_DEFAULTS + "tx_power_dbm = 20\n"
+        with pytest.raises(ConfigError, match=r"fig_defaults\.cfg:11: duplicate key 'tx_power_dbm'"):
+            self.load(monkeypatch, text)
 
-    def test_explicit_bandwidth_wins_over_auto(self, tmp_path):
-        path = tmp_path / "bw.cfg"
-        path.write_text("tx_power_dbm = 18\nbandwidth_hz = 400e6\n")
-        assert load_config(path).bandwidth_hz == 400e6
-
-    def test_non_utf8_file_is_config_error(self, tmp_path):
-        path = tmp_path / "latin1.cfg"
-        path.write_bytes(b"tx_power_dbm = 18\n# caf\xe9\n")
-        with pytest.raises(ConfigError, match=f"cannot read config {path}: "):
-            load_config(path)
-
-    def test_parse_error_reports_line(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("tx_power_dbm = 18\nnonsense line\n")
-        with pytest.raises(ConfigError) as err:
-            load_config(path)
-        assert ":2:" in str(err.value)
-
-    def test_duplicate_key_rejected(self, tmp_path):
-        path = tmp_path / "dup.cfg"
-        path.write_text("tx_power_dbm = 18\ntx_power_dbm = 20\n")
-        with pytest.raises(ConfigError):
-            load_config(path)
-
-    def test_sections_and_comments(self, tmp_path):
-        path = tmp_path / "full.cfg"
-        path.write_text(
-            "# comment\n[radio]\ntx_power_dbm = 18  # trailing\n"
-            "[sim]\nexcess_mode = sampled\nseed = 9\n"
+    def test_sections_and_comments(self, monkeypatch):
+        text = (
+            "# comment\n[radio]\ntx_power_dbm = 21  # trailing\n"
+            "g_tx_dbi = 30\nnoise_temperature_k = 300\n"
         )
-        params = load_config(path)
-        assert params.excess_mode == "sampled"
-        assert params.seed == 9
+        assert self.load(monkeypatch, text) == {
+            "tx_power_dbm": 21.0, "g_tx_dbi": 30.0, "noise_temperature_k": 300.0
+        }
 
     def test_fig_defaults_fixture(self):
-        fx = load_fig_defaults()
-        assert fx.tx_power_dbm == 18.0
-        assert fx.g_tx_dbi == 39.7
-        assert fx.noise_temperature_k == 290.0
+        assert load_fig_defaults() == {
+            "tx_power_dbm": 18.0, "g_tx_dbi": 39.7, "noise_temperature_k": 290.0
+        }
 
 
 class TestSweepValidation:
+    @pytest.mark.parametrize(
+        "axes, error",
+        [
+            pytest.param([("altitude_km", (300.0, 600.0))], None, id="list_of_pairs"),
+            pytest.param((("altitude_km", "300"),), "takes a sequence of values", id="str_values"),
+            pytest.param({"altitude_km": (300.0,)}, "is not a (name, values) pair", id="dict"),
+        ],
+    )
+    def test_axes_are_any_sequence_of_pairs(self, atm_table, axes, error):
+        fixed = {k: v for k, v in FIG3_FIXED.items() if k != "altitude_km"}
+        fixed.update(scenario="rural", elevation_deg=30.0)
+        if error:
+            with pytest.raises(SpecError, match=re.escape(error)):
+                run_sweep(SweepSpec(axes=axes, fixed=fixed), atm_table)
+            return
+        as_tuples = tuple((name, tuple(values)) for name, values in axes)
+        rows = list(run_sweep(SweepSpec(axes=axes, fixed=fixed), atm_table).rows)
+        assert rows == list(run_sweep(SweepSpec(axes=as_tuples, fixed=fixed), atm_table).rows)
+        assert [row["altitude_km"] for row in rows] == [300.0, 600.0]
+
     def test_empty_axis(self, atm_table):
         spec = SweepSpec(axes=(("elevation_deg", ()),), fixed=dict(FIG3_FIXED, scenario="rural"))
         with pytest.raises(SpecError):

@@ -1,4 +1,4 @@
-"""Parameter values: config files, spec files, Python specs and CLI flags agree."""
+"""Parameter values: the fig-defaults fixture, spec files, Python specs and CLI flags agree."""
 
 import math
 
@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ntnsim import ConfigError, RelayMode, Scenario, SpecError
-from ntnsim.harness import ResolvedParams, SweepSpec, load_config, load_sweep_spec, run_sweep
+from ntnsim.channel import _data_text
+from ntnsim.harness import SweepSpec, config, load_fig_defaults, load_sweep_spec, run_sweep
 from ntnsim.harness.config import PARAMETERS, finite_number
 
 # Every numeric key that has a CLI flag, by flag.
@@ -21,7 +22,7 @@ FLAG_KEYS = {
     "--temp": "noise_temperature_k",
     "--bandwidth": "bandwidth_hz",
 }
-CONFIG_KEYS = [k for k in FLAG_KEYS.values() if k in ResolvedParams._fields]
+FIXTURE_KEYS = ("tx_power_dbm", "g_tx_dbi", "noise_temperature_k")
 BAD_VALUES = ("nan", "-inf", "1e999", "x")
 
 BASE = {
@@ -41,15 +42,16 @@ def fixed_with(key, value):
     return {**BASE, **form, key: value}
 
 
-@pytest.mark.parametrize("key", CONFIG_KEYS)
+@pytest.mark.parametrize("key", FIXTURE_KEYS)
 @pytest.mark.parametrize("value", BAD_VALUES)
-def test_config_file_rejects(tmp_path, key, value):
-    path = tmp_path / "c.cfg"
-    rest = "" if key == "tx_power_dbm" else "tx_power_dbm = 18\n"
-    path.write_text(f"{key} = {value}\n{rest}")
+def test_config_file_rejects(monkeypatch, key, value):
+    lines = _data_text("fig_defaults.cfg").splitlines()
+    line = next(i for i, text in enumerate(lines, 1) if text.startswith(f"{key} ="))
+    lines[line - 1] = f"{key} = {value}"
+    monkeypatch.setattr(config, "_data_text", lambda name: "\n".join(lines))
     with pytest.raises(ConfigError) as err:
-        load_config(path)
-    assert f"c.cfg:1: {key}: expected a finite number" in str(err.value)
+        load_fig_defaults()
+    assert f"fig_defaults.cfg:{line}: {key}: expected a finite number" in str(err.value)
 
 
 @pytest.mark.parametrize("key", FLAG_KEYS.values())
@@ -84,10 +86,6 @@ def test_python_spec_rejects_unknown_scenario(atm_table, scen_table):
 
 
 def test_capitalised_words_accepted_everywhere(tmp_path, atm_table, scen_table):
-    config = tmp_path / "c.cfg"
-    config.write_text("tx_power_dbm = 18\nexcess_mode = Sampled\n")
-    assert load_config(config).excess_mode == "sampled"
-
     fixed = fixed_with("excess_mode", "Sampled")
     fixed.update(mode="Relay", relay_mode="DF", hap_altitude_km="20")
     spec_file = tmp_path / "s.cfg"

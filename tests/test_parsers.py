@@ -4,8 +4,8 @@ Any text given to a parser either parses or raises an NtnSimError,
 never another exception. Texts are drawn from the grammar's own pieces
 (section headers, known keys, values at and past every boundary) mixed
 with arbitrary lines; two table headers in five carry the body's valid
-checksum, and three config texts in four are a text the loader accepts
-with lines inserted, so that the checks behind the grammar run too.
+checksum, and three key = value texts in four are a text its reader
+accepts with lines inserted, so that the checks behind the grammar run too.
 """
 
 import hashlib
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ntnsim import NtnSimError, Scenario
 from ntnsim.channel import _data_text, parse_atmosphere_table, parse_scenario_table
-from ntnsim.harness import SweepSpec, load_config, load_sweep_spec
+from ntnsim.harness import SweepSpec, config, load_fig_defaults, load_sweep_spec
 from ntnsim.harness.config import PARAMETERS, parse_sections
 from ntnsim.harness.sweep import AXIS_NAMES, EXTRA_COLUMNS, METRIC_COLUMNS
 
@@ -38,10 +38,12 @@ lines = st.one_of(
         "[axes]", "[fixed]", "[output]", "[radio]", "[]", "[ ]", "[axes", "# note", "", "=",
         "a = b = c", "seed = 3",
     ]),
+    # Lines that break a RadioConfig rule in a valid spec: a second receiver form, a zero bandwidth.
+    st.sampled_from(["noise_temperature_k = 290", "bandwidth_hz = 0", "g_rx_dbi = 50"]),
     st.builds("{}{}{}".format, keys, st.sampled_from([" = ", "=", " =", ": ", " "]), values),
     any_text,
 )
-# Texts the loaders accept: data/FORMATS.md's spec, also sampled, and a config file.
+# Texts the loaders accept: data/FORMATS.md's spec, also sampled, and the fig-defaults fixture.
 SPEC = """\
 seed = 7
 [axes]
@@ -132,10 +134,9 @@ def test_load_sweep_spec_fuzz(tmp_path, text, seed):
 
 @FUZZ
 @given(config_texts(FIG_DEFAULTS))
-def test_load_config_fuzz(tmp_path, text):
-    path = tmp_path / "fuzz.cfg"
-    path.write_text(text, encoding="utf-8")
-    parses_or_ntnsim_error(load_config, path)
+def test_load_fig_defaults_fuzz(monkeypatch, text):
+    monkeypatch.setattr(config, "_data_text", lambda name: text)
+    parses_or_ntnsim_error(load_fig_defaults)
 
 
 @FUZZ
