@@ -7,7 +7,9 @@
     ntnsim sweep  --spec my_sweep.cfg --out rows.csv
     ntnsim preset --name fig3 --out fig3.csv
 
-All commands emit CSV (see emit_csv) to --out or stdout. Exit codes:
+Each flag that takes a parameter stores it under the parameter's key
+in config.PARAMETERS (--fc as fc_ghz), typed by that key's parser. All
+commands emit CSV (see emit_csv) to --out or stdout. Exit codes:
 0 success, 1 usage error, 2 data/table error, 3 spec error.
 """
 
@@ -66,8 +68,8 @@ class SystemExit_(Exception):
         self.message = message
 
 
-def _flag(key: str):
-    """argparse type of a flag: the parameter table's parser for key."""
+def _param(parser, flag: str, key: str, help: str | None, **kwargs) -> None:
+    """Add flag, stored under its parameter key and typed by the key's parser."""
 
     def flag_type(text: str):
         try:
@@ -75,34 +77,27 @@ def _flag(key: str):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return flag_type
+    kwargs.setdefault("metavar", flag[2:].upper())  # not the one argparse derives from key
+    parser.add_argument(flag, dest=key, type=flag_type, help=help, **kwargs)
 
 
 def _add_common(parser: argparse.ArgumentParser, seeded: bool = True) -> None:
     parser.add_argument("--tables", metavar="DIR", help="directory with table files")
     parser.add_argument("--out", metavar="FILE", help="output file (default stdout)")
     if seeded:
-        parser.add_argument("--seed", type=_flag("seed"), help="seed for sampled excess mode")
+        _param(parser, "--seed", "seed", "seed for sampled excess mode")
 
 
 def _add_radio_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--fc", type=_flag("fc_ghz"), required=True, help="carrier (GHz)")
-    parser.add_argument(
-        "--scenario", type=_flag("scenario"), default="dense_urban", help="ground scenario"
-    )
-    parser.add_argument("--txpow", type=_flag("tx_power_dbm"), help="transmit power (dBm)")
-    parser.add_argument("--gtx", type=_flag("g_tx_dbi"), help="transmit gain (dBi)")
+    _param(parser, "--fc", "fc_ghz", "carrier (GHz)", required=True)
+    _param(parser, "--scenario", "scenario", "ground scenario", default="dense_urban")
+    _param(parser, "--txpow", "tx_power_dbm", "transmit power (dBm)")
+    _param(parser, "--gtx", "g_tx_dbi", "transmit gain (dBi)")
     gain = parser.add_mutually_exclusive_group()
-    gain.add_argument("--grx", type=_flag("g_rx_dbi"), help="receive gain (dBi)")
-    gain.add_argument("--got", type=_flag("g_over_t_dbi_per_k"), help="receive G/T (dBi/K)")
-    parser.add_argument(
-        "--temp", type=_flag("noise_temperature_k"), help="system noise temperature (K)"
-    )
-    parser.add_argument(
-        "--bandwidth",
-        type=_flag("bandwidth_hz"),
-        help="bandwidth in Hz, or 'auto' (default)",
-    )
+    _param(gain, "--grx", "g_rx_dbi", "receive gain (dBi)")
+    _param(gain, "--got", "g_over_t_dbi_per_k", "receive G/T (dBi/K)")
+    _param(parser, "--temp", "noise_temperature_k", "system noise temperature (K)")
+    _param(parser, "--bandwidth", "bandwidth_hz", "bandwidth in Hz, or 'auto' (default)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,12 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     link = sub.add_parser("link", help="evaluate one ground-to-station link")
-    link.add_argument(
-        "--alt", type=_flag("altitude_km"), required=True, help="station altitude (km)"
-    )
-    link.add_argument(
-        "--elev", type=_flag("elevation_deg"), required=True, help="elevation (deg)"
-    )
+    _param(link, "--alt", "altitude_km", "station altitude (km)", required=True)
+    _param(link, "--elev", "elevation_deg", "elevation (deg)", required=True)
     _add_radio_flags(link)
     _add_common(link)
 
@@ -128,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one hop: upper altitude (km) and elevation (deg) at its lower "
         "end; repeat top-down, the last hop descends to the ground",
     )
-    chain.add_argument("--mode", type=_flag("relay_mode"), default="af", metavar="{af,df}")
+    _param(chain, "--mode", "relay_mode", None, default="af", metavar="{af,df}")
     _add_radio_flags(chain)
     _add_common(chain)
 
@@ -154,51 +145,35 @@ def _tables(args):
 
 
 def _radio_from_args(args) -> RadioConfig:
-    fx = load_fig_defaults()
-    txpow = args.txpow if args.txpow is not None else fx["tx_power_dbm"]
-    gtx = args.gtx if args.gtx is not None else fx["g_tx_dbi"]
-    if args.grx is None and args.got is None:
-        raise ConfigError("one of --grx or --got is required")
-    temp = args.temp  # with --got, RadioConfig rejects it
-    if temp is None and args.grx is not None:
-        temp = fx["noise_temperature_k"]
-    return RadioConfig(
-        fc_ghz=args.fc,
-        tx_power_dbm=txpow,
-        g_tx_dbi=gtx,
-        g_rx_dbi=args.grx,
-        g_over_t_dbi_per_k=args.got,
-        noise_temperature_k=temp,
-        bandwidth_hz=args.bandwidth,
-    )
+    """The RadioConfig fields the flags gave, over the fig-defaults fixture."""
+    radio = load_fig_defaults()
+    if args.g_rx_dbi is None:
+        if args.g_over_t_dbi_per_k is None:
+            raise ConfigError("one of --grx or --got is required")
+        del radio["noise_temperature_k"]  # the fixture's applies to the g_rx_dbi form only
+    flags = vars(args)
+    radio.update((key, flags[key]) for key in RadioConfig._fields if flags[key] is not None)
+    return RadioConfig(**radio)
 
 
-def _emit_single(result: LinkResult, inputs: dict[str, object], args) -> None:
+def _emit_single(result: LinkResult, args, **inputs: object) -> None:
+    """Write result as one CSV row: inputs, fc_ghz and scenario, then the result columns."""
+    inputs.update(fc_ghz=args.fc_ghz, scenario=args.scenario)
     axes = tuple((name, (value,)) for name, value in inputs.items())  # one point
     rows = SweepRows(axes, (result_record(result),))
     emit_csv(SweepResult(tuple(inputs) + _SINGLE_COLUMNS, rows), args.out or sys.stdout)
 
 
 def _cmd_link(args) -> int:
-    classify_station(args.alt)  # the altitude check run_sweep applies
+    classify_station(args.altitude_km)  # the altitude check run_sweep applies
     table, scenario_table = _tables(args)
-    geometry = LinkGeometry.from_endpoints(0.0, args.alt, args.elev)
+    geometry = LinkGeometry.from_endpoints(0.0, args.altitude_km, args.elevation_deg)
     radio = _radio_from_args(args)
     result = evaluate_link(
-        geometry,
-        radio,
-        args.scenario,
-        table,
-        scenario_table=scenario_table,
-        sampled_seed=args.seed,
+        geometry, radio, args.scenario, table,
+        scenario_table=scenario_table, sampled_seed=args.seed,
     )
-    inputs = {
-        "altitude_km": args.alt,
-        "elevation_deg": args.elev,
-        "fc_ghz": args.fc,
-        "scenario": args.scenario,
-    }
-    _emit_single(result, inputs, args)
+    _emit_single(result, args, altitude_km=args.altitude_km, elevation_deg=args.elevation_deg)
     return EXIT_OK
 
 
@@ -224,17 +199,9 @@ def _cmd_chain(args) -> int:
     radio = _radio_from_args(args)
     hops = _parse_hops(args.hop, radio)
     table, scenario_table = _tables(args)
-    chain = RelayChain(hops=hops, mode=args.mode, scenario=args.scenario)
-    result = evaluate_chain(
-        chain, table, scenario_table, sampled_seed=args.seed
-    )
-    inputs = {
-        "hops": " ".join(args.hop),
-        "mode": args.mode,
-        "fc_ghz": args.fc,
-        "scenario": args.scenario,
-    }
-    _emit_single(result, inputs, args)
+    chain = RelayChain(hops=hops, mode=args.relay_mode, scenario=args.scenario)
+    result = evaluate_chain(chain, table, scenario_table, sampled_seed=args.seed)
+    _emit_single(result, args, hops=" ".join(args.hop), mode=args.relay_mode)
     return EXIT_OK
 
 

@@ -36,7 +36,7 @@ import csv
 import enum
 import io
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from functools import cache
 from itertools import count, product, repeat
 from operator import itemgetter
@@ -87,7 +87,8 @@ _DEFAULTS = {"mode": MODE_DIRECT, "relay_mode": "af", "excess_mode": "expected"}
 class SweepSpec(NamedTuple):
     """A parameter grid: swept axes, fixed parameters, output schema.
 
-    axes is any sequence of (name, values) pairs, values a sequence.
+    axes is a sequence of (name, values) pairs, values a sequence (see
+    _is_sequence): a list, tuple or numpy array, not a set, mapping or iterator.
     """
 
     axes: Sequence[tuple[str, Sequence]]
@@ -113,6 +114,15 @@ def _fixed_radio(fixed: dict[str, object]) -> dict[str, object]:
     return {k: fixed[k] for k in RadioConfig._fields if k in fixed and k not in AXIS_NAMES}
 
 
+def _is_sequence(values: object) -> bool:
+    """Sized and indexable (so in a fixed order and readable twice), and not text."""
+    try:
+        len(values)  # type: ignore[arg-type]
+    except TypeError:  # None, an iterator, a numpy scalar
+        return False
+    return hasattr(values, "__getitem__") and not isinstance(values, (str, bytes))
+
+
 def _validate_spec(spec: SweepSpec) -> tuple[dict[str, tuple], dict[str, object], int | None]:
     """Check a spec; return its plan's inputs (axes, fixed, seed), typed through PARAMETERS.
 
@@ -122,13 +132,17 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[str, tuple], dict[str, object]
     sampled.
     """
     axes: dict[str, tuple] = {}
+    if not _is_sequence(spec.axes):  # a dict passes, to fail on its first entry
+        kind = type(spec.axes).__name__
+        raise SpecError(f"axes takes a sequence of (name, values) pairs, not a {kind}")
     for entry in spec.axes:
         try:
             name, values = entry
         except (TypeError, ValueError):
             raise SpecError(f"axes entry {entry!r} is not a (name, values) pair") from None
-        if isinstance(values, (str, bytes)):
-            raise SpecError(f"axis {name!r} takes a sequence of values, not {values!r}")
+        if isinstance(values, Mapping) or not _is_sequence(values):
+            kind = type(values).__name__
+            raise SpecError(f"axis {name!r} takes a sequence of values, not a {kind}")
         if name not in AXIS_NAMES:
             raise SpecError(f"unknown axis {name!r}; axes may be {AXIS_NAMES}")
         if name in axes:

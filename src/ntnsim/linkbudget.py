@@ -110,11 +110,7 @@ class RadioConfig(_ByFields):
         """Replace an Auto bandwidth with the default for this carrier."""
         if self.bandwidth_hz is not None:
             return self
-        resolved = object.__new__(RadioConfig)  # self passed __init__'s checks, as does the default
-        for name, value in zip(self._fields[:-1], self._values()):
-            setattr(resolved, name, value)
-        resolved.bandwidth_hz = default_bandwidth(self.fc_ghz)
-        return resolved
+        return RadioConfig(*self._values()[:-1], default_bandwidth(self.fc_ghz))
 
     def budget_terms(self) -> tuple[float, float]:
         """The radio's share of the SNR sum: (P_tx + G_tx + G/T, 10 log10 W)."""

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, output shape, exit codes."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -13,8 +14,10 @@ import ntnsim
 from ntnsim.errors import SpecError
 from ntnsim.harness import SweepSpec, load_fig_defaults, run_sweep
 from ntnsim.harness.cli import _parse_hops, _radio_from_args, build_parser, main
+from ntnsim.harness.config import PARAMETERS, finite_number
 from ntnsim.harness.sweep import EXTRA_COLUMNS, METRIC_COLUMNS, format_value
 from ntnsim.relay import RelayChain, evaluate_chain
+from test_params import FLAG_KEYS
 
 
 def run_cli(capsys, *argv):
@@ -555,3 +558,84 @@ def test_cli_imports_no_numpy_or_dataclasses(tmp_path, command):
     )
     assert proc.stderr == ""
     assert proc.stdout == "0 []\n"
+
+
+def subcommands(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# Every parameter flag of each subcommand, given a value; --grx and --got
+# exclude each other, so each takes its own argv.
+FULL_ARGVS = {
+    "link": [
+        ("link", "--alt", "600", "--elev", "30", "--fc", "20", "--scenario", "Rural",
+         "--txpow", "18", "--gtx", "30", "--grx", "40", "--temp", "290",
+         "--bandwidth", "4e8", "--seed", "7", "--tables", "dir", "--out", "file"),
+        ("link", "--alt", "1200", "--elev", "10", "--fc", "2", "--got", "15.9",
+         "--bandwidth", "AUTO"),
+    ],
+    "chain": [
+        ("chain", "--hop", "1200:10", "--hop", "20:10", "--mode", "DF", "--fc", "20",
+         "--scenario", "dense-urban", "--txpow", "18", "--gtx", "30", "--got", "15.9",
+         "--temp", "290", "--bandwidth", "auto", "--seed", "-3"),
+        ("chain", "--hop", "20:10", "--fc", "6", "--grx", "40", "--bandwidth", "1e6"),
+    ],
+    "sweep": [("sweep", "--spec", "s.cfg", "--seed", "3")],
+    "preset": [("preset", "--name", "fig2")],
+}
+NOT_PARAMETERS = {"-h", "--hop", "--tables", "--out", "--spec", "--name"}
+
+
+@pytest.mark.parametrize("command", FULL_ARGVS)
+def test_parameter_flags_store_their_parameter_keys(command):
+    parser = build_parser()
+    flags = {
+        action.option_strings[-1]: action.dest
+        for action in subcommands(parser)[command]._actions
+        if not NOT_PARAMETERS & set(action.option_strings)
+    }
+    given = set()
+    for argv in FULL_ARGVS[command]:
+        args = vars(parser.parse_args(argv))
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            if flag in flags:
+                assert flags[flag] in PARAMETERS, flag
+                assert args[flags[flag]] == PARAMETERS[flags[flag]](value), flag
+                given.add(flag)
+    assert given == set(flags)
+
+
+def test_flag_keys_are_the_parsers_numeric_link_flags():
+    numeric = {finite_number, PARAMETERS["bandwidth_hz"]}
+    link = subcommands(build_parser())["link"]
+    flags = {
+        action.option_strings[-1]: action.dest
+        for action in link._actions
+        if PARAMETERS.get(action.dest) in numeric
+    }
+    assert flags == FLAG_KEYS
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        ((), "ntnsim [-h] {link,chain,sweep,preset} ..."),
+        (("link",), "ntnsim link [-h] --alt ALT --elev ELEV --fc FC [--scenario SCENARIO] "
+         "[--txpow TXPOW] [--gtx GTX] [--grx GRX | --got GOT] [--temp TEMP] "
+         "[--bandwidth BANDWIDTH] [--tables DIR] [--out FILE] [--seed SEED]"),
+        (("chain",), "ntnsim chain [-h] --hop ALT:ELEV [--mode {af,df}] --fc FC "
+         "[--scenario SCENARIO] [--txpow TXPOW] [--gtx GTX] [--grx GRX | --got GOT] "
+         "[--temp TEMP] [--bandwidth BANDWIDTH] [--tables DIR] [--out FILE] [--seed SEED]"),
+        (("sweep",), "ntnsim sweep [-h] --spec FILE [--tables DIR] [--out FILE] [--seed SEED]"),
+        (("preset",), "ntnsim preset [-h] --name NAME [--tables DIR] [--out FILE]"),
+    ],
+    ids=["ntnsim", "link", "chain", "sweep", "preset"],
+)
+def test_help_usage_line(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "-h"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    # The usage paragraph, however the terminal's width wraps it.
+    assert " ".join(out.split("\n\n")[0].split()) == f"usage: {usage}"

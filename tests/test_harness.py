@@ -3,6 +3,7 @@
 import hashlib
 import re
 
+import numpy as np
 import pytest
 
 from ntnsim import ConfigError, SpecError, PresetError
@@ -91,6 +92,19 @@ class TestSweepValidation:
             pytest.param([("altitude_km", (300.0, 600.0))], None, id="list_of_pairs"),
             pytest.param((("altitude_km", "300"),), "takes a sequence of values", id="str_values"),
             pytest.param({"altitude_km": (300.0,)}, "is not a (name, values) pair", id="dict"),
+            pytest.param([("altitude_km", np.array([300.0, 600.0]))], None, id="numpy_array"),
+            pytest.param(None, "axes takes a sequence of (name, values) pairs, not a NoneType",
+                         id="none"),
+            pytest.param([("altitude_km", iter([300.0, 600.0]))], "values, not a list_iterator",
+                         id="iterator_values"),
+            pytest.param([("altitude_km", (v for v in (300.0, 600.0)))], "values, not a generator",
+                         id="generator_values"),
+            # a set would sweep in hash order, which PYTHONHASHSEED changes
+            pytest.param([("altitude_km", {300.0, 600.0})], "values, not a set", id="set_values"),
+            pytest.param([("altitude_km", {300.0: 1, 600.0: 2})], "values, not a dict",
+                         id="mapping_values"),
+            pytest.param([("altitude_km", np.array(300.0))], "values, not a ndarray",
+                         id="numpy_scalar_values"),
         ],
     )
     def test_axes_are_any_sequence_of_pairs(self, atm_table, axes, error):
