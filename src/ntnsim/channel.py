@@ -80,8 +80,8 @@ def stage_total_db(fspl: float, gas: float, scint: float, excess: float) -> floa
     """Total loss of one hop, fspl + gas + scint + excess summed in that order.
 
     Raises DomainError unless every stage is finite, FSPL is positive and
-    the other stages are non-negative. LossBreakdown and the sweep plan
-    both check their stages here.
+    the other stages are non-negative. LossBreakdown checks its stages
+    here; the sweep plan's points hold these checks in their guard.
     """
     if not (0.0 < fspl < _INF and 0.0 <= gas < _INF and 0.0 <= scint < _INF
             and 0.0 <= excess < _INF):

@@ -5,23 +5,15 @@ slowest). A grid point that fails to evaluate produces a row whose
 metric columns are empty and whose `error` column carries the reason;
 the sweep continues.
 
-run_sweep builds one plan per spec: each stage runs once per distinct
-input, through the scalar functions evaluate_link and evaluate_chain
-use (classify_station per altitude, the HAP's included; one resolved
-RadioConfig and FSPL's carrier term per carrier and receive gain; the
-slant range and FSPL's range term per hop; gas and scintillation per
-carrier and elevation, scaled per atmosphere fraction; the scenario
-cell's expected clutter, or its sampler, per scenario and elevation). A
-point is point(*resolve(...), index): resolve looks up its stage values
-in the scalar path's check order, and point does its float work in the
-scalar path's order (FSPL, the stage checks and total, SNR, capacity,
-the AF/DF fold, the sampled clutter draw) and returns a record of its
-values (see SweepRows), which emit_csv formats, as it does link's and
-chain's one record (result_record). Points run a prefix at a time, and
-a failing prefix gets its altitude's station error at every point or is
-redone point by point (see _records), so every row, error message
-included, equals evaluate_link's or evaluate_chain's for that point
-alone, with sampled_index its row index.
+run_sweep builds one plan per spec (see _plan): each stage runs once per
+distinct input through the scalar functions that evaluate_link and
+evaluate_chain use, and each point does their remaining float work
+inline, fused, in their order. A point outside those functions' happy
+paths (an overflowing SNR, say) is evaluated by evaluate_chain itself.
+Points run a prefix at a time (see _records). So each record (see
+SweepRows), error rows and messages included, is result_record of the
+point's own evaluate_link or evaluate_chain result, with sampled_index
+its row index, and emit_csv writes it as it writes link's and chain's.
 
 Sampled clutter gives every point its own stream: the point at row
 index i of a sweep with seed s draws from blake2b(b"<s>:<i>"), through
@@ -39,8 +31,10 @@ import math
 from collections.abc import Mapping, Sequence
 from functools import cache
 from itertools import count, product, repeat
+from math import inf, log1p, log10
 from operator import itemgetter
 from pathlib import Path
+from sys import float_info
 from typing import NamedTuple
 
 from ..channel import (
@@ -54,12 +48,12 @@ from ..channel import (
     gas_attenuation_db,
     load_scenario_table,
     scintillation_db,
-    stage_total_db,
 )
+from ..constants import BOLTZMANN_DBM_PER_K_HZ
 from ..errors import ConfigError, NtnSimError, SpecError
-from ..geometry import classify_station, slant_range_km
-from ..linkbudget import LinkResult, RadioConfig, shannon_capacity_bps, snr_sum_db
-from ..relay import RelayMode, af_chain_snr_db, chain_label, df_bottleneck
+from ..geometry import LinkGeometry, classify_station, slant_range_km
+from ..linkbudget import _LN2, LinkResult, RadioConfig
+from ..relay import RelayChain, RelayHop, RelayMode, chain_label, evaluate_chain
 from .config import PARAMETERS, parse_sections, parse_value
 
 AXIS_NAMES = ("altitude_km", "fc_ghz", "elevation_deg", "g_rx_dbi", "scenario", "mode")
@@ -78,6 +72,7 @@ EXTRA_COLUMNS = ("slant_range_km", "bandwidth_hz", "label", "error")
 # Metric and extra columns of an evaluated point, in row order.
 RESULT_COLUMNS = ("slant_range_km",) + METRIC_COLUMNS + EXTRA_COLUMNS[1:]
 
+_FAILED = (None,) * 9 + ("",)  # a failed point's record (see SweepRows) but its error
 MODE_DIRECT = "direct"
 MODE_RELAY = "relay"
 # Fixed parameters a spec may leave out, as spec text.
@@ -237,15 +232,21 @@ class SweepRows(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self))[index]))
-        record, index, combo = self.records[index], index % len(self), ()
-        for _, values in reversed(self.axes):  # last axis fastest
-            index, digit = divmod(index, len(values))
-            combo = (values[digit],) + combo
-        return dict(zip(self.columns, combo + record))
+        combo = _combo([values for _, values in self.axes], index % len(self))
+        return dict(zip(self.columns, combo + self.records[index]))
 
     def __iter__(self):
         for combo, record in zip(product(*(v for _, v in self.axes)), self.records):
             yield dict(zip(self.columns, combo + record))
+
+
+def _combo(axes, index: int) -> tuple:
+    """Row index's values, one from each of axes' value sequences, the last fastest."""
+    combo = ()
+    for values in reversed(axes):
+        index, digit = divmod(index, len(values))
+        combo = (values[digit],) + combo
+    return combo
 
 
 def _cell(value: object) -> str:
@@ -257,22 +258,43 @@ def _cell(value: object) -> str:
     return text
 
 
-def _plan(modes, fixed, table, scenario_table, seed):
-    """Each of modes' (resolve, point, keys) for _validate_spec's fixed and seed.
+def _plan(axes, fixed, table, scenario_table, seed):
+    """Each mode's (resolve, point, keys) for _validate_spec's axes, fixed and seed.
 
     resolve maps a point's values of AXIS_NAMES but mode to its stage
     values or raises its first error; point maps those and the row index
-    to the point's record (see SweepRows); keys holds the axes that each
-    stage value's key reads. Each stage is cached per distinct input; an
-    input whose stage raised is not, so a point gets its own error.
+    to the point's record (see SweepRows) and never raises; keys holds the
+    axes that each stage value's key reads. Each stage is cached per
+    distinct input; an input whose stage raised is not, so a point gets
+    its own error. point does the scalar functions' float work inline, in
+    their order, while their happy paths hold: FSPL > 0 and the other
+    stages >= 0 with a finite total, finite SNRs whose power ratios do not
+    overflow, bandwidth > 0, for AF a finite product and a normal gamma.
+    Outside that guard it gives reference(index), the scalar path's record.
     """
-    hap = fixed.get("hap_altitude_km")
+    hap, relay_mode = fixed.get("hap_altitude_km"), fixed["relay_mode"]
     radio_fixed = _fixed_radio(fixed)  # RadioConfig's defaults stand for fields left out
+    values, pick = tuple(axes.values()), itemgetter(*map(list(axes).index, AXIS_NAMES))
+
+    def reference(index):  # row index's record as chain gives it (one hop: as link does)
+        altitude, fc, elevation, g_rx, scenario, mode = pick(_combo(values, index))
+        highs = (altitude, hap) if mode == MODE_RELAY else (altitude,)  # hops' upper stations
+        try:
+            for station in highs:
+                classify_station(station)
+            radio = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx)
+            hops = tuple(RelayHop(LinkGeometry.from_endpoints(low, high, elevation), radio)
+                         for high, low in zip(highs, highs[1:] + (0.0,)))
+            return result_record(evaluate_chain(
+                RelayChain(hops, relay_mode, scenario), table, scenario_table,
+                sampled_seed=seed, sampled_index=index))
+        except NtnSimError as exc:
+            return _FAILED + (str(exc),)
 
     @cache
-    def radios(fc, g_rx):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth, carrier
+    def radios(fc, g_rx):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth
         resolved = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx).resolve_bandwidth()
-        return (*resolved.budget_terms(), fspl_carrier_db(fc), resolved.bandwidth_hz, fc)
+        return (*resolved.budget_terms(), fspl_carrier_db(fc), resolved.bandwidth_hz)
 
     # The share of the column a hop sees from the ground and, given a HAP, from the HAP.
     fractions = [default_atmosphere_fraction(low) for low in (0.0, hap) if low is not None]
@@ -286,8 +308,8 @@ def _plan(modes, fixed, table, scenario_table, seed):
         @cache
         def stage(high, elevation):  # slant range, FSPL's range term
             slant = slant_range_km(low, high, elevation)
-            # None leaves a zero slant range to fspl_db, which raises the point's error
-            return slant, fspl_range_db(slant) if slant > 0 else None
+            # 20 log10(0) as -inf: a zero slant range fails resolve's and point's FSPL checks
+            return slant, fspl_range_db(slant) if slant > 0 else -inf
         return stage
 
     @cache
@@ -303,71 +325,79 @@ def _plan(modes, fixed, table, scenario_table, seed):
     def resolve(altitude, fc, elevation, g_rx, scenario):
         stations(altitude)  # raises for an altitude outside every band
         radio, hop = radios(fc, g_rx), ground_hops(altitude, elevation)
-        if hop[1] is None:
+        if hop[1] == -inf:
             fspl_db(hop[0], fc)
         return radio, hop, atmosphere(fc, elevation)[0], cells(scenario, elevation)
 
-    def direct(radio, hop, air, excess, index):
-        (gain, bandwidth_db, carrier_db, bandwidth, _), (slant, range_db) = radio, hop
-        gas, scint = air
-        fspl = carrier_db + range_db
+    def fused_direct(radio, hop, air, excess, index):
+        gain, bandwidth_db, carrier_db, bandwidth = radio
+        (slant, range_db), (gas, scint) = hop, air
         if seed is not None:
             excess = excess(index)
-        total = stage_total_db(fspl, gas, scint, excess)
-        snr = snr_sum_db(gain, total, bandwidth_db)
-        capacity = shannon_capacity_bps(bandwidth, snr)
+        fspl = carrier_db + range_db
+        total = fspl + gas + scint + excess
+        snr = gain - total - BOLTZMANN_DBM_PER_K_HZ - bandwidth_db
+        if not (fspl > 0.0 and gas >= 0.0 and scint >= 0.0 and excess >= 0.0
+                and -inf < snr < inf and bandwidth > 0.0):
+            return reference(index)
+        try:
+            capacity = bandwidth * log1p(10.0 ** (snr / 10.0)) / _LN2
+        except OverflowError:
+            return reference(index)
         return slant, fspl, gas, scint, excess, total, snr, capacity, bandwidth, "direct", ""
 
-    plans = {MODE_DIRECT: (resolve, direct, (fc_grx, alt_elev, fc_elev, scen_elev))}
-    if MODE_RELAY not in modes:
+    plans = {MODE_DIRECT: (resolve, fused_direct, (fc_grx, alt_elev, fc_elev, scen_elev))}
+    if MODE_RELAY not in axes["mode"]:
         return plans
     # Hop 0 runs from the HAP up to the station, without clutter; hop 1
     # from the ground up to the HAP. Both use the point's radio. A point's
     # slant range, gas and scintillation are the sums over its hops.
     hap_hops = hops(hap)
-    mode = fixed["relay_mode"]
-    label = chain_label(mode, 2)
+    amplify, label = relay_mode is RelayMode.AMPLIFY_FORWARD, chain_label(relay_mode, 2)
 
     def resolve_relay(altitude, fc, elevation, g_rx, scenario):
         stations(altitude)
         radio = radios(fc, g_rx)
         stations(hap)
         hop0, hop1 = hap_hops(altitude, elevation), ground_hops(hap, elevation)
-        if hop0[1] is None:
+        if hop0[1] == -inf:
             fspl_db(hop0[0], fc)
         air1, air0 = atmosphere(fc, elevation)  # from the ground, from the HAP
         return radio, hop0, hop1, air0, air1, cells(scenario, elevation)
 
-    def relay_point(radio, hop0, hop1, air0, air1, excess, index):
-        gain, bandwidth_db, carrier_db, bandwidth, fc = radio
-        (upper, upper_db), (lower, lower_db) = hop0, hop1
-        (gas0, scint0), (gas1, scint1) = air0, air1
-        fspl0 = carrier_db + upper_db
-        snr0 = snr_sum_db(gain, stage_total_db(fspl0, gas0, scint0, 0.0), bandwidth_db)
-        try:
-            fspl1 = carrier_db + lower_db if lower_db is not None else fspl_db(lower, fc)
-            if seed is not None:
-                excess = excess(index)
-            snr1 = snr_sum_db(gain, stage_total_db(fspl1, gas1, scint1, excess), bandwidth_db)
-        except NtnSimError:  # evaluate_chain ends hop 0 with its capacity first
-            shannon_capacity_bps(bandwidth, snr0)
-            raise
-        if mode is RelayMode.AMPLIFY_FORWARD:
-            snr = af_chain_snr_db((snr0, snr1))
-            capacity = shannon_capacity_bps(bandwidth, snr)
-        else:
-            capacities = (
-                shannon_capacity_bps(bandwidth, snr0),
-                shannon_capacity_bps(bandwidth, snr1),
-            )
-            bottleneck = df_bottleneck(capacities)
-            snr, capacity = (snr0, snr1)[bottleneck], capacities[bottleneck]
+    def fused_relay(radio, hop0, hop1, air0, air1, excess, index):
+        gain, bandwidth_db, carrier_db, bandwidth = radio
+        (upper, range0), (lower, range1), (gas0, scint0), (gas1, scint1) = hop0, hop1, air0, air1
+        if seed is not None:
+            excess = excess(index)
+        fspl0, fspl1 = carrier_db + range0, carrier_db + range1
+        snr0 = gain - (fspl0 + gas0 + scint0) - BOLTZMANN_DBM_PER_K_HZ - bandwidth_db
+        snr1 = gain - (fspl1 + gas1 + scint1 + excess) - BOLTZMANN_DBM_PER_K_HZ - bandwidth_db
         fspl, gas, scint = fspl0 + fspl1, gas0 + gas1, scint0 + scint1
-        total = stage_total_db(fspl, gas, scint, excess)
+        total = fspl + gas + scint + excess
+        if not (fspl0 > 0.0 and fspl1 > 0.0 and gas0 >= 0.0 and gas1 >= 0.0 and scint0 >= 0.0
+                and scint1 >= 0.0 and excess >= 0.0 and total < inf and -inf < snr0 < inf
+                and -inf < snr1 < inf and bandwidth > 0.0):
+            return reference(index)
+        try:
+            linear0, linear1 = 10.0 ** (snr0 / 10.0), 10.0 ** (snr1 / 10.0)
+            if amplify:
+                product = linear0 * linear1
+                gamma = product / (linear0 + linear1 + 1.0)
+                if not (product < inf and gamma >= float_info.min):
+                    return reference(index)
+                snr = 10.0 * log10(gamma)
+                capacity = bandwidth * log1p(10.0 ** (snr / 10.0)) / _LN2
+            else:  # DF: hop 1 decides only with the lesser capacity
+                capacity0 = bandwidth * log1p(linear0) / _LN2
+                capacity1 = bandwidth * log1p(linear1) / _LN2
+                snr, capacity = (snr1, capacity1) if capacity1 < capacity0 else (snr0, capacity0)
+        except OverflowError:
+            return reference(index)
         return upper + lower, fspl, gas, scint, excess, total, snr, capacity, bandwidth, label, ""
 
     keys = fc_grx, alt_elev, ("elevation_deg",), fc_elev, fc_elev, scen_elev
-    return {**plans, MODE_RELAY: (resolve_relay, relay_point, keys)}
+    return {**plans, MODE_RELAY: (resolve_relay, fused_relay, keys)}
 
 
 def result_record(result: LinkResult) -> tuple:
@@ -387,10 +417,11 @@ def _records(axes, plans):
     value of the other axes, a prefix, maps its mode's point over a column
     per stage value: the value repeated if its key does not read the inner
     axis, else its values along it, kept for the call by the rest of its
-    key. Columns whose keys read no other varying axis are built once. A
-    prefix whose altitude, not the inner axis, fails classify_station (both
-    resolves' first check) gets that failed record at every point; another
-    failing prefix is redone point by point.
+    key. Columns whose keys read no other varying axis are built once. Only
+    a resolve raises: a prefix whose altitude, not the inner axis, fails
+    classify_station (both resolves' first check) gets that failed record
+    at every point; a prefix with another failing resolve is redone point by
+    point.
     """
     names = list(axes)
     pick = itemgetter(*map(names.index, AXIS_NAMES))
@@ -401,7 +432,7 @@ def _records(axes, plans):
         try:
             return evaluate(*resolve(*values), index)
         except NtnSimError as exc:
-            return (None,) * 9 + ("", str(exc))
+            return _FAILED + (str(exc),)
 
     varying = [name for name in names if len(axes[name]) > 1]
     inner = varying.pop() if varying else "mode"
@@ -435,12 +466,11 @@ def _records(axes, plans):
             state[3] = changing  # the other columns now hold for every prefix
             records += map(point, *columns, range(start, start + n))
         except NtnSimError as exc:
-            del records[start:]
             if inner != "altitude_km":
                 try:  # both resolves check the altitude's station first
                     classify_station(values[0])
                 except NtnSimError:  # so every point of the prefix fails with exc
-                    records += [(None,) * 9 + ("", str(exc))] * n
+                    records += [_FAILED + (str(exc),)] * n
                     continue
             points = (prefix[:at] + (v,) + prefix[at + 1:] for v in inner_values)
             records += map(one, points, range(start, start + n))
@@ -463,7 +493,7 @@ def run_sweep(
     axes, fixed, seed = _validate_spec(spec)
     if scenario_table is None:
         scenario_table = load_scenario_table()
-    records = _records(axes, _plan(axes["mode"], fixed, table, scenario_table, seed))
+    records = _records(axes, _plan(axes, fixed, table, scenario_table, seed))
     provenance = spec.provenance + (
         f"atmosphere table version: {table.version}",
         f"scenario table version: {scenario_table.version}",

@@ -33,11 +33,13 @@ FAILED = {**dict.fromkeys(METRIC_COLUMNS + ("slant_range_km", "bandwidth_hz")), 
 # so a relay through a 20 km HAP cannot reach it. From the ground, 1e-13 km
 # gives a zero slant range, whose FSPL error comes before a carrier's, and
 # 2e-12 km a negative FSPL, which the carrier's error comes before.
+# A receive gain of ±1e308 dBi with a transmit power of the same sign
+# (see FIXED_VALUES) makes an SNR that is not finite.
 AXIS_VALUES = {
     "altitude_km": (1e-13, 2e-12, 20.0, 100.0, 300.0, 600.0, 1200.0, 35786.0),
     "fc_ghz": (0.3, 2.0, 20.0, 60.0, 90.0, 120.0),
     "elevation_deg": (5.0, 10.0, 30.0, 45.5, 90.0, 95.0),
-    "g_rx_dbi": (30.0, 50.0),
+    "g_rx_dbi": (30.0, 50.0, 1e308, -1e308),
     "scenario": tuple(s.value for s in Scenario),
     "mode": ("direct", "relay"),
 }
@@ -95,6 +97,29 @@ def reference_rows(spec, table, scenario_table):
     return rows
 
 
+# Fixed values: usual ones, and edge ones, which take points off the sweep's
+# fused float path to the scalar one or fail a relay's HAP. A spec takes at
+# most one fixed value from its edge values. From 3000 to 3100 dBm hop SNRs
+# near and pass about 3083 dB, where a power ratio overflows; at 3000 dBm
+# the AF product of two hops' ratios overflows first, at -2900 dBm it
+# underflows, and at -3500 dBm both ratios are 0, a DF tie. ±1e308 dBm
+# saturate a budget. A subnormal noise temperature or bandwidth adds about
+# 3233 dB to every SNR, and 1e308 takes about 3080 dB off. Through a HAP at
+# 1e-13 km the HAP-ground hop has a zero slant range, at 2e-12 km a
+# negative FSPL; 26 km lies in the gap.
+FIXED_VALUES = {
+    "tx_power_dbm": ((18.0,), (1e308, -1e308, -3500.0, -2900.0, 3000.0, 3050.0, 3100.0)),
+    "noise_temperature_k": ((290.0,), (5e-324, 1e308)),
+    "bandwidth_hz": ((None, 400e6), (5e-324, 1e308)),
+    "hap_altitude_km": ((17.0, 20.0), (1e-13, 2e-12, 26.0)),
+}
+
+
+def fixed_value(name, edge):
+    usual, edges = FIXED_VALUES[name]
+    return st.sampled_from(edges if name == edge else usual)
+
+
 def axis(name):
     # Lists, not sets: repeated values are part of what is tested.
     return st.lists(st.sampled_from(AXIS_VALUES[name]), min_size=1, max_size=3)
@@ -107,15 +132,14 @@ def specs(draw):
     order = draw(st.permutations(tuple(AXIS_VALUES)))
     axes = tuple((name, tuple(draw(axis(name)))) for name in order)
     excess_mode = draw(st.sampled_from(["expected", "sampled"]))
+    edge = draw(st.sampled_from((None, *FIXED_VALUES)))  # one fixed value at an edge, or none
     fixed = {
-        "tx_power_dbm": 18.0,
-        "noise_temperature_k": 290.0,
-        "hap_altitude_km": draw(st.sampled_from([17.0, 20.0, 26.0])),
+        **{name: draw(fixed_value(name, edge)) for name in FIXED_VALUES},
         "relay_mode": draw(st.sampled_from(["af", "df"])),
         "excess_mode": excess_mode,
     }
-    if draw(st.booleans()):
-        fixed["bandwidth_hz"] = 400e6
+    if fixed["bandwidth_hz"] is None:  # Auto
+        del fixed["bandwidth_hz"]
     seed = draw(st.integers(0, 2**31 - 1)) if excess_mode == "sampled" else None
     return SweepSpec(axes=axes, fixed=fixed, seed=seed)
 
@@ -227,11 +251,53 @@ def test_relay_error_is_the_first_hops_overflow(
     assert row["error"] == expected["error"]
 
 
-@pytest.mark.parametrize("tx_power_dbm", [3000.0, -2900.0])
-def test_af_product_overflow_row_equals_the_scalar_row(atm_table, scen_table, tx_power_dbm):
+@pytest.mark.parametrize("relay_mode", ["af", "df"])
+@pytest.mark.parametrize("hap_altitude_km", [1e-13, 2e-12])
+def test_relay_ground_hop_fspl_error_row_equals_the_scalar_row(
+    atm_table, scen_table, hap_altitude_km, relay_mode
+):
+    # Through a HAP at 1e-13 km the HAP-ground hop's slant range is zero, at
+    # 2e-12 km its FSPL is negative. Hop 0's SNR fits a float, so that
+    # FSPL's error is the point's.
+    spec = SweepSpec(
+        axes=(("g_rx_dbi", (40.0,)),),
+        fixed={
+            "altitude_km": 600.0,
+            "fc_ghz": 20.0,
+            "elevation_deg": 30.0,
+            "scenario": "rural",
+            "mode": "relay",
+            "tx_power_dbm": 18.0,
+            "noise_temperature_k": 290.0,
+            "hap_altitude_km": hap_altitude_km,
+            "relay_mode": relay_mode,
+        },
+    )
+    (row,) = run_sweep(spec, atm_table, scen_table).rows
+    (expected,) = reference_rows(spec, atm_table, scen_table)
+    messages = ("slant range and frequency must be > 0", "fspl_db must be > 0")
+    assert expected["error"].startswith(messages)
+    assert row == expected
+
+
+@pytest.mark.parametrize(
+    "tx_power_dbm, relay_mode, seed",
+    [
+        pytest.param(3000.0, "af", None, id="3000.0"),
+        pytest.param(-2900.0, "af", None, id="-2900.0"),
+        pytest.param(-2900.0, "af", 7, id="-2900.0-seed-7"),
+        pytest.param(-3500.0, "df", None, id="-3500.0-df"),
+    ],
+)
+def test_af_product_overflow_row_equals_the_scalar_row(
+    atm_table, scen_table, tx_power_dbm, relay_mode, seed
+):
     # The chain of `ntnsim chain --hop 1200:10 --hop 20:10 --txpow 3000`:
     # each hop's linear SNR fits a float, their product does not. At
-    # --txpow -2900 the product underflows to zero instead.
+    # --txpow -2900 the product underflows to zero instead; with sampled
+    # clutter its row draws the stream of its own index. At --txpow -3500
+    # both hop SNRs are below -3240 dB, so both DF capacities are 0.0 and
+    # the tie goes to hop 0.
     spec = SweepSpec(
         axes=(("mode", ("relay",)),),
         fixed={
@@ -243,12 +309,16 @@ def test_af_product_overflow_row_equals_the_scalar_row(atm_table, scen_table, tx
             "tx_power_dbm": tx_power_dbm,
             "noise_temperature_k": 290.0,
             "hap_altitude_km": 20.0,
-            "relay_mode": "af",
+            "relay_mode": relay_mode,
+            "excess_mode": "expected" if seed is None else "sampled",
         },
+        seed=seed,
     )
     (row,) = rows = run_sweep(spec, atm_table, scen_table).rows
     assert list(rows) == reference_rows(spec, atm_table, scen_table)
     assert row["error"] == "" and math.isfinite(row["snr_db"])
+    if relay_mode == "df":
+        assert row["capacity_bps"] == 0.0 and row["snr_db"] < -3500.0
 
 
 def test_reuse_does_not_outlive_a_call(atm_table, scen_table):
