@@ -73,6 +73,10 @@ EXTRA_COLUMNS = ("slant_range_km", "bandwidth_hz", "label", "error")
 RESULT_COLUMNS = ("slant_range_km",) + METRIC_COLUMNS + EXTRA_COLUMNS[1:]
 
 _FAILED = (None,) * 9 + ("",)  # a failed point's record (see SweepRows) but its error
+# Below this bandwidth no capacity overflows a float: log1p(x) / ln 2 <= 1024
+# for a finite power ratio x (x < 2**1024), so W * log1p(x) / ln 2 is at most
+# about 2**1013 * 2**10 = 2**1023, a factor 2 inside the largest float.
+_BANDWIDTH_BOUND = 2.0 ** 1013
 MODE_DIRECT = "direct"
 MODE_RELAY = "relay"
 # Fixed parameters a spec may leave out, as spec text.
@@ -232,8 +236,9 @@ class SweepRows(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self))[index]))
+        record = self.records[index]  # IndexError before an empty view's % 0
         combo = _combo([values for _, values in self.axes], index % len(self))
-        return dict(zip(self.columns, combo + self.records[index]))
+        return dict(zip(self.columns, combo + record))
 
     def __iter__(self):
         for combo, record in zip(product(*(v for _, v in self.axes)), self.records):
@@ -269,8 +274,10 @@ def _plan(axes, fixed, table, scenario_table, seed):
     its own error. point does the scalar functions' float work inline, in
     their order, while their happy paths hold: FSPL > 0 and the other
     stages >= 0 with a finite total, finite SNRs whose power ratios do not
-    overflow, bandwidth > 0, for AF a finite product and a normal gamma.
-    Outside that guard it gives reference(index), the scalar path's record.
+    overflow, 0 < bandwidth < _BANDWIDTH_BOUND (so that no capacity the
+    scalar path computes, each hop's included, overflows), for AF a finite
+    product and a normal gamma. Outside that guard it gives
+    reference(index), the scalar path's record.
     """
     hap, relay_mode = fixed.get("hap_altitude_km"), fixed["relay_mode"]
     radio_fixed = _fixed_radio(fixed)  # RadioConfig's defaults stand for fields left out
@@ -338,7 +345,7 @@ def _plan(axes, fixed, table, scenario_table, seed):
         total = fspl + gas + scint + excess
         snr = gain - total - BOLTZMANN_DBM_PER_K_HZ - bandwidth_db
         if not (fspl > 0.0 and gas >= 0.0 and scint >= 0.0 and excess >= 0.0
-                and -inf < snr < inf and bandwidth > 0.0):
+                and -inf < snr < inf and 0.0 < bandwidth < _BANDWIDTH_BOUND):
             return reference(index)
         try:
             capacity = bandwidth * log1p(10.0 ** (snr / 10.0)) / _LN2
@@ -377,7 +384,7 @@ def _plan(axes, fixed, table, scenario_table, seed):
         total = fspl + gas + scint + excess
         if not (fspl0 > 0.0 and fspl1 > 0.0 and gas0 >= 0.0 and gas1 >= 0.0 and scint0 >= 0.0
                 and scint1 >= 0.0 and excess >= 0.0 and total < inf and -inf < snr0 < inf
-                and -inf < snr1 < inf and bandwidth > 0.0):
+                and -inf < snr1 < inf and 0.0 < bandwidth < _BANDWIDTH_BOUND):
             return reference(index)
         try:
             linear0, linear1 = 10.0 ** (snr0 / 10.0), 10.0 ** (snr1 / 10.0)

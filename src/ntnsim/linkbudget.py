@@ -147,10 +147,18 @@ def snr_linear(snr_db: float) -> float:
 
 
 def shannon_capacity_bps(bandwidth_hz: float, snr_db: float) -> float:
-    """W * log2(1 + SNR); log1p keeps precision at very low SNR."""
+    """W * log2(1 + SNR); log1p keeps precision at very low SNR.
+
+    DomainError if the capacity is not finite (a bandwidth near 1e308).
+    """
     if bandwidth_hz <= 0:
         raise DomainError(f"bandwidth must be > 0 Hz, got {bandwidth_hz}")
-    return bandwidth_hz * math.log1p(snr_linear(snr_db)) / _LN2
+    capacity = bandwidth_hz * math.log1p(snr_linear(snr_db)) / _LN2
+    if not capacity < _INF:
+        raise DomainError(
+            f"capacity at {bandwidth_hz} Hz and SNR {snr_db} dB overflows a float"
+        )
+    return capacity
 
 
 class LinkResult(NamedTuple):

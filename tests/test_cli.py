@@ -3,6 +3,8 @@
 import argparse
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -232,12 +234,11 @@ class TestTablesFlag:
             (dest / name).write_text((data / name).read_text())
 
     def test_tables_directory_override(self, tmp_path, capsys):
+        # A copy of the packaged tables gives the packaged tables' bytes.
         self._copy_tables(tmp_path)
-        code, out, _ = run_cli(
-            capsys, "link", "--alt", "600", "--elev", "30", "--fc", "20",
-            "--got", "15.9", "--tables", str(tmp_path),
-        )
-        assert code == 0
+        code, out, err = run_cli(capsys, *LINK, "--tables", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *LINK)[1]
 
     def test_corrupted_table_is_data_error(self, tmp_path, capsys):
         self._copy_tables(tmp_path)
@@ -342,6 +343,45 @@ class TestSingleRowMatchesSweep:
         assert {c: row[c] for c in self.COLUMNS} == expected
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_block(heading, language):
+    """The first ```language block of README.md's "## heading" section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split(f"```{language}\n", 1)[1].split("\n```", 1)[0]
+
+
+# Each command of the README's CLI block, as ntnsim's argv. CI runs the
+# same block through the installed entry point.
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for line in readme_block("CLI", "sh").replace("\\\n", " ").splitlines()
+    if line.startswith("ntnsim ")
+]
+README_LINK_CHAIN = [argv for argv in README_COMMANDS if argv[0] in ("link", "chain")]
+
+
+def test_readme_blocks_run(tmp_path, monkeypatch, capsys):
+    # Every README command but its sweep, whose spec file the README does
+    # not give, in an empty directory, where the presets write their files;
+    # then the README's library example.
+    monkeypatch.chdir(tmp_path)
+    commands = [argv for argv in README_COMMANDS if argv[0] != "sweep"]
+    assert [argv[0] for argv in commands] == ["link", "link", "chain", *["preset"] * 3]
+    for argv in commands:
+        assert run_cli(capsys, *argv)[::2] == (0, ""), argv
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fig2.csv", "fig3.csv", "fig4.csv"]
+    exec(readme_block("Library", "python"), {})
+    # No name of the deleted config-file loader is left in the docs or the package.
+    stale = re.compile("load_config|ResolvedParams|parse_kv_lines")
+    package = Path(ntnsim.__file__).parent
+    files = [README, *(path for path in sorted(package.rglob("*"))
+                       if path.is_file() and "__pycache__" not in path.parts)]
+    assert [str(path) for path in files if stale.search(path.read_text(encoding="utf-8"))] == []
+
+
 LINK = ("link", "--alt", "600", "--elev", "30", "--fc", "20", "--got", "15.9")
 GRX_LINK = (
     "link", "--alt", "600", "--elev", "30", "--fc", "20", "--grx", "50",
@@ -362,17 +402,17 @@ CHAIN_HEADER = "hops,mode,fc_ghz,scenario," + HEADER
     "argv, stdout",
     [
         (
-            (*LINK, "--scenario", "dense_urban", "--txpow", "18"),
+            README_LINK_CHAIN[0],
             LINK_HEADER + "600,30,20,dense_urban,179.099,0.76,0.174274,19.8,199.834,"
             "-16.6647,2.46128e+07,1075.09,8e+08,direct\n",
         ),
         (
-            (*GRX_LINK, "--bandwidth", "400e6"),
+            README_LINK_CHAIN[1],
             LINK_HEADER + "600,30,20,dense_urban,179.099,0.76,0.174274,19.8,199.834,"
             "-4.17833,1.86741e+08,1075.09,4e+08,direct\n",
         ),
         (
-            (*CHAIN, "--mode", "af", "--scenario", "dense_urban"),
+            README_LINK_CHAIN[2],
             CHAIN_HEADER + "1200:10 20:10,af,20,dense_urban,347.583,2.40717,0.682,27.04,"
             "377.712,-13.2522,5.33299e+07,3208.06,8e+08,af:2hop\n",
         ),
@@ -482,6 +522,25 @@ class TestSnrOverflow:
         snr = "inf" if power == "1e308" else "-inf"
         message = f"SNR {snr} dB is not finite: the link budget overflows a float"
         assert err == f"ntnsim: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*LINK, "--bandwidth", "1e308", "--txpow", "3200"),
+            *[("chain", "--hop", "1200:10", "--hop", "20:10", "--mode", mode, "--fc", "20",
+               "--got", "1e-320", "--txpow", "3035", "--bandwidth", "1e308")
+              for mode in ("af", "df")],
+        ],
+        ids=["link", "chain-af", "chain-df"],
+    )
+    def test_overflowing_capacity_is_usage_error(self, capsys, argv):
+        # At 1e308 Hz a capacity overflows a float above an SNR of about
+        # 3.9 dB. Both hops of the chain pass that, by about 1 dB, and their
+        # AF fold does not: the chain fails at hop 0's capacity.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"ntnsim: error: capacity at 1e\+308 Hz and SNR \S+ dB "
+                            r"overflows a float\n", err)
 
     @pytest.mark.parametrize("relay_mode", ["af", "df"])
     def test_overflowing_budget_is_every_sweep_rows_error(self, tmp_path, capsys, relay_mode):

@@ -295,6 +295,8 @@ class TestEmitCsv:
         out = tmp_path / "empty.csv"
         emit_csv(result, out)
         assert out.read_text() == "a,b\n"
+        with pytest.raises(IndexError):
+            result.rows[0]
 
     def test_fig3_rural_slice_has_ten_lines(self, atm_table, scen_table, tmp_path):
         result = run_sweep(fig3_rural_spec(), atm_table, scen_table)

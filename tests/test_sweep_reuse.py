@@ -98,26 +98,33 @@ def reference_rows(spec, table, scenario_table):
 
 
 # Fixed values: usual ones, and edge ones, which take points off the sweep's
-# fused float path to the scalar one or fail a relay's HAP. A spec takes at
-# most one fixed value from its edge values. From 3000 to 3100 dBm hop SNRs
-# near and pass about 3083 dB, where a power ratio overflows; at 3000 dBm
+# fused float path to the scalar one or fail a relay's HAP. A spec takes
+# edge values for the names of one entry of EDGES: none, one or a pair.
+# From 3000 to 3100 dBm hop SNRs near and pass about 3083 dB, where a
+# power ratio overflows; at 3000 dBm
 # the AF product of two hops' ratios overflows first, at -2900 dBm it
 # underflows, and at -3500 dBm both ratios are 0, a DF tie. ±1e308 dBm
 # saturate a budget. A subnormal noise temperature or bandwidth adds about
 # 3233 dB to every SNR, and 1e308 takes about 3080 dB off. Through a HAP at
 # 1e-13 km the HAP-ground hop has a zero slant range, at 2e-12 km a
-# negative FSPL; 26 km lies in the gap.
+# negative FSPL; 26 km lies in the gap. At 1e308 Hz a capacity overflows a
+# float above an SNR of about 3.9 dB, which only a subnormal noise
+# temperature or 3000-3100 dBm reaches: EDGES pairs each with the bandwidth.
 FIXED_VALUES = {
     "tx_power_dbm": ((18.0,), (1e308, -1e308, -3500.0, -2900.0, 3000.0, 3050.0, 3100.0)),
     "noise_temperature_k": ((290.0,), (5e-324, 1e308)),
     "bandwidth_hz": ((None, 400e6), (5e-324, 1e308)),
     "hap_altitude_km": ((17.0, 20.0), (1e-13, 2e-12, 26.0)),
 }
+EDGES = (
+    (), *((name,) for name in FIXED_VALUES),
+    ("bandwidth_hz", "noise_temperature_k"), ("bandwidth_hz", "tx_power_dbm"),
+)
 
 
-def fixed_value(name, edge):
-    usual, edges = FIXED_VALUES[name]
-    return st.sampled_from(edges if name == edge else usual)
+def fixed_value(name, edges):
+    usual, edge_values = FIXED_VALUES[name]
+    return st.sampled_from(edge_values if name in edges else usual)
 
 
 def axis(name):
@@ -132,9 +139,9 @@ def specs(draw):
     order = draw(st.permutations(tuple(AXIS_VALUES)))
     axes = tuple((name, tuple(draw(axis(name)))) for name in order)
     excess_mode = draw(st.sampled_from(["expected", "sampled"]))
-    edge = draw(st.sampled_from((None, *FIXED_VALUES)))  # one fixed value at an edge, or none
+    edges = draw(st.sampled_from(EDGES))
     fixed = {
-        **{name: draw(fixed_value(name, edge)) for name in FIXED_VALUES},
+        **{name: draw(fixed_value(name, edges)) for name in FIXED_VALUES},
         "relay_mode": draw(st.sampled_from(["af", "df"])),
         "excess_mode": excess_mode,
     }
@@ -319,6 +326,33 @@ def test_af_product_overflow_row_equals_the_scalar_row(
     assert row["error"] == "" and math.isfinite(row["snr_db"])
     if relay_mode == "df":
         assert row["capacity_bps"] == 0.0 and row["snr_db"] < -3500.0
+
+
+@pytest.mark.parametrize("relay_mode", ["af", "df"])
+def test_capacity_overflow_rows_equal_the_scalar_rows(atm_table, scen_table, relay_mode):
+    # At 1e308 Hz a capacity overflows a float above an SNR of about 3.9 dB.
+    # At 3020 dBm the 40 dBi direct point stays below it, at -24.6 dB, and
+    # the 70 dBi one does not. Both hops of the 40 dBi chain pass it, at 5.1
+    # and 4.5 dB, and their AF fold, at 1.1 dB, does not: the chain fails at
+    # hop 0's capacity, as every point at 70 dBi fails.
+    spec = SweepSpec(
+        axes=(("mode", ("direct", "relay")), ("g_rx_dbi", (40.0, 70.0))),
+        fixed={
+            "altitude_km": 1200.0,
+            "fc_ghz": 20.0,
+            "elevation_deg": 10.0,
+            "scenario": "dense_urban",
+            "tx_power_dbm": 3020.0,
+            "noise_temperature_k": 290.0,
+            "bandwidth_hz": 1e308,
+            "hap_altitude_km": 20.0,
+            "relay_mode": relay_mode,
+        },
+    )
+    rows = run_sweep(spec, atm_table, scen_table).rows
+    assert list(rows) == reference_rows(spec, atm_table, scen_table)
+    overflow = [row["error"].startswith("capacity at 1e+308 Hz and SNR ") for row in rows]
+    assert overflow == [False, True, True, True]
 
 
 def test_reuse_does_not_outlive_a_call(atm_table, scen_table):
