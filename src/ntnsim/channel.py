@@ -29,13 +29,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DomainError, TableDomainError, TableFormatError
-from .geometry import LinkGeometry, MIN_ELEVATION_DEG, _check_elevation
+from .geometry import (MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, _ELEVATION_RANGE, _STATION_BANDS,
+                       LinkGeometry, StationClass, _check_elevation)
 
 # Fraction of the zenith gas/scintillation column that applies to a hop,
 # keyed by the altitude of the hop's lower endpoint. Nearly all of the
 # effect sits below the stratosphere, so hops that start at HAP altitude
 # keep a small residual and hops that start above ~100 km keep none.
-HAP_FLOOR_KM = 17.0
+HAP_FLOOR_KM = _STATION_BANDS[StationClass.HAP][0]
 ATMOSPHERE_TOP_KM = 100.0
 
 # Scintillation elevation profile exponent: s(a) = (sin 10deg / sin a)^1.2,
@@ -269,8 +270,8 @@ class ScenarioTable:
         self.version = version
         if len(grid) < 2 or any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
             raise TableFormatError("elevation grid must be strictly ascending")
-        if grid[0] > 10.0 or grid[-1] < 90.0:
-            raise TableFormatError("elevation grid must cover [10, 90] deg")
+        if grid[0] > MIN_ELEVATION_DEG or grid[-1] < MAX_ELEVATION_DEG:
+            raise TableFormatError(f"elevation grid must cover {_ELEVATION_RANGE}")
         for scenario in Scenario:
             if scenario not in self.rows:
                 raise TableFormatError(f"scenario table missing {scenario.value}")

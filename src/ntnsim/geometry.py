@@ -23,6 +23,7 @@ from .errors import DomainError, GeometryError, UnclassifiableAltitude
 
 MIN_ELEVATION_DEG = 10.0
 MAX_ELEVATION_DEG = 90.0
+_ELEVATION_RANGE = f"[{MIN_ELEVATION_DEG:g}, {MAX_ELEVATION_DEG:g}] deg"  # as messages give it
 
 
 class StationClass(enum.Enum):
@@ -36,6 +37,18 @@ class StationClass(enum.Enum):
     GEO = "geo"
 
 
+# Each class's altitude band (km), bottom up: [floor, ceiling]. A floor
+# equal to the ceiling of the band below is left to that band.
+_STATION_BANDS = {
+    StationClass.GROUND_TERMINAL: (0.0, 0.0),
+    StationClass.UAV: (0.0, 10.0),
+    StationClass.HAP: (17.0, 25.0),
+    StationClass.LEO: (200.0, 2000.0),
+    StationClass.MEO: (2000.0, 35000.0),
+    StationClass.GEO: (35700.0, 35900.0),
+}
+
+
 def classify_station(altitude_km: float) -> StationClass:
     """Map an altitude to its station class.
 
@@ -45,35 +58,21 @@ def classify_station(altitude_km: float) -> StationClass:
     """
     if not math.isfinite(altitude_km) or altitude_km < 0:
         raise DomainError(f"altitude must be finite and >= 0 km, got {altitude_km}")
-    if altitude_km == 0.0:
-        return StationClass.GROUND_TERMINAL
-    if altitude_km <= 10.0:
-        return StationClass.UAV
-    if 17.0 <= altitude_km <= 25.0:
-        return StationClass.HAP
-    if 200.0 <= altitude_km <= 2000.0:
-        return StationClass.LEO
-    if 2000.0 < altitude_km <= 35000.0:
-        return StationClass.MEO
-    if 35700.0 <= altitude_km <= 35900.0:
-        return StationClass.GEO
-    if altitude_km < 17.0:
-        gap = "(10, 17) km between UAV and HAP bands"
-    elif altitude_km < 200.0:
-        gap = "(25, 200) km between HAP and LEO bands"
-    elif altitude_km < 35700.0:
-        gap = "(35000, 35700) km between MEO and GEO bands"
+    for station, (floor, ceiling) in _STATION_BANDS.items():
+        if altitude_km <= ceiling:
+            if altitude_km >= floor:
+                return station
+            gap = f"({below[1]:g}, {floor:g}) km between {below[0].name} and {station.name} bands"
+            break
+        below = station, ceiling
     else:
-        gap = "above the 35900 km GEO band"
+        gap = f"above the {ceiling:g} km {station.name} band"
     raise UnclassifiableAltitude(f"altitude {altitude_km} km lies in the gap {gap}")
 
 
 def _check_elevation(elevation_deg: float) -> None:
     if not (MIN_ELEVATION_DEG <= elevation_deg <= MAX_ELEVATION_DEG):
-        raise DomainError(
-            f"elevation must be in [{MIN_ELEVATION_DEG:g}, {MAX_ELEVATION_DEG:g}] deg, "
-            f"got {elevation_deg}"
-        )
+        raise DomainError(f"elevation must be in {_ELEVATION_RANGE}, got {elevation_deg}")
 
 
 def slant_range_km(low_km: float, high_km: float, elevation_deg: float) -> float:

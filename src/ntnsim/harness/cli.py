@@ -21,7 +21,6 @@ from pathlib import Path
 
 from ..channel import load_atmosphere_table, load_scenario_table
 from ..errors import (
-    ChainError,
     ConfigError,
     NtnSimError,
     PresetError,
@@ -29,9 +28,8 @@ from ..errors import (
     TableDomainError,
     TableFormatError,
 )
-from ..geometry import LinkGeometry, classify_station
-from ..linkbudget import LinkResult, RadioConfig, evaluate_link
-from ..relay import RelayChain, RelayHop, evaluate_chain
+from ..linkbudget import RadioConfig
+from ..relay import RelayMode, evaluate_chain
 from .config import PARAMETERS, finite_number, load_fig_defaults
 from .presets import PRESET_NAMES, preset
 from .sweep import (
@@ -39,6 +37,7 @@ from .sweep import (
     METRIC_COLUMNS,
     SweepResult,
     SweepRows,
+    _build_chain,
     emit_csv,
     load_sweep_spec,
     result_record,
@@ -81,6 +80,17 @@ def _param(parser, flag: str, key: str, help: str | None, **kwargs) -> None:
     parser.add_argument(flag, dest=key, type=flag_type, help=help, **kwargs)
 
 
+def _hop(text: str) -> tuple[str, float, float]:
+    """--hop's ALT:ELEV: the text as typed, its altitude and its elevation."""
+    try:
+        altitude, elevation = map(finite_number, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected ALT:ELEV, two finite numbers, got {text!r}"
+        ) from None
+    return text, altitude, elevation
+
+
 def _add_common(parser: argparse.ArgumentParser, seeded: bool = True) -> None:
     parser.add_argument("--tables", metavar="DIR", help="directory with table files")
     parser.add_argument("--out", metavar="FILE", help="output file (default stdout)")
@@ -115,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hop",
         action="append",
         required=True,
+        type=_hop,
         metavar="ALT:ELEV",
         help="one hop: upper altitude (km) and elevation (deg) at its lower "
         "end; repeat top-down, the last hop descends to the ground",
@@ -156,74 +167,42 @@ def _radio_from_args(args) -> RadioConfig:
     return RadioConfig(**radio)
 
 
-def _emit_single(result: LinkResult, args, **inputs: object) -> None:
-    """Write result as one CSV row: inputs, fc_ghz and scenario, then the result columns."""
+def _cmd_chain(args) -> int:
+    """link and chain: the chain down from the command's stations, as one CSV row.
+
+    The row holds the command's inputs, fc_ghz and scenario, then the
+    result's columns. link is a one-hop chain, which evaluate_chain
+    evaluates as evaluate_link does (and whose relay mode nothing reads).
+    """
+    table, scenario_table = _tables(args)
+    radio = _radio_from_args(args)
+    if args.command == "link":
+        stations, mode = [(args.altitude_km, args.elevation_deg)], RelayMode.AMPLIFY_FORWARD
+        inputs = {"altitude_km": args.altitude_km, "elevation_deg": args.elevation_deg}
+    else:
+        stations, mode = [(alt, elev) for _, alt, elev in args.hop], args.relay_mode
+        inputs = {"hops": " ".join(text for text, _, _ in args.hop), "mode": mode}
+    chain = _build_chain(stations, radio, mode, args.scenario)
+    result = evaluate_chain(chain, table, scenario_table, sampled_seed=args.seed)
     inputs.update(fc_ghz=args.fc_ghz, scenario=args.scenario)
     axes = tuple((name, (value,)) for name, value in inputs.items())  # one point
     rows = SweepRows(axes, (result_record(result),))
     emit_csv(SweepResult(tuple(inputs) + _SINGLE_COLUMNS, rows), args.out or sys.stdout)
-
-
-def _cmd_link(args) -> int:
-    classify_station(args.altitude_km)  # the altitude check run_sweep applies
-    table, scenario_table = _tables(args)
-    geometry = LinkGeometry.from_endpoints(0.0, args.altitude_km, args.elevation_deg)
-    radio = _radio_from_args(args)
-    result = evaluate_link(
-        geometry, radio, args.scenario, table,
-        scenario_table=scenario_table, sampled_seed=args.seed,
-    )
-    _emit_single(result, args, altitude_km=args.altitude_km, elevation_deg=args.elevation_deg)
-    return EXIT_OK
-
-
-def _parse_hops(specs: list[str], radio: RadioConfig) -> tuple[RelayHop, ...]:
-    stations: list[tuple[float, float]] = []
-    for spec in specs:
-        try:
-            alt, elev = (finite_number(part) for part in spec.split(":"))
-        except ValueError:
-            raise ChainError(
-                f"--hop expects ALT:ELEV, two finite numbers, got {spec!r}"
-            ) from None
-        classify_station(alt)  # the altitude check run_sweep applies
-        stations.append((alt, elev))
-    hops = []
-    for i, (alt, elev) in enumerate(stations):
-        low = stations[i + 1][0] if i + 1 < len(stations) else 0.0
-        hops.append(RelayHop(LinkGeometry.from_endpoints(low, alt, elev), radio))
-    return tuple(hops)
-
-
-def _cmd_chain(args) -> int:
-    radio = _radio_from_args(args)
-    hops = _parse_hops(args.hop, radio)
-    table, scenario_table = _tables(args)
-    chain = RelayChain(hops=hops, mode=args.relay_mode, scenario=args.scenario)
-    result = evaluate_chain(chain, table, scenario_table, sampled_seed=args.seed)
-    _emit_single(result, args, hops=" ".join(args.hop), mode=args.relay_mode)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
+    """sweep and preset: run the spec file's or the preset's spec."""
     table, scenario_table = _tables(args)
-    spec = load_sweep_spec(args.spec, seed=args.seed)
+    if args.command == "sweep":
+        spec = load_sweep_spec(args.spec, seed=args.seed)
+    else:
+        spec = preset(args.name)
     emit_csv(run_sweep(spec, table, scenario_table), args.out or sys.stdout)
     return EXIT_OK
 
 
-def _cmd_preset(args) -> int:
-    table, scenario_table = _tables(args)
-    emit_csv(run_sweep(preset(args.name), table, scenario_table), args.out or sys.stdout)
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "link": _cmd_link,
-    "chain": _cmd_chain,
-    "sweep": _cmd_sweep,
-    "preset": _cmd_preset,
-}
+_COMMANDS = {"link": _cmd_chain, "chain": _cmd_chain, "sweep": _cmd_sweep, "preset": _cmd_sweep}
 
 
 def main(argv: list[str] | None = None) -> int:

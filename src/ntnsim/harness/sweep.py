@@ -263,6 +263,18 @@ def _cell(value: object) -> str:
     return text
 
 
+def _build_chain(stations, radio: RadioConfig, mode: RelayMode, scenario) -> RelayChain:
+    """The chain down from stations, (altitude, elevation) pairs top-down, once
+    classify_station passes each altitude: hop i rises from station i + 1 (the
+    last from the ground) to station i, at station i's elevation."""
+    for altitude, _ in stations:
+        classify_station(altitude)
+    lows = [altitude for altitude, _ in stations[1:]] + [0.0]
+    return RelayChain(tuple(
+        RelayHop(LinkGeometry.from_endpoints(low, high, elevation), radio)
+        for (high, elevation), low in zip(stations, lows)), mode, scenario)
+
+
 def _plan(axes, fixed, table, scenario_table, seed):
     """Each mode's (resolve, point, keys) for _validate_spec's axes, fixed and seed.
 
@@ -286,15 +298,12 @@ def _plan(axes, fixed, table, scenario_table, seed):
     def reference(index):  # row index's record as chain gives it (one hop: as link does)
         altitude, fc, elevation, g_rx, scenario, mode = pick(_combo(values, index))
         highs = (altitude, hap) if mode == MODE_RELAY else (altitude,)  # hops' upper stations
+        stations = [(high, elevation) for high in highs]
         try:
-            for station in highs:
-                classify_station(station)
             radio = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx)
-            hops = tuple(RelayHop(LinkGeometry.from_endpoints(low, high, elevation), radio)
-                         for high, low in zip(highs, highs[1:] + (0.0,)))
+            chain = _build_chain(stations, radio, relay_mode, scenario)
             return result_record(evaluate_chain(
-                RelayChain(hops, relay_mode, scenario), table, scenario_table,
-                sampled_seed=seed, sampled_index=index))
+                chain, table, scenario_table, sampled_seed=seed, sampled_index=index))
         except NtnSimError as exc:
             return _FAILED + (str(exc),)
 

@@ -1,6 +1,9 @@
 """CLI tests: subcommands, output shape, exit codes."""
 
 import argparse
+import contextlib
+import csv
+import io
 import math
 import os
 import re
@@ -11,14 +14,23 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ntnsim
-from ntnsim.errors import SpecError
+from ntnsim.errors import ConfigError, NtnSimError, SpecError, TableDomainError
+from ntnsim.geometry import LinkGeometry, classify_station
 from ntnsim.harness import SweepSpec, load_fig_defaults, run_sweep
-from ntnsim.harness.cli import _parse_hops, _radio_from_args, build_parser, main
+from ntnsim.harness.cli import SystemExit_, _radio_from_args, build_parser, main
 from ntnsim.harness.config import PARAMETERS, finite_number
-from ntnsim.harness.sweep import EXTRA_COLUMNS, METRIC_COLUMNS, format_value
-from ntnsim.relay import RelayChain, evaluate_chain
+from ntnsim.harness.sweep import (
+    EXTRA_COLUMNS,
+    METRIC_COLUMNS,
+    RESULT_COLUMNS,
+    format_value,
+    result_record,
+)
+from ntnsim.linkbudget import RadioConfig, evaluate_link
+from ntnsim.relay import RelayChain, RelayHop, evaluate_chain
 from test_params import FLAG_KEYS
 
 
@@ -288,6 +300,21 @@ class TestTablesFlag:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["link", "chain"])
+def test_checks_run_tables_radio_stations_hops(tmp_path, capsys, command):
+    # Two faults each: the first check in that order decides, for link and chain alike.
+    def argv(altitude, elevation, *flags):
+        if command == "link":
+            return ["link", "--alt", altitude, "--elev", elevation, *flags]
+        return ["chain", "--hop", f"{altitude}:{elevation}", "--hop", "20:10", *flags]
+
+    absent = str(tmp_path / "absent")
+    code, out, err = run_cli(capsys, *argv("600", "5", *LINK[-4:], "--tables", absent))
+    assert (code, out) == (2, "") and err.startswith("ntnsim: i/o error: ")
+    code, out, err = run_cli(capsys, *argv("100", "10", "--fc", "-1", "--got", "15.9"))
+    assert (code, out, err) == (1, "", "ntnsim: error: fc_ghz must be > 0, got -1.0\n")
+
+
 class TestSingleRowMatchesSweep:
     """link and chain rows equal the run_sweep row for the same point."""
 
@@ -353,26 +380,32 @@ def readme_block(heading, language):
     return section.split(f"```{language}\n", 1)[1].split("\n```", 1)[0]
 
 
-# Each command of the README's CLI block, as ntnsim's argv. CI runs the
-# same block through the installed entry point.
+# Each command of the README's CLI block, as ntnsim's argv, and each file
+# its `cat > NAME <<'EOF'` lines write. CI runs the same block through the
+# installed entry point.
+README_CLI = readme_block("CLI", "sh")
 README_COMMANDS = [
     shlex.split(line)[1:]
-    for line in readme_block("CLI", "sh").replace("\\\n", " ").splitlines()
+    for line in README_CLI.replace("\\\n", " ").splitlines()
     if line.startswith("ntnsim ")
 ]
+README_FILES = re.findall(r"^cat > (\S+) <<'EOF'\n(.*?\n)EOF$", README_CLI, re.M | re.S)
 README_LINK_CHAIN = [argv for argv in README_COMMANDS if argv[0] in ("link", "chain")]
 
 
 def test_readme_blocks_run(tmp_path, monkeypatch, capsys):
-    # Every README command but its sweep, whose spec file the README does
-    # not give, in an empty directory, where the presets write their files;
-    # then the README's library example.
+    # Every README command in an empty directory, where the block writes its
+    # spec file and the commands their files; then the README's library example.
     monkeypatch.chdir(tmp_path)
-    commands = [argv for argv in README_COMMANDS if argv[0] != "sweep"]
-    assert [argv[0] for argv in commands] == ["link", "link", "chain", *["preset"] * 3]
-    for argv in commands:
+    for name, text in README_FILES:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    commands = [argv[0] for argv in README_COMMANDS]
+    assert commands == ["link", "link", "chain", "sweep", *["preset"] * 3]
+    for argv in README_COMMANDS:
         assert run_cli(capsys, *argv)[::2] == (0, ""), argv
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["fig2.csv", "fig3.csv", "fig4.csv"]
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == ["examples.cfg", "fig2.csv", "fig3.csv", "fig4.csv", "rows.csv"]
+    assert len(csv_rows((tmp_path / "rows.csv").read_text())) == 18
     exec(readme_block("Library", "python"), {})
     # No name of the deleted config-file loader is left in the docs or the package.
     stale = re.compile("load_config|ResolvedParams|parse_kv_lines")
@@ -580,8 +613,9 @@ class TestSnrOverflow:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         (row,) = csv_rows(out)
-        args = build_parser().parse_args(argv)
-        hops = _parse_hops(args.hop, _radio_from_args(args))
+        radio = _radio_from_args(build_parser().parse_args(argv))
+        hops = (RelayHop(LinkGeometry.from_endpoints(20.0, 1200.0, 10.0), radio),
+                RelayHop(LinkGeometry.from_endpoints(0.0, 20.0, 10.0), radio))
         result = evaluate_chain(RelayChain(hops), atm_table, scen_table)
         hop_snrs = [hop.snr_db for hop in result.hops]
         sign = 1 if float(txpow) > 0 else -1  # past the product's overflow, or its underflow
@@ -698,3 +732,140 @@ def test_help_usage_line(capsys, argv, usage):
     out = capsys.readouterr().out
     # The usage paragraph, however the terminal's width wraps it.
     assert " ".join(out.split("\n\n")[0].split()) == f"usage: {usage}"
+
+
+# The CLI property's texts for link's and chain's flags: valid ones, some of
+# which fail a check of the link model (a gap altitude, 5 deg, a carrier off
+# the table, 0 Hz), and BOUNDARY's, which one flag of about one argv in three
+# takes instead, as does a number of one --hop in six. --alt's are top-down.
+BOUNDARY = ("nan", "inf", "-inf", "1e308", "-1e308", "-0", "1e-320", "3000", "", "word")
+PACKAGED_TABLES = str(Path(ntnsim.__file__).parent / "data")
+VALUES = {
+    "--alt": ("35786", "1200", "600", "300", "100", "20"),
+    "--elev": ("30", "10", "90", "45.5", "5"),
+    "--fc": ("20", "2", "90", "0.4"),
+    "--scenario": ("dense_urban", "Rural", "dense-urban"),
+    "--txpow": ("18", "40", "-10", "3000", "4000"),
+    "--gtx": ("30", "0"),
+    "--grx": ("40", "50"),
+    "--got": ("15.9", "-10"),
+    "--temp": ("290", "0"),
+    "--bandwidth": ("auto", "4e8", "1e308", "0"),
+    "--seed": ("3", "-5"),
+    "--tables": (PACKAGED_TABLES,) * 3 + ("absent",),
+    "--mode": ("af", "DF"),
+}
+RECEIVERS = [("--got",)] * 4 + [("--grx",)] * 3 + [("--grx", "--temp"), (), ("--grx", "--got")]
+CLI_PARSER = build_parser()
+CLI_FLAGS = {  # each parser's flags but -h and --out, and the receiver flags RECEIVERS picks
+    command: [action.option_strings[-1] for action in subcommands(CLI_PARSER)[command]._actions
+              if action.option_strings[-1] not in ("--help", "--out", "--grx", "--got", "--temp")]
+    for command in ("link", "chain")
+}
+# Each flag's texts, and None to leave it out: rarely for a required flag
+# (or one RECEIVERS picked), one time in two for another.
+REQUIRED = ("--alt", "--elev", "--fc", "--grx", "--got", "--temp")
+POOLS = {flag: values * 5 + (None,) if flag in REQUIRED else (None,) * len(values) + values
+         for flag, values in VALUES.items()}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(("link", "chain")))
+    flags = CLI_FLAGS[command] + list(draw(st.sampled_from(RECEIVERS)))
+    spoiled = draw(st.sampled_from([None] * 2 * len(flags) + flags))
+    argv = [command]
+    for flag in flags:
+        if flag == "--hop":
+            argv += draw(hops())
+            continue
+        text = draw(st.sampled_from(BOUNDARY if flag == spoiled else POOLS[flag]))
+        if text is not None:
+            argv.append(f"{flag}={text}")  # '=' lets argparse take "-1e308"
+    return argv
+
+
+@st.composite
+def hops(draw):
+    """None to three --hop flags, top-down four times in five; one hop in six
+    takes a boundary text for one of its numbers."""
+    count = draw(st.sampled_from((1, 2, 3) * 5 + (0,)))
+    altitudes = draw(st.lists(st.sampled_from(VALUES["--alt"]), min_size=count, max_size=count,
+                              unique=True))
+    if draw(st.sampled_from(range(5))) < 4:
+        altitudes.sort(key=VALUES["--alt"].index)
+    flags = []
+    for altitude in altitudes:
+        station = [altitude, draw(st.sampled_from(VALUES["--elev"]))]
+        if not draw(st.sampled_from(range(6))):
+            station[draw(st.sampled_from(range(2)))] = draw(st.sampled_from(BOUNDARY))
+        flags.append("--hop={}:{}".format(*station))
+    return flags
+
+
+def by_hand(args, table, scenario_table):
+    """The record of link's or chain's parsed args, in the CLI's check order but tables:
+    radio, then each station, then each hop, evaluated by evaluate_link or evaluate_chain."""
+    flags = vars(args)
+    radio = load_fig_defaults()
+    if flags["g_rx_dbi"] is None:
+        if flags["g_over_t_dbi_per_k"] is None:
+            raise ConfigError("one of --grx or --got is required")
+        del radio["noise_temperature_k"]
+    radio = RadioConfig(**{**radio, **{key: flags[key] for key in RadioConfig._fields
+                                       if flags[key] is not None}})
+    if args.command == "link":
+        stations = [(args.altitude_km, args.elevation_deg)]
+    else:
+        stations = [(altitude, elevation) for _, altitude, elevation in args.hop]
+        for text, *station in args.hop:  # typed as the text says, or argparse refused it
+            assert station == [finite_number(part) for part in text.split(":")]
+    for altitude, _ in stations:
+        classify_station(altitude)
+    lows = [altitude for altitude, _ in stations[1:]] + [0.0]
+    hops = tuple(RelayHop(LinkGeometry.from_endpoints(low, high, elevation), radio)
+                 for (high, elevation), low in zip(stations, lows))
+    if args.command == "link":
+        return result_record(evaluate_link(hops[0].geometry, radio, args.scenario, table,
+                                           scenario_table, sampled_seed=args.seed))
+    chain = RelayChain(hops, args.relay_mode, args.scenario)
+    return result_record(evaluate_chain(chain, table, scenario_table, sampled_seed=args.seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=cli_argvs())
+def test_link_and_chain_exit_as_their_inputs_say(atm_table, scen_table, argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code:  # no output, and one error line, after the usage text if argparse refused argv
+        assert out == ""
+        *usage, line = err.splitlines()
+        assert re.fullmatch(r"ntnsim(( link| chain)?: error|: (i/o|table) error): .+", line)
+        assert usage == [] or err.startswith("usage: ntnsim ")
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text, seen above
+            args = CLI_PARSER.parse_args(argv)
+    except SystemExit_ as exc:
+        assert (code, err.splitlines()[-1]) == (1, exc.message)
+        return
+    if args.tables not in (None, "", PACKAGED_TABLES):  # "" is no --tables
+        assert code == 2 and err.startswith("ntnsim: i/o error: ")
+        return
+    try:
+        record = by_hand(args, atm_table, scen_table)
+    except NtnSimError as exc:
+        kind = "table error" if isinstance(exc, TableDomainError) else "error"
+        assert (code, err) == (1 + (kind != "error"), f"ntnsim: {kind}: {exc}\n")
+        return
+    assert (code, err) == (0, "")
+    header, row = list(csv.reader(io.StringIO(out)))
+    if args.command == "link":
+        inputs = [args.altitude_km, args.elevation_deg]
+    else:
+        inputs = [" ".join(text for text, _, _ in args.hop), args.relay_mode]
+    expected = dict(zip(RESULT_COLUMNS, record))
+    expected.update(zip(header, [*inputs, args.fc_ghz, args.scenario]))
+    assert row == [format_value(expected[column]) for column in header]

@@ -110,16 +110,19 @@ def reference_rows(spec, table, scenario_table):
 # negative FSPL; 26 km lies in the gap. At 1e308 Hz a capacity overflows a
 # float above an SNR of about 3.9 dB, which only a subnormal noise
 # temperature or 3000-3100 dBm reaches: EDGES pairs each with the bandwidth.
+# The power pair, CAPACITY, is drawn twice as often as another entry.
+# Three of its draws in four, capacity draws, take 1e308 Hz with 3050 dBm
+# (whose hop SNRs there stay below 3083 dB and mostly lie above 3.9 dB) and
+# sweep only axis values that can reach a capacity exit (see axis).
 FIXED_VALUES = {
     "tx_power_dbm": ((18.0,), (1e308, -1e308, -3500.0, -2900.0, 3000.0, 3050.0, 3100.0)),
     "noise_temperature_k": ((290.0,), (5e-324, 1e308)),
     "bandwidth_hz": ((None, 400e6), (5e-324, 1e308)),
     "hap_altitude_km": ((17.0, 20.0), (1e-13, 2e-12, 26.0)),
 }
-EDGES = (
-    (), *((name,) for name in FIXED_VALUES),
-    ("bandwidth_hz", "noise_temperature_k"), ("bandwidth_hz", "tx_power_dbm"),
-)
+CAPACITY = ("bandwidth_hz", "tx_power_dbm")
+EDGES = ((), *((name,) for name in FIXED_VALUES), ("bandwidth_hz", "noise_temperature_k"),
+         *(CAPACITY,) * 2)
 
 
 def fixed_value(name, edges):
@@ -127,24 +130,40 @@ def fixed_value(name, edges):
     return st.sampled_from(edge_values if name in edges else usual)
 
 
-def axis(name):
+# The axis values whose points cannot reach a guard's capacity exit: they
+# fail (see AXIS_VALUES) or, at ±1e308 dBi, leave the fused path at any
+# fixed value.
+NO_CAPACITY_EXIT = {"altitude_km": (1e-13, 2e-12, 100.0), "fc_ghz": (0.3, 120.0),
+                    "elevation_deg": (5.0, 95.0), "g_rx_dbi": (1e308, -1e308)}
+
+
+def axis(name, capacity=False):
+    """An axis's values; for a capacity draw (see CAPACITY) both modes, and
+    only values whose points can reach a guard's capacity exit."""
+    if capacity and name == "mode":
+        return st.permutations(AXIS_VALUES["mode"])
     # Lists, not sets: repeated values are part of what is tested.
-    return st.lists(st.sampled_from(AXIS_VALUES[name]), min_size=1, max_size=3)
+    values = [v for v in AXIS_VALUES[name]
+              if not (capacity and v in NO_CAPACITY_EXIT.get(name, ()))]
+    return st.lists(st.sampled_from(values), min_size=1, max_size=3)
 
 
 @st.composite
 def specs(draw):
     # Every axis, declared in any order: row order, and so which axes vary
     # fastest, follows the declaration.
-    order = draw(st.permutations(tuple(AXIS_VALUES)))
-    axes = tuple((name, tuple(draw(axis(name)))) for name in order)
-    excess_mode = draw(st.sampled_from(["expected", "sampled"]))
     edges = draw(st.sampled_from(EDGES))
+    capacity = edges == CAPACITY and draw(st.integers(0, 3)) > 0
+    order = draw(st.permutations(tuple(AXIS_VALUES)))
+    axes = tuple((name, tuple(draw(axis(name, capacity)))) for name in order)
+    excess_mode = draw(st.sampled_from(["expected", "sampled"]))
     fixed = {
         **{name: draw(fixed_value(name, edges)) for name in FIXED_VALUES},
         "relay_mode": draw(st.sampled_from(["af", "df"])),
         "excess_mode": excess_mode,
     }
+    if capacity:
+        fixed.update(bandwidth_hz=1e308, tx_power_dbm=3050.0)
     if fixed["bandwidth_hz"] is None:  # Auto
         del fixed["bandwidth_hz"]
     seed = draw(st.integers(0, 2**31 - 1)) if excess_mode == "sampled" else None
