@@ -136,18 +136,18 @@ def differential_delay_ms(
 
 
 class LinkGeometry(NamedTuple):
-    """One hop: endpoint altitudes, elevation, and derived range/delay."""
+    """One hop: endpoint altitudes and elevation; slant range and delay are derived when read."""
 
     low_altitude_km: float
     high_altitude_km: float
     elevation_deg: float
-    slant_range_km: float
-    one_way_delay_ms: float
+    slant_range_km = property(lambda self: slant_range_km(*self))  # the module's function
+    one_way_delay_ms = property(lambda self: propagation_delay_ms(slant_range_km(*self)))
 
     @classmethod
     def from_endpoints(
         cls, low_altitude_km: float, high_altitude_km: float, elevation_deg: float
     ) -> "LinkGeometry":
-        """Build a hop, deriving slant range and one-way delay."""
-        d = slant_range_km(low_altitude_km, high_altitude_km, elevation_deg)
-        return cls(low_altitude_km, high_altitude_km, elevation_deg, d, propagation_delay_ms(d))
+        """Build a hop once slant_range_km accepts its endpoints."""
+        slant_range_km(low_altitude_km, high_altitude_km, elevation_deg)
+        return cls(low_altitude_km, high_altitude_km, elevation_deg)

@@ -91,9 +91,15 @@ def _hop(text: str) -> tuple[str, float, float]:
     return text, altitude, elevation
 
 
+def _path(text: str) -> Path:
+    if not text:  # Path("") would name the working directory
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return Path(text)
+
+
 def _add_common(parser: argparse.ArgumentParser, seeded: bool = True) -> None:
-    parser.add_argument("--tables", metavar="DIR", help="directory with table files")
-    parser.add_argument("--out", metavar="FILE", help="output file (default stdout)")
+    parser.add_argument("--tables", type=_path, metavar="DIR", help="directory with table files")
+    parser.add_argument("--out", type=_path, metavar="FILE", help="output file (default stdout)")
     if seeded:
         _param(parser, "--seed", "seed", "seed for sampled excess mode")
 
@@ -146,13 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tables(args):
-    if args.tables:
-        base = Path(args.tables)
-        return (
-            load_atmosphere_table(base / "atmosphere.tsv"),
-            load_scenario_table(base / "scenario.tsv"),
-        )
-    return load_atmosphere_table(), load_scenario_table()
+    if args.tables is None:
+        return load_atmosphere_table(), load_scenario_table()
+    return (load_atmosphere_table(args.tables / "atmosphere.tsv"),
+            load_scenario_table(args.tables / "scenario.tsv"))
 
 
 def _radio_from_args(args) -> RadioConfig:
@@ -167,8 +170,8 @@ def _radio_from_args(args) -> RadioConfig:
     return RadioConfig(**radio)
 
 
-def _cmd_chain(args) -> int:
-    """link and chain: the chain down from the command's stations, as one CSV row.
+def _cmd_chain(args) -> SweepResult:
+    """link and chain: the chain down from the command's stations, as one row.
 
     The row holds the command's inputs, fc_ghz and scenario, then the
     result's columns. link is a one-hop chain, which evaluate_chain
@@ -186,20 +189,17 @@ def _cmd_chain(args) -> int:
     result = evaluate_chain(chain, table, scenario_table, sampled_seed=args.seed)
     inputs.update(fc_ghz=args.fc_ghz, scenario=args.scenario)
     axes = tuple((name, (value,)) for name, value in inputs.items())  # one point
-    rows = SweepRows(axes, (result_record(result),))
-    emit_csv(SweepResult(tuple(inputs) + _SINGLE_COLUMNS, rows), args.out or sys.stdout)
-    return EXIT_OK
+    return SweepResult(tuple(inputs) + _SINGLE_COLUMNS, SweepRows(axes, (result_record(result),)))
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> SweepResult:
     """sweep and preset: run the spec file's or the preset's spec."""
     table, scenario_table = _tables(args)
     if args.command == "sweep":
         spec = load_sweep_spec(args.spec, seed=args.seed)
     else:
         spec = preset(args.name)
-    emit_csv(run_sweep(spec, table, scenario_table), args.out or sys.stdout)
-    return EXIT_OK
+    return run_sweep(spec, table, scenario_table)
 
 
 _COMMANDS = {"link": _cmd_chain, "chain": _cmd_chain, "sweep": _cmd_sweep, "preset": _cmd_sweep}
@@ -209,7 +209,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        emit_csv(_COMMANDS[args.command](args), sys.stdout if args.out is None else args.out)
+        return EXIT_OK
     except SystemExit_ as exc:
         if exc.message:
             print(exc.message, file=sys.stderr)

@@ -7,13 +7,13 @@ the sweep continues.
 
 run_sweep builds one plan per spec (see _plan): each stage runs once per
 distinct input through the scalar functions that evaluate_link and
-evaluate_chain use, and each point does their remaining float work
-inline, fused, in their order. A point outside those functions' happy
-paths (an overflowing SNR, say) is evaluated by evaluate_chain itself.
-Points run a prefix at a time (see _records). So each record (see
+evaluate_chain use, and each point does their remaining float work inline,
+fused, in their order. evaluate_chain itself evaluates every point the
+fused path does not write. Points run a prefix at a time, and a gap
+altitude's prefix takes its one error (see _records). So each record (see
 SweepRows), error rows and messages included, is result_record of the
-point's own evaluate_link or evaluate_chain result, with sampled_index
-its row index, and emit_csv writes it as it writes link's and chain's.
+point's own evaluate_link or evaluate_chain result, with sampled_index its
+row index, and emit_csv writes it as it writes link's and chain's.
 
 Sampled clutter gives every point its own stream: the point at row
 index i of a sweep with seed s draws from blake2b(b"<s>:<i>"), through
@@ -43,7 +43,6 @@ from ..channel import (
     ScenarioTable,
     default_atmosphere_fraction,
     fspl_carrier_db,
-    fspl_db,
     fspl_range_db,
     gas_attenuation_db,
     load_scenario_table,
@@ -276,20 +275,20 @@ def _build_chain(stations, radio: RadioConfig, mode: RelayMode, scenario) -> Rel
 
 
 def _plan(axes, fixed, table, scenario_table, seed):
-    """Each mode's (resolve, point, keys) for _validate_spec's axes, fixed and seed.
+    """(reference, radios_hold, plans) for _validate_spec's axes, fixed and seed.
 
-    resolve maps a point's values of AXIS_NAMES but mode to its stage
-    values or raises its first error; point maps those and the row index
+    reference(index) is row index's record as evaluate_chain gives it.
+    plans maps each mode to (resolve, point, keys): resolve maps a point's
+    values of AXIS_NAMES but mode to its stage values, or raises, and the
+    point then gets reference(index); point maps those and the row index
     to the point's record (see SweepRows) and never raises; keys holds the
     axes that each stage value's key reads. Each stage is cached per
-    distinct input; an input whose stage raised is not, so a point gets
-    its own error. point does the scalar functions' float work inline, in
+    distinct input. point does the scalar functions' float work inline, in
     their order, while their happy paths hold: FSPL > 0 and the other
     stages >= 0 with a finite total, finite SNRs whose power ratios do not
     overflow, 0 < bandwidth < _BANDWIDTH_BOUND (so that no capacity the
     scalar path computes, each hop's included, overflows), for AF a finite
-    product and a normal gamma. Outside that guard it gives
-    reference(index), the scalar path's record.
+    product and a normal gamma. Outside that guard it gives reference(index).
     """
     hap, relay_mode = fixed.get("hap_altitude_km"), fixed["relay_mode"]
     radio_fixed = _fixed_radio(fixed)  # RadioConfig's defaults stand for fields left out
@@ -312,6 +311,11 @@ def _plan(axes, fixed, table, scenario_table, seed):
         resolved = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx).resolve_bandwidth()
         return (*resolved.budget_terms(), fspl_carrier_db(fc), resolved.bandwidth_hz)
 
+    try:  # radios_hold: no point's radio fails RadioConfig, the chain's first check
+        radios_hold = all(radios(*pair) for pair in product(axes["fc_ghz"], axes["g_rx_dbi"]))
+    except NtnSimError:
+        radios_hold = False
+
     # The share of the column a hop sees from the ground and, given a HAP, from the HAP.
     fractions = [default_atmosphere_fraction(low) for low in (0.0, hap) if low is not None]
 
@@ -324,7 +328,7 @@ def _plan(axes, fixed, table, scenario_table, seed):
         @cache
         def stage(high, elevation):  # slant range, FSPL's range term
             slant = slant_range_km(low, high, elevation)
-            # 20 log10(0) as -inf: a zero slant range fails resolve's and point's FSPL checks
+            # 20 log10(0) as -inf: a zero slant range fails point's FSPL check
             return slant, fspl_range_db(slant) if slant > 0 else -inf
         return stage
 
@@ -341,8 +345,6 @@ def _plan(axes, fixed, table, scenario_table, seed):
     def resolve(altitude, fc, elevation, g_rx, scenario):
         stations(altitude)  # raises for an altitude outside every band
         radio, hop = radios(fc, g_rx), ground_hops(altitude, elevation)
-        if hop[1] == -inf:
-            fspl_db(hop[0], fc)
         return radio, hop, atmosphere(fc, elevation)[0], cells(scenario, elevation)
 
     def fused_direct(radio, hop, air, excess, index):
@@ -364,7 +366,7 @@ def _plan(axes, fixed, table, scenario_table, seed):
 
     plans = {MODE_DIRECT: (resolve, fused_direct, (fc_grx, alt_elev, fc_elev, scen_elev))}
     if MODE_RELAY not in axes["mode"]:
-        return plans
+        return reference, radios_hold, plans
     # Hop 0 runs from the HAP up to the station, without clutter; hop 1
     # from the ground up to the HAP. Both use the point's radio. A point's
     # slant range, gas and scintillation are the sums over its hops.
@@ -373,13 +375,10 @@ def _plan(axes, fixed, table, scenario_table, seed):
 
     def resolve_relay(altitude, fc, elevation, g_rx, scenario):
         stations(altitude)
-        radio = radios(fc, g_rx)
         stations(hap)
         hop0, hop1 = hap_hops(altitude, elevation), ground_hops(hap, elevation)
-        if hop0[1] == -inf:
-            fspl_db(hop0[0], fc)
         air1, air0 = atmosphere(fc, elevation)  # from the ground, from the HAP
-        return radio, hop0, hop1, air0, air1, cells(scenario, elevation)
+        return radios(fc, g_rx), hop0, hop1, air0, air1, cells(scenario, elevation)
 
     def fused_relay(radio, hop0, hop1, air0, air1, excess, index):
         gain, bandwidth_db, carrier_db, bandwidth = radio
@@ -413,7 +412,7 @@ def _plan(axes, fixed, table, scenario_table, seed):
         return upper + lower, fspl, gas, scint, excess, total, snr, capacity, bandwidth, label, ""
 
     keys = fc_grx, alt_elev, ("elevation_deg",), fc_elev, fc_elev, scen_elev
-    return {**plans, MODE_RELAY: (resolve_relay, fused_relay, keys)}
+    return reference, radios_hold, {**plans, MODE_RELAY: (resolve_relay, fused_relay, keys)}
 
 
 def result_record(result: LinkResult) -> tuple:
@@ -426,29 +425,29 @@ def result_record(result: LinkResult) -> tuple:
     )
 
 
-def _records(axes, plans):
+def _records(axes, reference, radios_hold, plans):
     """Every point's record in row order, from each of AXIS_NAMES' typed values.
 
     The inner axis is the last in row order with more than one value. Each
     value of the other axes, a prefix, maps its mode's point over a column
     per stage value: the value repeated if its key does not read the inner
     axis, else its values along it, kept for the call by the rest of its
-    key. Columns whose keys read no other varying axis are built once. Only
-    a resolve raises: a prefix whose altitude, not the inner axis, fails
-    classify_station (both resolves' first check) gets that failed record
-    at every point; a prefix with another failing resolve is redone point by
-    point.
+    key. Columns whose keys read no other varying axis are built once. A
+    point, or each point of a prefix, whose resolve raises gets
+    reference(index); but where radios_hold, a prefix whose altitude, not
+    the inner axis, fails classify_station gets that error at every point,
+    as the chain checks that station right after the radio.
     """
     names = list(axes)
     pick = itemgetter(*map(names.index, AXIS_NAMES))
 
-    def one(point, index):  # point(*resolve(...), index), or a failed point's record
+    def one(point, index):  # point(*resolve(...), index), or reference(index)
         *values, mode = pick(point)
         resolve, evaluate, _ = plans[mode]
         try:
             return evaluate(*resolve(*values), index)
-        except NtnSimError as exc:
-            return _FAILED + (str(exc),)
+        except NtnSimError:
+            return reference(index)
 
     varying = [name for name in names if len(axes[name]) > 1]
     inner = varying.pop() if varying else "mode"
@@ -481,11 +480,11 @@ def _records(axes, plans):
                 columns[j] = memo[key]
             state[3] = changing  # the other columns now hold for every prefix
             records += map(point, *columns, range(start, start + n))
-        except NtnSimError as exc:
-            if inner != "altitude_km":
-                try:  # both resolves check the altitude's station first
+        except NtnSimError:
+            if inner != "altitude_km" and radios_hold:
+                try:  # the chain checks the altitude's station right after the radio
                     classify_station(values[0])
-                except NtnSimError:  # so every point of the prefix fails with exc
+                except NtnSimError as exc:  # so every point of the prefix fails with exc
                     records += [_FAILED + (str(exc),)] * n
                     continue
             points = (prefix[:at] + (v,) + prefix[at + 1:] for v in inner_values)
@@ -509,7 +508,7 @@ def run_sweep(
     axes, fixed, seed = _validate_spec(spec)
     if scenario_table is None:
         scenario_table = load_scenario_table()
-    records = _records(axes, _plan(axes, fixed, table, scenario_table, seed))
+    records = _records(axes, *_plan(axes, fixed, table, scenario_table, seed))
     provenance = spec.provenance + (
         f"atmosphere table version: {table.version}",
         f"scenario table version: {scenario_table.version}",

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import ntnsim
 from ntnsim.errors import ConfigError, NtnSimError, SpecError, TableDomainError
-from ntnsim.geometry import LinkGeometry, classify_station
+from ntnsim.geometry import LinkGeometry
 from ntnsim.harness import SweepSpec, load_fig_defaults, run_sweep
 from ntnsim.harness.cli import SystemExit_, _radio_from_args, build_parser, main
 from ntnsim.harness.config import PARAMETERS, finite_number
@@ -27,11 +27,11 @@ from ntnsim.harness.sweep import (
     METRIC_COLUMNS,
     RESULT_COLUMNS,
     format_value,
-    result_record,
 )
-from ntnsim.linkbudget import RadioConfig, evaluate_link
+from ntnsim.linkbudget import RadioConfig
 from ntnsim.relay import RelayChain, RelayHop, evaluate_chain
 from test_params import FLAG_KEYS
+from test_sweep_reuse import chain_record
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +315,26 @@ def test_checks_run_tables_radio_stations_hops(tmp_path, capsys, command):
     assert (code, out, err) == (1, "", "ntnsim: error: fc_ghz must be > 0, got -1.0\n")
 
 
+@pytest.mark.parametrize("command", ["link", "chain"])
+def test_sweep_rows_carry_the_errors_link_and_chain_print(atm_table, scen_table, capsys, command):
+    # At 100 km, in a gap, a -1 GHz carrier fails the radio check, which comes first: a
+    # sweep row says so as link and chain do. Each other point's error, or none, matches too.
+    fixed = {"elevation_deg": 30.0, "scenario": "dense_urban", "g_over_t_dbi_per_k": 15.9,
+             "tx_power_dbm": 18.0}
+    if command == "chain":
+        fixed.update(mode="relay", hap_altitude_km=20.0)
+    spec = SweepSpec(axes=(("altitude_km", (100.0, 600.0)), ("fc_ghz", (-1.0, 20.0))),
+                     fixed=fixed)
+    rows = run_sweep(spec, atm_table, scen_table).rows
+    assert rows[0]["error"] == "fc_ghz must be > 0, got -1.0"
+    for row in rows:
+        altitude, fc = f"{row['altitude_km']:g}", f"{row['fc_ghz']:g}"
+        stations = (["--alt", altitude, "--elev", "30"] if command == "link"
+                    else ["--hop", f"{altitude}:30", "--hop", "20:30"])
+        code, _, err = run_cli(capsys, command, *stations, "--fc", fc, *LINK[-2:], "--txpow", "18")
+        assert (code, err) == ((1, f"ntnsim: error: {row['error']}\n") if row["error"] else (0, ""))
+
+
 class TestSingleRowMatchesSweep:
     """link and chain rows equal the run_sweep row for the same point."""
 
@@ -421,6 +441,16 @@ GRX_LINK = (
     "--temp", "290",
 )
 CHAIN = ("chain", "--hop", "1200:10", "--hop", "20:10", "--fc", "20", "--got", "15.9")
+
+
+@pytest.mark.parametrize("flag", ["--tables", "--out"])
+@pytest.mark.parametrize("argv", [LINK, ("preset", "--name", "fig2")], ids=["link", "preset"])
+def test_empty_path_flag_is_a_usage_error(capsys, argv, flag):
+    # Path("") names the working directory: an empty value is refused, not read as no flag
+    # (the packaged tables, stdout) or as ".".
+    code, out, err = run_cli(capsys, *argv, f"{flag}=")
+    assert (code, out) == (1, "")
+    assert err.endswith(f" error: argument {flag}: expected a path, got ''\n")
 
 
 HEADER = (
@@ -805,31 +835,22 @@ def hops(draw):
 
 def by_hand(args, table, scenario_table):
     """The record of link's or chain's parsed args, in the CLI's check order but tables:
-    radio, then each station, then each hop, evaluated by evaluate_link or evaluate_chain."""
+    the receiver form, then chain_record's order."""
     flags = vars(args)
     radio = load_fig_defaults()
     if flags["g_rx_dbi"] is None:
         if flags["g_over_t_dbi_per_k"] is None:
             raise ConfigError("one of --grx or --got is required")
         del radio["noise_temperature_k"]
-    radio = RadioConfig(**{**radio, **{key: flags[key] for key in RadioConfig._fields
-                                       if flags[key] is not None}})
+    radio.update((key, flags[key]) for key in RadioConfig._fields if flags[key] is not None)
     if args.command == "link":
-        stations = [(args.altitude_km, args.elevation_deg)]
+        stations, mode = [(args.altitude_km, args.elevation_deg)], "af"
     else:
         stations = [(altitude, elevation) for _, altitude, elevation in args.hop]
         for text, *station in args.hop:  # typed as the text says, or argparse refused it
             assert station == [finite_number(part) for part in text.split(":")]
-    for altitude, _ in stations:
-        classify_station(altitude)
-    lows = [altitude for altitude, _ in stations[1:]] + [0.0]
-    hops = tuple(RelayHop(LinkGeometry.from_endpoints(low, high, elevation), radio)
-                 for (high, elevation), low in zip(stations, lows))
-    if args.command == "link":
-        return result_record(evaluate_link(hops[0].geometry, radio, args.scenario, table,
-                                           scenario_table, sampled_seed=args.seed))
-    chain = RelayChain(hops, args.relay_mode, args.scenario)
-    return result_record(evaluate_chain(chain, table, scenario_table, sampled_seed=args.seed))
+        mode = args.relay_mode
+    return chain_record(radio, stations, mode, args.scenario, table, scenario_table, args.seed)
 
 
 @settings(max_examples=100, deadline=None)
@@ -851,7 +872,7 @@ def test_link_and_chain_exit_as_their_inputs_say(atm_table, scen_table, argv):
     except SystemExit_ as exc:
         assert (code, err.splitlines()[-1]) == (1, exc.message)
         return
-    if args.tables not in (None, "", PACKAGED_TABLES):  # "" is no --tables
+    if args.tables not in (None, Path(PACKAGED_TABLES)):
         assert code == 2 and err.startswith("ntnsim: i/o error: ")
         return
     try:

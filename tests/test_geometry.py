@@ -170,3 +170,13 @@ class TestLinkGeometry:
             LinkGeometry.from_endpoints(300, 200, 45)
         with pytest.raises(DomainError):
             LinkGeometry.from_endpoints(0, 300, 5)
+
+    def test_changed_copy_equals_from_endpoints(self):
+        # Slant range and delay follow the endpoints: no field holds a copy of them.
+        g = LinkGeometry.from_endpoints(0.0, 600.0, 30.0)._replace(elevation_deg=90.0)
+        want = LinkGeometry.from_endpoints(0.0, 600.0, 90.0)
+        assert g == want
+        assert (g.slant_range_km, g.one_way_delay_ms) == (want.slant_range_km, want.one_way_delay_ms)
+        assert g.slant_range_km == pytest.approx(600.0, rel=1e-9)
+        with pytest.raises(TypeError):
+            LinkGeometry(0.0, 600.0, 30.0, -5.0, 0.0)

@@ -30,14 +30,15 @@ FAILED = {**dict.fromkeys(METRIC_COLUMNS + ("slant_range_km", "bandwidth_hz")), 
 
 # Gap altitudes (100, 26), out-of-range elevations (5, 95) and carriers
 # outside the atmosphere table (0.3, 120) make error rows; 20 km is a HAP,
-# so a relay through a 20 km HAP cannot reach it. From the ground, 1e-13 km
-# gives a zero slant range, whose FSPL error comes before a carrier's, and
-# 2e-12 km a negative FSPL, which the carrier's error comes before.
-# A receive gain of ±1e308 dBi with a transmit power of the same sign
-# (see FIXED_VALUES) makes an SNR that is not finite.
+# so a relay through a 20 km HAP cannot reach it. A carrier of -2 GHz
+# fails the radio, which the chain checks before every station. From the
+# ground, 1e-13 km gives a zero slant range, whose FSPL error comes before
+# a carrier's, and 2e-12 km a negative FSPL, which the carrier's error
+# comes before. A receive gain of ±1e308 dBi with a transmit power of the
+# same sign (see FIXED_VALUES) makes an SNR that is not finite.
 AXIS_VALUES = {
     "altitude_km": (1e-13, 2e-12, 20.0, 100.0, 300.0, 600.0, 1200.0, 35786.0),
-    "fc_ghz": (0.3, 2.0, 20.0, 60.0, 90.0, 120.0),
+    "fc_ghz": (-2.0, 0.3, 2.0, 20.0, 60.0, 90.0, 120.0),
     "elevation_deg": (5.0, 10.0, 30.0, 45.5, 90.0, 95.0),
     "g_rx_dbi": (30.0, 50.0, 1e308, -1e308),
     "scenario": tuple(s.value for s in Scenario),
@@ -45,42 +46,46 @@ AXIS_VALUES = {
 }
 
 
+def chain_record(radio, stations, mode, scenario, table, scenario_table, seed=None, index=0):
+    """The record of the chain down from stations, (altitude, elevation) pairs
+    top-down, built by hand in the chain's check order: the radio (from its
+    RadioConfig fields), each station's band top-down, each hop, then
+    evaluate_link for one hop or evaluate_chain, sampled as row index of a
+    sweep with seed seed."""
+    radio = RadioConfig(**radio)
+    for altitude, _ in stations:
+        classify_station(altitude)
+    lows = [altitude for altitude, _ in stations[1:]] + [0.0]
+    hops = tuple(RelayHop(LinkGeometry.from_endpoints(low, high, elevation), radio)
+                 for (high, elevation), low in zip(stations, lows))
+    sampled = {"sampled_seed": seed, "sampled_index": index}
+    if len(hops) == 1:
+        return result_record(evaluate_link(
+            hops[0].geometry, radio, scenario, table, scenario_table, **sampled))
+    chain = RelayChain(hops, RelayMode(mode), scenario)
+    return result_record(evaluate_chain(chain, table, scenario_table, **sampled))
+
+
 def reference_row(point, fixed, table, scenario_table, seed, index):
     """Metric and extra columns of one point, evaluated on its own."""
+    radio = {
+        "fc_ghz": point["fc_ghz"],
+        "tx_power_dbm": fixed["tx_power_dbm"],
+        "g_rx_dbi": point["g_rx_dbi"],
+        "noise_temperature_k": fixed["noise_temperature_k"],
+        "bandwidth_hz": fixed.get("bandwidth_hz"),
+    }
+    highs = [point["altitude_km"]]
+    if point["mode"] == "relay":
+        highs.append(fixed["hap_altitude_km"])
+    stations = [(high, point["elevation_deg"]) for high in highs]
     try:
-        altitude, elevation = point["altitude_km"], point["elevation_deg"]
-        classify_station(altitude)
-        radio = RadioConfig(
-            fc_ghz=point["fc_ghz"],
-            tx_power_dbm=fixed["tx_power_dbm"],
-            g_rx_dbi=point["g_rx_dbi"],
-            noise_temperature_k=fixed["noise_temperature_k"],
-            bandwidth_hz=fixed.get("bandwidth_hz"),
-        )
-        scenario = Scenario.from_name(point["scenario"])
-        if point["mode"] == "direct":
-            geometry = LinkGeometry.from_endpoints(0.0, altitude, elevation)
-            result = evaluate_link(
-                geometry, radio, scenario, table, scenario_table=scenario_table,
-                sampled_seed=seed, sampled_index=index,
-            )
-        else:
-            hap = fixed["hap_altitude_km"]
-            classify_station(hap)
-            chain = RelayChain(
-                hops=(
-                    RelayHop(LinkGeometry.from_endpoints(hap, altitude, elevation), radio),
-                    RelayHop(LinkGeometry.from_endpoints(0.0, hap, elevation), radio),
-                ),
-                mode=RelayMode(fixed["relay_mode"]),
-                scenario=scenario,
-            )
-            result = evaluate_chain(
-                chain, table, scenario_table, sampled_seed=seed, sampled_index=index,
-            )
-        return dict(zip(RESULT_COLUMNS, result_record(result)))
+        record = chain_record(radio, stations, fixed.get("relay_mode", "af"),
+                              Scenario.from_name(point["scenario"]), table, scenario_table,
+                              seed, index)
     except NtnSimError as exc:
         return {**FAILED, "error": str(exc)}
+    return dict(zip(RESULT_COLUMNS, record))
 
 
 def reference_rows(spec, table, scenario_table):
@@ -133,7 +138,7 @@ def fixed_value(name, edges):
 # The axis values whose points cannot reach a guard's capacity exit: they
 # fail (see AXIS_VALUES) or, at ±1e308 dBi, leave the fused path at any
 # fixed value.
-NO_CAPACITY_EXIT = {"altitude_km": (1e-13, 2e-12, 100.0), "fc_ghz": (0.3, 120.0),
+NO_CAPACITY_EXIT = {"altitude_km": (1e-13, 2e-12, 100.0), "fc_ghz": (-2.0, 0.3, 120.0),
                     "elevation_deg": (5.0, 95.0), "g_rx_dbi": (1e308, -1e308)}
 
 
@@ -175,6 +180,12 @@ def specs(draw):
 def test_sweep_rows_equal_per_point_evaluation(atm_table, scen_table, spec):
     rows = run_sweep(spec, atm_table, scen_table).rows
     assert list(rows) == reference_rows(spec, atm_table, scen_table)
+    metrics = [name for name in FAILED if name != "label"]
+    for row in rows:  # finite metrics and no error, or no metrics and an error
+        if row["error"]:
+            assert [row[name] for name in metrics] == [None] * len(metrics)
+        else:
+            assert all(type(row[name]) is float and math.isfinite(row[name]) for name in metrics)
 
 
 # Each axis order's axes and error pattern, by test id suffix. Row order
@@ -406,11 +417,11 @@ def test_reuse_does_not_outlive_a_call(atm_table, scen_table):
     assert runs[0][1] != runs[1][1]
 
 
-# A prefix whose altitude fails its station check, the first check of
-# both modes, fails at every point with that one error; run_sweep fills
-# it without evaluating its points. 100 km lies in the HAP-LEO gap, and
-# 120 GHz is off the atmosphere table, a prefix failure that depends on
-# the point.
+# A prefix whose altitude fails its station check, which the chain runs
+# right after the radio, fails at every point with that one error when
+# no radio fails; run_sweep fills it from its first point. 100 km lies in
+# the HAP-LEO gap, and 120 GHz is off the atmosphere table, a prefix
+# failure that depends on the point.
 FILL_FIXED = {
     "tx_power_dbm": 18.0, "noise_temperature_k": 290.0, "g_rx_dbi": 40.0, "relay_mode": "af",
 }
@@ -443,9 +454,9 @@ def test_gap_altitude_prefixes_equal_the_scalar_rows(atm_table, scen_table, mode
 
 def test_gap_hap_fails_after_the_radio_check_point_by_point(atm_table, scen_table):
     # Through a 26 km HAP, in the gap, a relay point fails at the HAP's
-    # station check, after its altitude's and its radio's; a carrier of
-    # -2 GHz fails the radio check first. So a 600 km prefix is not
-    # filled, and a 100 km prefix is, with the altitude's error.
+    # station check, after its radio's and its altitude's; a carrier of
+    # -2 GHz fails the radio check first, at 600 km as at 100 km, so no
+    # prefix is filled.
     spec = SweepSpec(
         axes=(("altitude_km", (600.0, 100.0)), ("fc_ghz", (2.0, 120.0, -2.0))),
         fixed={
@@ -461,9 +472,8 @@ def test_gap_hap_fails_after_the_radio_check_point_by_point(atm_table, scen_tabl
     rows = list(run_sweep(spec, atm_table, scen_table).rows)
     assert rows == reference_rows(spec, atm_table, scen_table)
     errors = [row["error"].split(" lies")[0] for row in rows]
-    assert errors == ["altitude 26.0 km"] * 2 + ["fc_ghz must be > 0, got -2.0"] + [
-        "altitude 100.0 km"
-    ] * 3
+    radio = "fc_ghz must be > 0, got -2.0"
+    assert errors == ["altitude 26.0 km"] * 2 + [radio] + ["altitude 100.0 km"] * 2 + [radio]
 
 
 @pytest.mark.parametrize("mode", ["direct", "relay"])
