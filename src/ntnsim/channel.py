@@ -24,7 +24,6 @@ import math
 import struct
 from bisect import bisect_right
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -390,7 +389,8 @@ def parse_scenario_table(text: str, name: str = "scenario table") -> ScenarioTab
 
 
 def _data_text(filename: str) -> str:
-    return (resources.files("ntnsim") / "data" / filename).read_text(encoding="utf-8")
+    """A packaged data file's text, read beside this module (so not from a zip import)."""
+    return Path(__file__).with_name("data").joinpath(filename).read_text(encoding="utf-8")
 
 
 def _load(parse, filename: str, path: str | Path | None):

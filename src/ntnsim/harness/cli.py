@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from ..channel import load_atmosphere_table, load_scenario_table
@@ -29,20 +30,9 @@ from ..errors import (
     TableFormatError,
 )
 from ..linkbudget import RadioConfig
-from ..relay import RelayMode, evaluate_chain
-from .config import PARAMETERS, finite_number, load_fig_defaults
-from .presets import PRESET_NAMES, preset
-from .sweep import (
-    EXTRA_COLUMNS,
-    METRIC_COLUMNS,
-    SweepResult,
-    SweepRows,
-    _build_chain,
-    emit_csv,
-    load_sweep_spec,
-    result_record,
-    run_sweep,
-)
+from ..relay import RelayMode, _build_chain, evaluate_chain
+from .config import PARAMETERS, PRESET_NAMES, finite_number, load_fig_defaults
+from .rows import EXTRA_COLUMNS, METRIC_COLUMNS, SweepResult, SweepRows, emit_csv, result_record
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,6 +106,7 @@ def _add_radio_flags(parser: argparse.ArgumentParser) -> None:
     _param(parser, "--bandwidth", "bandwidth_hz", "bandwidth in Hz, or 'auto' (default)")
 
 
+@cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ntnsim", description="Link-budget simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -194,6 +185,8 @@ def _cmd_chain(args) -> SweepResult:
 
 def _cmd_sweep(args) -> SweepResult:
     """sweep and preset: run the spec file's or the preset's spec."""
+    from .presets import preset  # the sweep engine, imported by the commands that run it
+    from .sweep import load_sweep_spec, run_sweep
     table, scenario_table = _tables(args)
     if args.command == "sweep":
         spec = load_sweep_spec(args.spec, seed=args.seed)

@@ -1,4 +1,4 @@
-"""The `key = value` grammar, its value parsers and the fig-defaults fixture.
+"""The `key = value` grammar, its value parsers, the fig-defaults fixture, preset names.
 
 Grammar (documented in data/FORMATS.md): blank lines and '#' comments
 are ignored; a line is either `[section]` or `key = value`. Sweep specs
@@ -105,6 +105,9 @@ def parse_value(key: str, value: object, error_cls: type, where: str = "") -> ob
     except ValueError as exc:
         raise error_cls(f"{where}{key}: {exc}") from None
 
+
+# presets.py's figure presets, named here for the CLI's parser, which imports no sweep engine
+PRESET_NAMES = ("fig2", "fig3", "fig4")
 
 # The fixture's keys, all required, all in its [radio] section.
 _FIG_DEFAULT_KEYS = ("tx_power_dbm", "g_tx_dbi", "noise_temperature_k")

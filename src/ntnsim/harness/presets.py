@@ -10,10 +10,8 @@ fixed value's origin is recorded in the CSV provenance header.
 from __future__ import annotations
 
 from ..errors import PresetError
-from .config import load_fig_defaults
+from .config import PRESET_NAMES, load_fig_defaults
 from .sweep import SweepSpec
-
-PRESET_NAMES = ("fig2", "fig3", "fig4")
 
 _ELEVATIONS = tuple(float(a) for a in range(10, 91, 10))
 

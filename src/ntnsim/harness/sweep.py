@@ -1,4 +1,4 @@
-"""Cartesian parameter sweeps with deterministic CSV emission.
+"""Cartesian parameter sweeps: the spec, its checks, the plan and the spec files.
 
 Row order is the product of the axes in declaration order (first axis
 slowest). A grid point that fails to evaluate produces a row whose
@@ -9,11 +9,12 @@ run_sweep builds one plan per spec (see _plan): each stage runs once per
 distinct input through the scalar functions that evaluate_link and
 evaluate_chain use, and each point does their remaining float work inline,
 fused, in their order. evaluate_chain itself evaluates every point the
-fused path does not write. Points run a prefix at a time, and a gap
-altitude's prefix takes its one error (see _records). So each record (see
-SweepRows), error rows and messages included, is result_record of the
-point's own evaluate_link or evaluate_chain result, with sampled_index its
-row index, and emit_csv writes it as it writes link's and chain's.
+fused path does not write. Points run a prefix at a time, and a prefix
+with a station in a gap takes its one error (see _records). So each
+record (see SweepRows), error rows and messages included, is
+result_record of the point's own evaluate_link or evaluate_chain result,
+with sampled_index its row index, and rows.emit_csv writes it as it
+writes link's and chain's.
 
 Sampled clutter gives every point its own stream: the point at row
 index i of a sweep with seed s draws from blake2b(b"<s>:<i>"), through
@@ -24,9 +25,6 @@ with sampled_seed s draws the stream of row 0.
 
 from __future__ import annotations
 
-import csv
-import enum
-import io
 import math
 from collections.abc import Mapping, Sequence
 from functools import cache
@@ -50,26 +48,15 @@ from ..channel import (
 )
 from ..constants import BOLTZMANN_DBM_PER_K_HZ
 from ..errors import ConfigError, NtnSimError, SpecError
-from ..geometry import LinkGeometry, classify_station, slant_range_km
-from ..linkbudget import _LN2, LinkResult, RadioConfig
-from ..relay import RelayChain, RelayHop, RelayMode, chain_label, evaluate_chain
+from ..geometry import classify_station, slant_range_km
+from ..linkbudget import _LN2, RadioConfig
+from ..relay import RelayMode, _build_chain, chain_label, evaluate_chain
 from .config import PARAMETERS, parse_sections, parse_value
+from .rows import (  # also read as this module's names: sweep.csv_bytes
+    EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, SweepResult, SweepRows, _combo, csv_bytes,
+    emit_csv, format_value, result_record)
 
 AXIS_NAMES = ("altitude_km", "fc_ghz", "elevation_deg", "g_rx_dbi", "scenario", "mode")
-
-METRIC_COLUMNS = (
-    "fspl_db",
-    "gas_db",
-    "scintillation_db",
-    "excess_db",
-    "total_db",
-    "snr_db",
-    "capacity_bps",
-)
-# Columns a schema may request beyond axes and metrics.
-EXTRA_COLUMNS = ("slant_range_km", "bandwidth_hz", "label", "error")
-# Metric and extra columns of an evaluated point, in row order.
-RESULT_COLUMNS = ("slant_range_km",) + METRIC_COLUMNS + EXTRA_COLUMNS[1:]
 
 _FAILED = (None,) * 9 + ("",)  # a failed point's record (see SweepRows) but its error
 # Below this bandwidth no capacity overflows a float: log1p(x) / ln 2 <= 1024
@@ -195,89 +182,14 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[str, tuple], dict[str, object]
     return axes, fixed, seed if sampled else None
 
 
-class SweepResult(NamedTuple):
-    """A sweep's output schema, rows and CSV provenance lines.
-
-    rows is a SweepRows: one dict per grid point, its axis values, then
-    RESULT_COLUMNS, or empty metrics and the error of a point that
-    failed. emit_csv writes it from its records; tuple(result.rows) gives
-    a tuple.
-    """
-
-    schema: tuple[str, ...]
-    rows: SweepRows
-    provenance: tuple[str, ...] = ()
-
-    def error_rows(self) -> tuple[dict[str, object], ...]:
-        return tuple(r for r in self.rows if r.get("error"))
-
-
-class SweepRows(Sequence):
-    """A result's rows: a read-only view over its per-point records.
-
-    axes are the spec's axes as given, then the schema's unswept axes with
-    one value each (link's and chain's: their inputs, one value each, over
-    result_record). A point's record holds its values of RESULT_COLUMNS,
-    in that order; a failed point's are None but for an empty label and
-    its error. Row i's axis values are decoded from i
-    by mixed radix. Each row dict is built when read and never kept.
-    """
-
-    __slots__ = ("axes", "records", "columns")
-
-    def __init__(self, axes: tuple[tuple[str, tuple], ...], records: tuple[tuple, ...]) -> None:
-        self.axes, self.records = axes, records
-        self.columns = tuple(name for name, _ in axes) + RESULT_COLUMNS
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        record = self.records[index]  # IndexError before an empty view's % 0
-        combo = _combo([values for _, values in self.axes], index % len(self))
-        return dict(zip(self.columns, combo + record))
-
-    def __iter__(self):
-        for combo, record in zip(product(*(v for _, v in self.axes)), self.records):
-            yield dict(zip(self.columns, combo + record))
-
-
-def _combo(axes, index: int) -> tuple:
-    """Row index's values, one from each of axes' value sequences, the last fastest."""
-    combo = ()
-    for values in reversed(axes):
-        index, digit = divmod(index, len(values))
-        combo = (values[digit],) + combo
-    return combo
-
-
-def _cell(value: object) -> str:
-    """value's CSV cell: format_value's text, quoted as csv.writer quotes it."""
-    text = format_value(value)
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        csv.writer(buffer := io.StringIO(), lineterminator="\n").writerow((text, ""))
-        return buffer.getvalue()[:-2]
-    return text
-
-
-def _build_chain(stations, radio: RadioConfig, mode: RelayMode, scenario) -> RelayChain:
-    """The chain down from stations, (altitude, elevation) pairs top-down, once
-    classify_station passes each altitude: hop i rises from station i + 1 (the
-    last from the ground) to station i, at station i's elevation."""
-    for altitude, _ in stations:
-        classify_station(altitude)
-    lows = [altitude for altitude, _ in stations[1:]] + [0.0]
-    return RelayChain(tuple(
-        RelayHop(LinkGeometry.from_endpoints(low, high, elevation), radio)
-        for (high, elevation), low in zip(stations, lows)), mode, scenario)
-
 
 def _plan(axes, fixed, table, scenario_table, seed):
-    """(reference, radios_hold, plans) for _validate_spec's axes, fixed and seed.
+    """(reference, gap_error, plans) for _validate_spec's axes, fixed and seed.
 
     reference(index) is row index's record as evaluate_chain gives it.
+    gap_error(altitude, mode) is the error of every point at that altitude
+    and mode where no point's radio fails (the chain's first check) and one
+    of its stations fails classify_station, else None.
     plans maps each mode to (resolve, point, keys): resolve maps a point's
     values of AXIS_NAMES but mode to its stage values, or raises, and the
     point then gets reference(index); point maps those and the row index
@@ -294,10 +206,12 @@ def _plan(axes, fixed, table, scenario_table, seed):
     radio_fixed = _fixed_radio(fixed)  # RadioConfig's defaults stand for fields left out
     values, pick = tuple(axes.values()), itemgetter(*map(list(axes).index, AXIS_NAMES))
 
+    def highs(altitude, mode):  # the hops' upper stations, top-down
+        return (altitude, hap) if mode == MODE_RELAY else (altitude,)
+
     def reference(index):  # row index's record as chain gives it (one hop: as link does)
         altitude, fc, elevation, g_rx, scenario, mode = pick(_combo(values, index))
-        highs = (altitude, hap) if mode == MODE_RELAY else (altitude,)  # hops' upper stations
-        stations = [(high, elevation) for high in highs]
+        stations = [(high, elevation) for high in highs(altitude, mode)]
         try:
             radio = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx)
             chain = _build_chain(stations, radio, relay_mode, scenario)
@@ -311,7 +225,7 @@ def _plan(axes, fixed, table, scenario_table, seed):
         resolved = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx).resolve_bandwidth()
         return (*resolved.budget_terms(), fspl_carrier_db(fc), resolved.bandwidth_hz)
 
-    try:  # radios_hold: no point's radio fails RadioConfig, the chain's first check
+    try:  # no point's radio fails RadioConfig, the chain's first check
         radios_hold = all(radios(*pair) for pair in product(axes["fc_ghz"], axes["g_rx_dbi"]))
     except NtnSimError:
         radios_hold = False
@@ -339,6 +253,16 @@ def _plan(axes, fixed, table, scenario_table, seed):
 
     stations = cache(classify_station)
     ground_hops = hops(0.0)
+
+    def gap_error(altitude, mode):
+        if radios_hold:
+            try:  # the chain checks its stations top-down, right after the radio
+                for high in highs(altitude, mode):
+                    stations(high)
+            except NtnSimError as exc:
+                return str(exc)
+        return None
+
     fc_grx, fc_elev = ("fc_ghz", "g_rx_dbi"), ("fc_ghz", "elevation_deg")  # keys' axes
     alt_elev, scen_elev = ("altitude_km", "elevation_deg"), ("scenario", "elevation_deg")
 
@@ -366,7 +290,7 @@ def _plan(axes, fixed, table, scenario_table, seed):
 
     plans = {MODE_DIRECT: (resolve, fused_direct, (fc_grx, alt_elev, fc_elev, scen_elev))}
     if MODE_RELAY not in axes["mode"]:
-        return reference, radios_hold, plans
+        return reference, gap_error, plans
     # Hop 0 runs from the HAP up to the station, without clutter; hop 1
     # from the ground up to the HAP. Both use the point's radio. A point's
     # slant range, gas and scintillation are the sums over its hops.
@@ -412,20 +336,11 @@ def _plan(axes, fixed, table, scenario_table, seed):
         return upper + lower, fspl, gas, scint, excess, total, snr, capacity, bandwidth, label, ""
 
     keys = fc_grx, alt_elev, ("elevation_deg",), fc_elev, fc_elev, scen_elev
-    return reference, radios_hold, {**plans, MODE_RELAY: (resolve_relay, fused_relay, keys)}
+    return reference, gap_error, {**plans, MODE_RELAY: (resolve_relay, fused_relay, keys)}
 
 
-def result_record(result: LinkResult) -> tuple:
-    """The record (see SweepRows) of one evaluated link or chain."""
-    slant = sum(h.geometry.slant_range_km for h in result.hops or (result,))
-    b = result.breakdown
-    return (
-        slant, b.fspl_db, b.gas_db, b.scintillation_db, b.excess_db, b.total_db,
-        result.snr_db, result.capacity_bps, result.bandwidth_hz, result.label, "",
-    )
 
-
-def _records(axes, reference, radios_hold, plans):
+def _records(axes, reference, gap_error, plans):
     """Every point's record in row order, from each of AXIS_NAMES' typed values.
 
     The inner axis is the last in row order with more than one value. Each
@@ -434,9 +349,8 @@ def _records(axes, reference, radios_hold, plans):
     axis, else its values along it, kept for the call by the rest of its
     key. Columns whose keys read no other varying axis are built once. A
     point, or each point of a prefix, whose resolve raises gets
-    reference(index); but where radios_hold, a prefix whose altitude, not
-    the inner axis, fails classify_station gets that error at every point,
-    as the chain checks that station right after the radio.
+    reference(index); but a prefix whose altitude, not the inner axis, has
+    a gap_error gets that error at every point.
     """
     names = list(axes)
     pick = itemgetter(*map(names.index, AXIS_NAMES))
@@ -481,12 +395,10 @@ def _records(axes, reference, radios_hold, plans):
             state[3] = changing  # the other columns now hold for every prefix
             records += map(point, *columns, range(start, start + n))
         except NtnSimError:
-            if inner != "altitude_km" and radios_hold:
-                try:  # the chain checks the altitude's station right after the radio
-                    classify_station(values[0])
-                except NtnSimError as exc:  # so every point of the prefix fails with exc
-                    records += [_FAILED + (str(exc),)] * n
-                    continue
+            error = inner != "altitude_km" and gap_error(values[0], mode)
+            if error:  # every point of the prefix fails at the same station
+                records += [_FAILED + (error,)] * n
+                continue
             points = (prefix[:at] + (v,) + prefix[at + 1:] for v in inner_values)
             records += map(one, points, range(start, start + n))
     return records
@@ -522,82 +434,6 @@ def run_sweep(
     unswept = tuple((name, (given[name],)) for name in schema
                     if name in AXIS_NAMES and name in given and name not in spec.axis_names())
     return SweepResult(schema, SweepRows((*spec.axes, *unswept), tuple(records)), provenance)
-
-
-def format_value(value: object) -> str:
-    """Fixed CSV cell formatting: reals but integers at 6 significant digits."""
-    if type(value) is float:  # most cells: tested first
-        return f"{value:.6g}"
-    if value is None:
-        return ""
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, bool):
-        return str(value).lower()
-    if hasattr(value, "__float__") and not hasattr(value, "__index__"):
-        try:  # any other real (numpy floats, Fraction, Decimal) as a float
-            return f"{float(value):.6g}"
-        except ValueError:  # a signaling NaN refuses conversion
-            pass
-    return str(value)  # ints, numpy's too, keep their digits
-
-
-def emit_csv(result: SweepResult, destination) -> None:
-    """Write a sweep result as CSV: provenance comments, header, rows.
-
-    destination is a path or a text file object. Output is UTF-8 with
-    LF line endings and is byte-identical for identical results.
-    """
-    if hasattr(destination, "write"):
-        return _write_csv(result, destination)
-    with Path(destination).open("w", encoding="utf-8", newline="") as handle:
-        _write_csv(result, handle)
-
-
-def _write_csv(result: SweepResult, handle) -> None:
-    for line in result.provenance:
-        handle.write(f"# {line}\n")
-    schema = result.schema
-    csv.writer(handle, lineterminator="\n").writerow(schema)
-    # Records: one format string per kind of row, over its axis texts and
-    # record; "%.6g" gives format_value's text of a float, which csv never quotes.
-    # Failed points share few messages (every point at a gap altitude has the
-    # same one), so errors quotes each distinct message once per write.
-    axes, records = result.rows.axes, result.rows.records
-    names = [name for name, _ in axes]
-    n = len(names)
-    empty = '""' if len(schema) == 1 else ""  # csv.writer quotes the only cell of a row when empty
-
-    def line(failed):  # a kind of row's format string, and its cells of axis texts + record
-        formats, indices = [], []
-        for col in schema:
-            if col in names:
-                formats.append("%s")
-                indices.append(names.index(col))
-            elif col not in RESULT_COLUMNS or (col == "error") != failed:
-                formats.append(empty)  # a point's error, a failed point's metrics and label
-            else:
-                formats.append("%s" if col in ("label", "error") else "%.6g")
-                indices.append(n + RESULT_COLUMNS.index(col))
-        return ",".join(formats) + "\n", itemgetter(*indices) if indices else lambda _: ()
-
-    (point, point_cells), (failed, failed_cells) = line(False), line(True)
-    write, errors = handle.write, {}
-    texts = (tuple(_cell(value) or empty for value in values) for _, values in axes)
-    for cells, record in zip(product(*texts), records):
-        if record[0] is None:  # failed: its error is the last cell
-            error = errors.get(record[-1])
-            if error is None:
-                error = errors[record[-1]] = _cell(record[-1])
-            write(failed % failed_cells(cells + record[:-1] + (error,)))
-        else:
-            write(point % point_cells(cells + record))
-
-
-def csv_bytes(result: SweepResult) -> bytes:
-    buffer = io.StringIO()
-    _write_csv(result, buffer)
-    return buffer.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .channel import (
     ScenarioTable,
 )
 from .errors import ChainError, DomainError
-from .geometry import LinkGeometry
+from .geometry import LinkGeometry, classify_station
 from .linkbudget import LinkResult, RadioConfig, evaluate_link, shannon_capacity_bps, snr_linear
 
 
@@ -86,6 +86,18 @@ def df_bottleneck(hop_capacities_bps: tuple[float, ...]) -> int:
 def chain_label(mode: RelayMode, hop_count: int) -> str:
     """Label of a chain's result, such as "af:2hop"."""
     return f"{mode.value}:{hop_count}hop"
+
+
+def _build_chain(stations, radio: RadioConfig, mode: RelayMode, scenario) -> RelayChain:
+    """The chain down from stations, (altitude, elevation) pairs top-down, once
+    classify_station passes each altitude: hop i rises from station i + 1 (the
+    last from the ground) to station i, at station i's elevation."""
+    for altitude, _ in stations:
+        classify_station(altitude)
+    lows = [altitude for altitude, _ in stations[1:]] + [0.0]
+    return RelayChain(tuple(
+        RelayHop(LinkGeometry.from_endpoints(low, high, elevation), radio)
+        for (high, elevation), low in zip(stations, lows)), mode, scenario)
 
 
 def _validate_chain(chain: RelayChain) -> None:

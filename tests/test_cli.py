@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import math
 import os
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ntnsim
+from ntnsim import harness
 from ntnsim.errors import ConfigError, NtnSimError, SpecError, TableDomainError
 from ntnsim.geometry import LinkGeometry
 from ntnsim.harness import SweepSpec, load_fig_defaults, run_sweep
@@ -498,6 +500,17 @@ def test_readme_examples_print_exact_bytes(capsys, argv, stdout):
     assert out == stdout
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main builds its parser once; no flag of one call reaches the next.
+    assert build_parser() is build_parser()
+    plain = run_cli(capsys, *LINK)
+    out = tmp_path / "seeded.csv"
+    seeded = (*LINK, "--seed", "7", "--tables", PACKAGED_TABLES, "--out", str(out))
+    assert run_cli(capsys, *seeded) == (0, "", "")
+    assert plain[0] == 0 and out.read_text() != plain[1]
+    assert run_cli(capsys, *LINK) == plain
+
+
 class TestFlagValidation:
     @pytest.mark.parametrize(
         "extra",
@@ -660,6 +673,8 @@ class TestSnrOverflow:
 def test_cli_imports_no_numpy_or_dataclasses(tmp_path, command):
     # numpy's import alone would about triple a cold one-slice `ntnsim` run;
     # dataclasses, which imports inspect, would add about a fifth to every command.
+    # link and chain compile no sweep engine and read the packaged tables without
+    # importlib.resources. The child runs without site, which may import any of these.
     spec = tmp_path / "s.cfg"
     spec.write_text(TestSweepCommand.SPEC)
     argv = {
@@ -668,19 +683,55 @@ def test_cli_imports_no_numpy_or_dataclasses(tmp_path, command):
         "chain": [*CHAIN, "--txpow", "18"],
         "sweep": ["sweep", "--spec", str(spec)],
     }[command]
+    unused = ("numpy", "dataclasses", "inspect")
+    if command in ("link", "chain"):
+        unused += ("ntnsim.harness.sweep", "ntnsim.harness.presets", "importlib.resources")
     code = (
         "import contextlib, io, sys\n"
         "from ntnsim.harness.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main({argv!r})\n"
-        "print(code, [m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules])\n"
+        f"print(code, [m for m in {unused!r} if m in sys.modules])\n"
     )
+    assert run_without_site(code) == "0 []\n"
+
+
+def run_without_site(code):
+    """code's stdout, run by a child `python -S` that imports ntnsim from this tree."""
     env = dict(os.environ, PYTHONPATH=str(Path(ntnsim.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.stderr == ""
-    assert proc.stdout == "0 []\n"
+    return proc.stdout
+
+
+def test_setup_path_and_harness_names_import_only_their_homes():
+    # The fig-defaults fixture and both tables, as every command loads them,
+    # import neither the sweep engine nor csv.
+    code = (
+        "import sys\n"
+        "import ntnsim\n"
+        "from ntnsim.harness.config import load_fig_defaults\n"
+        "ntnsim.load_atmosphere_table(), ntnsim.load_scenario_table(), load_fig_defaults()\n"
+        "print([m for m in ('ntnsim.harness.sweep', 'ntnsim.harness.presets', 'csv')"
+        " if m in sys.modules])\n"
+    )
+    assert run_without_site(code) == "[]\n"
+    # Each name of ntnsim.harness is its home module's, imported when read.
+    homes = {
+        "config": ("PRESET_NAMES", "load_fig_defaults"),
+        "presets": ("preset",),
+        "rows": ("SweepResult", "csv_bytes", "emit_csv"),
+        "sweep": ("AXIS_NAMES", "SweepSpec", "load_sweep_spec", "run_sweep"),
+    }
+    assert sorted(name for names in homes.values() for name in names) == harness.__all__
+    assert set(harness.__all__) <= set(dir(harness))
+    for module, names in homes.items():
+        home = importlib.import_module(f"ntnsim.harness.{module}")
+        assert all(getattr(harness, name) is getattr(home, name) for name in names)
+    with pytest.raises(AttributeError, match="has no attribute 'run'"):
+        harness.run
 
 
 def subcommands(parser):

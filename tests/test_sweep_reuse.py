@@ -430,26 +430,32 @@ FILL_FIXED = {
 @pytest.mark.parametrize("excess_mode", ["expected", "sampled"])
 @pytest.mark.parametrize("mode", ["direct", "relay"])
 def test_gap_altitude_prefixes_equal_the_scalar_rows(atm_table, scen_table, mode, excess_mode):
-    spec = SweepSpec(
-        axes=(
-            ("altitude_km", (600.0, 100.0, 1200.0, 100.0)),
-            ("fc_ghz", (2.0, 20.0, 120.0)),  # the inner axis
-        ),
-        fixed={
-            **FILL_FIXED,
-            "elevation_deg": 30.0,
-            "scenario": "urban",
-            "mode": mode,
-            "hap_altitude_km": 20.0,
-            "excess_mode": excess_mode,
-        },
-        seed=7 if excess_mode == "sampled" else None,
-    )
-    rows = list(run_sweep(spec, atm_table, scen_table).rows)
-    assert rows == reference_rows(spec, atm_table, scen_table)
-    gap = ["lies in the gap" in row["error"] for row in rows]
-    assert gap == [False] * 3 + [True] * 3 + [False] * 3 + [True] * 3
-    assert [bool(row["error"]) for row in rows] == [False, False, True, *[True] * 3] * 2
+    # Through a 26 km HAP, in the gap, every relay point fails: at 100 km at its
+    # altitude's station, elsewhere at the HAP's.
+    for hap in (20.0, 26.0):
+        spec = SweepSpec(
+            axes=(
+                ("altitude_km", (600.0, 100.0, 1200.0, 100.0)),
+                ("fc_ghz", (2.0, 20.0, 120.0)),  # the inner axis
+            ),
+            fixed={
+                **FILL_FIXED,
+                "elevation_deg": 30.0,
+                "scenario": "urban",
+                "mode": mode,
+                "hap_altitude_km": hap,
+                "excess_mode": excess_mode,
+            },
+            seed=7 if excess_mode == "sampled" else None,
+        )
+        rows = list(run_sweep(spec, atm_table, scen_table).rows)
+        assert rows == reference_rows(spec, atm_table, scen_table)
+        at_hap = mode == "relay" and hap == 26.0
+        errors = [row["error"] for row in rows]
+        gap = [error.split(" lies")[0] if "lies in the gap" in error else "" for error in errors]
+        hap_gap = ["altitude 26.0 km" if at_hap else ""] * 3
+        assert gap == (hap_gap + ["altitude 100.0 km"] * 3) * 2
+        assert list(map(bool, errors)) == [at_hap, at_hap, True, *[True] * 3] * 2
 
 
 def test_gap_hap_fails_after_the_radio_check_point_by_point(atm_table, scen_table):
