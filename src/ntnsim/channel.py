@@ -153,7 +153,7 @@ class AtmosphereTable:
     50 and 70 GHz.
     """
 
-    __slots__ = _fields = ("frequency_grid_ghz", "zenith_gas_db", "scintillation_ref_db", "version")
+    __slots__ = ("frequency_grid_ghz", "zenith_gas_db", "scintillation_ref_db", "version")
 
     def __init__(
         self, frequency_grid_ghz: tuple[float, ...], zenith_gas_db: tuple[float, ...],
@@ -258,7 +258,7 @@ class ScenarioRow(NamedTuple):
 class ScenarioTable:
     """LOS probability and clutter loss per scenario over an elevation grid."""
 
-    __slots__ = _fields = ("elevation_grid_deg", "rows", "version")
+    __slots__ = ("elevation_grid_deg", "rows", "version")
 
     def __init__(
         self, elevation_grid_deg: tuple[float, ...], rows: dict[Scenario, tuple[ScenarioRow, ...]],

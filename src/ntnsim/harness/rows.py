@@ -23,6 +23,7 @@ METRIC_COLUMNS = (
 EXTRA_COLUMNS = ("slant_range_km", "bandwidth_hz", "label", "error")
 # Metric and extra columns of an evaluated point, in row order.
 RESULT_COLUMNS = ("slant_range_km",) + METRIC_COLUMNS + EXTRA_COLUMNS[1:]
+_FAILED = (None,) * (len(RESULT_COLUMNS) - 2) + ("",)  # a failed point's record but its error
 
 
 class SweepResult(NamedTuple):

@@ -53,12 +53,11 @@ from ..linkbudget import _LN2, RadioConfig
 from ..relay import RelayMode, _build_chain, chain_label, evaluate_chain
 from .config import PARAMETERS, parse_sections, parse_value
 from .rows import (  # also read as this module's names: sweep.csv_bytes
-    EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, SweepResult, SweepRows, _combo, csv_bytes,
-    emit_csv, format_value, result_record)
+    EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, SweepResult, SweepRows, _FAILED, _combo,
+    csv_bytes, emit_csv, format_value, result_record)
 
 AXIS_NAMES = ("altitude_km", "fc_ghz", "elevation_deg", "g_rx_dbi", "scenario", "mode")
 
-_FAILED = (None,) * 9 + ("",)  # a failed point's record (see SweepRows) but its error
 # Below this bandwidth no capacity overflows a float: log1p(x) / ln 2 <= 1024
 # for a finite power ratio x (x < 2**1024), so W * log1p(x) / ln 2 is at most
 # about 2**1013 * 2**10 = 2**1023, a factor 2 inside the largest float.
@@ -180,7 +179,6 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[str, tuple], dict[str, object]
     for name in AXIS_NAMES:
         axes.setdefault(name, (fixed.get(name),))
     return axes, fixed, seed if sampled else None
-
 
 
 def _plan(axes, fixed, table, scenario_table, seed):
@@ -339,7 +337,6 @@ def _plan(axes, fixed, table, scenario_table, seed):
     return reference, gap_error, {**plans, MODE_RELAY: (resolve_relay, fused_relay, keys)}
 
 
-
 def _records(axes, reference, gap_error, plans):
     """Every point's record in row order, from each of AXIS_NAMES' typed values.
 
@@ -443,9 +440,14 @@ def run_sweep(
 def load_sweep_spec(path: str | Path, seed: int | None = None) -> SweepSpec:
     """Read a sweep spec file ([axes], [fixed] and [output] sections, optional seed).
 
+    Each line is checked on its own (the grammar, the sections, the
+    [output] key, each known parameter's value), a SpecError naming
+    file:line. run_sweep checks the spec as a whole, as it checks one
+    built in Python (data/FORMATS.md lists which rule runs when).
+
     A seed given here supplies the spec's seed, or replaces the one the
-    file sets (ntnsim sweep --seed), before the spec is checked; it is a
-    ConfigError unless the spec's excess mode is sampled.
+    file sets (ntnsim sweep --seed); it is a ConfigError unless the
+    [fixed] excess_mode is sampled.
     """
     p = Path(path)
     try:
@@ -460,7 +462,7 @@ def load_sweep_spec(path: str | Path, seed: int | None = None) -> SweepSpec:
 
     def value_of(key: str, text: str, lineno: int) -> object:
         # Checked here to name the line; numbers are kept parsed and
-        # words as written. Unknown keys are left to _validate_spec.
+        # words as written. Unknown keys are left to run_sweep.
         if key not in PARAMETERS:
             return text
         value = parse_value(key, text, SpecError, f"{p.name}:{lineno}: ")
@@ -487,14 +489,14 @@ def load_sweep_spec(path: str | Path, seed: int | None = None) -> SweepSpec:
         if not schema:
             raise SpecError(f"{p.name}:{lineno}: columns lists no column")
 
-    spec = SweepSpec(
+    # A word value_of has checked, so this cannot raise.
+    excess_mode = PARAMETERS["excess_mode"](fixed.get("excess_mode", _DEFAULTS["excess_mode"]))
+    if seed is not None and excess_mode != "sampled":
+        raise ConfigError("--seed applies only to a spec with excess_mode = sampled")
+    return SweepSpec(
         axes=axes,
         fixed=fixed,
         output_schema=schema,
         seed=file_seed if seed is None else seed,
         provenance=(f"sweep spec: {p.name}",),
     )
-    _, typed, _ = _validate_spec(spec)
-    if seed is not None and typed["excess_mode"] != "sampled":
-        raise ConfigError("--seed applies only to a spec with excess_mode = sampled")
-    return spec

@@ -122,18 +122,14 @@ class RadioConfig(_ByFields):
         )
 
 
-def snr_sum_db(gain_db: float, total_loss_db: float, bandwidth_db: float) -> float:
-    """SNR in dB from RadioConfig.budget_terms and a hop's total loss.
-
-    gain - L_total + 198.6 - 10 log10(W), summed in that order.
-    """
-    return gain_db - total_loss_db - BOLTZMANN_DBM_PER_K_HZ - bandwidth_db
-
-
 def snr_db(radio: RadioConfig, breakdown: LossBreakdown) -> float:
-    """Received SNR in dB for a resolved radio config and a loss breakdown."""
+    """Received SNR in dB for a resolved radio config and a loss breakdown.
+
+    gain - L_total + 198.6 - 10 log10(W), summed in that order, with the
+    gain and 10 log10(W) from RadioConfig.budget_terms.
+    """
     gain, bandwidth_db = radio.budget_terms()
-    return snr_sum_db(gain, breakdown.total_db, bandwidth_db)
+    return gain - breakdown.total_db - BOLTZMANN_DBM_PER_K_HZ - bandwidth_db
 
 
 def snr_linear(snr_db: float) -> float:

@@ -15,15 +15,17 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ntnsim
 from ntnsim import harness
 from ntnsim.errors import ConfigError, NtnSimError, SpecError, TableDomainError
 from ntnsim.geometry import LinkGeometry
-from ntnsim.harness import SweepSpec, load_fig_defaults, run_sweep
+from ntnsim.harness import (
+    SweepSpec, csv_bytes, load_fig_defaults, load_sweep_spec, preset, run_sweep)
 from ntnsim.harness.cli import SystemExit_, _radio_from_args, build_parser, main
-from ntnsim.harness.config import PARAMETERS, finite_number
+from ntnsim.harness import sweep
+from ntnsim.harness.config import PARAMETERS, PRESET_NAMES, finite_number
 from ntnsim.harness.sweep import (
     EXTRA_COLUMNS,
     METRIC_COLUMNS,
@@ -33,6 +35,7 @@ from ntnsim.harness.sweep import (
 from ntnsim.linkbudget import RadioConfig
 from ntnsim.relay import RelayChain, RelayHop, evaluate_chain
 from test_params import FLAG_KEYS
+from test_parsers import SAMPLED_SPEC, SPEC, config_texts
 from test_sweep_reuse import chain_record
 
 
@@ -202,6 +205,30 @@ g_over_t_dbi_per_k = 15.9
         assert len(csv_rows(out)) == 3
         spec.write_text("seed = 3\n" + self.SPEC + "excess_mode = sampled\n")
         assert run_cli(capsys, "sweep", "--spec", str(spec)) == (code, out, err)
+
+    def test_spec_is_checked_once(self, tmp_path, capsys, monkeypatch):
+        # load_sweep_spec checks each line; run_sweep alone checks the whole spec.
+        checked, check = [], sweep._validate_spec
+
+        def counted(spec):
+            checked.append(spec)
+            return check(spec)
+
+        monkeypatch.setattr(sweep, "_validate_spec", counted)
+        spec = tmp_path / "s.cfg"
+        spec.write_text(self.SPEC)
+        assert run_cli(capsys, "sweep", "--spec", str(spec))[0] == 0
+        assert len(checked) == 1
+
+    def test_seed_rule_comes_before_the_whole_spec(self, tmp_path, capsys):
+        # An empty spec breaks a rule of the whole spec; --seed on it breaks
+        # --seed's rule first.
+        spec = tmp_path / "s.cfg"
+        spec.write_text("")
+        assert run_cli(capsys, "sweep", "--spec", str(spec)) == (
+            3, "", "ntnsim: spec error: parameter 'altitude_km' missing from axes and fixed\n")
+        assert run_cli(capsys, "sweep", "--spec", str(spec), "--seed", "3") == (
+            1, "", "ntnsim: error: --seed applies only to a spec with excess_mode = sampled\n")
 
     def test_missing_spec_file(self, tmp_path, capsys):
         latin1 = tmp_path / "latin1.cfg"  # not UTF-8
@@ -435,6 +462,12 @@ def test_readme_blocks_run(tmp_path, monkeypatch, capsys):
     files = [README, *(path for path in sorted(package.rglob("*"))
                        if path.is_file() and "__pycache__" not in path.parts)]
     assert [str(path) for path in files if stale.search(path.read_text(encoding="utf-8"))] == []
+
+
+def test_readme_spec_is_the_formats_example():
+    # The spec the README's block writes, and CI's install step runs, is the
+    # example of the packaged FORMATS.md that the spec fuzz starts from.
+    assert README_FILES == [("examples.cfg", SPEC)]
 
 
 LINK = ("link", "--alt", "600", "--elev", "30", "--fc", "20", "--got", "15.9")
@@ -836,7 +869,10 @@ VALUES = {
     "--tables": (PACKAGED_TABLES,) * 3 + ("absent",),
     "--mode": ("af", "DF"),
 }
-RECEIVERS = [("--got",)] * 4 + [("--grx",)] * 3 + [("--grx", "--temp"), (), ("--grx", "--got")]
+# The receiver flags: each form, and the three ways to break the rule (none,
+# both, --temp with --got).
+RECEIVERS = [("--got",)] * 4 + [("--grx",)] * 3 + [
+    ("--grx", "--temp"), (), ("--grx", "--got"), ("--got", "--temp")]
 CLI_PARSER = build_parser()
 CLI_FLAGS = {  # each parser's flags but -h and --out, and the receiver flags RECEIVERS picks
     command: [action.option_strings[-1] for action in subcommands(CLI_PARSER)[command]._actions
@@ -904,19 +940,27 @@ def by_hand(args, table, scenario_table):
     return chain_record(radio, stations, mode, args.scenario, table, scenario_table, args.seed)
 
 
-@settings(max_examples=100, deadline=None)
-@given(argv=cli_argvs())
-def test_link_and_chain_exit_as_their_inputs_say(atm_table, scen_table, argv):
+def main_in_process(argv, kinds):
+    """main(argv)'s (code, stdout, stderr), which exits 0-3 and raises nothing. A
+    nonzero exit writes no output and one error line, of kinds (ntnsim: KIND
+    error) or ntnsim's own, after the usage text if argparse refused argv."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     out, err = stdout.getvalue(), stderr.getvalue()
     assert code in (0, 1, 2, 3)
-    if code:  # no output, and one error line, after the usage text if argparse refused argv
+    if code:
         assert out == ""
         *usage, line = err.splitlines()
-        assert re.fullmatch(r"ntnsim(( link| chain)?: error|: (i/o|table) error): .+", line)
+        assert re.fullmatch(rf"ntnsim(( {argv[0]})?: error|: ({kinds}) error): .+", line)
         assert usage == [] or err.startswith("usage: ntnsim ")
+    return code, out, err
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=cli_argvs())
+def test_link_and_chain_exit_as_their_inputs_say(atm_table, scen_table, argv):
+    code, out, err = main_in_process(argv, "i/o|table")
     try:
         with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text, seen above
             args = CLI_PARSER.parse_args(argv)
@@ -941,3 +985,53 @@ def test_link_and_chain_exit_as_their_inputs_say(atm_table, scen_table, argv):
     expected = dict(zip(RESULT_COLUMNS, record))
     expected.update(zip(header, [*inputs, args.fc_ghz, args.scenario]))
     assert row == [format_value(expected[column]) for column in header]
+
+
+# The CLI property for sweep and preset: sweep --spec with the spec fuzz's
+# texts (FORMATS.md's example, also sampled, with lines inserted, or grammar
+# lines alone) and a --seed two times in three; preset --name one argv in five.
+SWEEP_SEEDS = (None,) * 4 + ("3", "-1", "0") * 2 + ("x", "2.5", "nan")
+PRESETS = (None,) * 16 + PRESET_NAMES + ("fig9",)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=config_texts(SPEC, SAMPLED_SPEC), seed=st.sampled_from(SWEEP_SEEDS),
+       name=st.sampled_from(PRESETS))
+def test_sweep_and_preset_exit_as_their_inputs_say(
+        tmp_path, atm_table, scen_table, text, seed, name):
+    path = tmp_path / "spec.cfg"
+    path.write_text(text, encoding="utf-8")
+    if name is None:
+        argv = ["sweep", f"--spec={path}"] + ([] if seed is None else [f"--seed={seed}"])
+    else:
+        argv = ["preset", f"--name={name}"]
+    code, out, err = main_in_process(argv, "spec")
+    if code == 0:  # each row: finite metrics and no error, or no metrics and an error
+        lines = [line for line in out.splitlines(True) if not line.startswith("#")]
+        for row in csv.DictReader(lines):
+            cells = [row[c] for c in row if c in RESULT_COLUMNS and c not in ("label", "error")]
+            error = row.get("error")
+            finite = all(cell and math.isfinite(float(cell)) for cell in cells)
+            assert (finite and not error) or (not any(cells) and error != "")
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text, seen above
+            args = CLI_PARSER.parse_args(argv)
+    except SystemExit_ as exc:
+        assert (code, err.splitlines()[-1]) == (1, exc.message)
+        return
+    # The checks' order: each line of the spec file, --seed, the whole spec.
+    try:
+        spec = preset(args.name) if name else load_sweep_spec(path)
+        if not name and args.seed is not None:
+            mode = spec.fixed.get("excess_mode", "expected")
+            if PARAMETERS["excess_mode"](mode) != "sampled":
+                message = "--seed applies only to a spec with excess_mode = sampled"
+                assert (code, out, err) == (1, "", f"ntnsim: error: {message}\n")
+                return
+            spec = spec._replace(seed=args.seed)
+        expected = csv_bytes(run_sweep(spec, atm_table, scen_table)).decode()
+    except NtnSimError as exc:
+        assert (code, out, err) == (3, "", f"ntnsim: spec error: {exc}\n")
+        return
+    assert (code, out, err) == (0, expected, "")

@@ -410,10 +410,12 @@ columns = elevation_deg, scenario, capacity_bps, error
         assert result.schema == ("elevation_deg", "scenario", "capacity_bps", "error")
         assert len(result.rows) == 6
 
-    def test_unknown_section(self, tmp_path):
+    def test_unknown_section(self, tmp_path, atm_table):
         path = tmp_path / "bad.cfg"
         columns = "columns = elevation_deg, scenario, capacity_bps, error"
-        # Each text and its message: [output] is checked as [fixed] is.
+        # Each text and its message: [output] is checked as [fixed] is. Its
+        # lines fail as the file is read; a repeated column, a rule of the
+        # whole spec, when run_sweep checks it.
         for text, message in [
             ("[axis]\nelevation_deg = 10\n", "bad.cfg: unknown sections ['axis']"),
             (self.SPEC_TEXT.replace("columns", "colums"),
@@ -424,7 +426,7 @@ columns = elevation_deg, scenario, capacity_bps, error
         ]:
             path.write_text(text)
             with pytest.raises(SpecError) as err:
-                load_sweep_spec(path)
+                run_sweep(load_sweep_spec(path), atm_table)
             assert str(err.value) == message
 
     def test_bad_number_reports_line(self, tmp_path):

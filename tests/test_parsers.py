@@ -9,12 +9,14 @@ accepts with lines inserted, so that the checks behind the grammar run too.
 """
 
 import hashlib
+import re
+import textwrap
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ntnsim import NtnSimError, Scenario
 from ntnsim.channel import _data_text, parse_atmosphere_table, parse_scenario_table
-from ntnsim.harness import SweepSpec, config, load_fig_defaults, load_sweep_spec
+from ntnsim.harness import SweepSpec, config, load_fig_defaults, load_sweep_spec, run_sweep
 from ntnsim.harness.config import PARAMETERS, parse_sections
 from ntnsim.harness.sweep import AXIS_NAMES, EXTRA_COLUMNS, METRIC_COLUMNS
 
@@ -43,19 +45,10 @@ lines = st.one_of(
     st.builds("{}{}{}".format, keys, st.sampled_from([" = ", "=", " =", ": ", " "]), values),
     any_text,
 )
-# Texts the loaders accept: data/FORMATS.md's spec, also sampled, and the fig-defaults fixture.
-SPEC = """\
-seed = 7
-[axes]
-elevation_deg = 10, 20, 30, 40, 50, 60, 70, 80, 90
-scenario = dense_urban, rural
-[fixed]
-altitude_km = 300
-fc_ghz = 20
-tx_power_dbm = 18
-g_over_t_dbi_per_k = 15.9
-[output]
-columns = elevation_deg, scenario, snr_db, capacity_bps, error"""
+# Texts the loaders accept: the spec example of the packaged FORMATS.md (the first
+# indented block of its "Sweep spec files"), also sampled, and the fig-defaults fixture.
+SPEC = textwrap.dedent(re.search(
+    r"\n\n((?:    .*\n)+)", _data_text("FORMATS.md").split("\n## Sweep spec files\n")[1])[1])
 SAMPLED_SPEC = SPEC.replace("[output]", "excess_mode = sampled\n[output]")
 FIG_DEFAULTS = _data_text("fig_defaults.cfg")
 
@@ -126,10 +119,12 @@ def test_parse_sections_fuzz(text):
 
 @FUZZ
 @given(text=config_texts(SPEC, SAMPLED_SPEC), seed=st.one_of(st.none(), st.integers(-2**70, 2**70)))
-def test_load_sweep_spec_fuzz(tmp_path, text, seed):
+def test_load_sweep_spec_fuzz(tmp_path, atm_table, scen_table, text, seed):
+    # What loads also runs: run_sweep checks the spec as a whole.
     path = tmp_path / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
-    parses_or_ntnsim_error(load_sweep_spec, path, seed)
+    parses_or_ntnsim_error(
+        lambda: run_sweep(load_sweep_spec(path, seed), atm_table, scen_table))
 
 
 @FUZZ
