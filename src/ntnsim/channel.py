@@ -13,7 +13,8 @@ Table file format (see data/FORMATS.md): line-oriented text, '#'
 comments, mandatory "# version:" and "# checksum: sha256=..." headers,
 whitespace-separated columns. The shipped tables are a calibration
 fixture tuned so the case-study trends hold; they are not measurement
-data.
+data. The tables type their values; the loss stages (fspl_db, ...) take
+finite floats and do not re-type them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, TableDomainError, TableFormatError
 from .geometry import (MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, _ELEVATION_RANGE, _STATION_BANDS,
-                       LinkGeometry, StationClass, _check_elevation)
+                       LinkGeometry, StationClass, _check_elevation, finite_number)
 
 # Fraction of the zenith gas/scintillation column that applies to a hop,
 # keyed by the altitude of the hop's lower endpoint. Nearly all of the
@@ -147,7 +148,8 @@ def _interpolate(x: float, grid: tuple[float, ...], values: tuple[float, ...]) -
 class AtmosphereTable:
     """Zenith gas attenuation and scintillation reference vs frequency.
 
-    The frequency grid must be strictly ascending and cover [0.5, 100]
+    Every value is typed by finite_number (else TableFormatError). The
+    frequency grid must be strictly ascending and cover [0.5, 100]
     GHz, and the zenith gas column must exhibit the oxygen absorption
     peak: some grid point in [55, 65] GHz strictly exceeds the values at
     50 and 70 GHz.
@@ -159,10 +161,11 @@ class AtmosphereTable:
         self, frequency_grid_ghz: tuple[float, ...], zenith_gas_db: tuple[float, ...],
         scintillation_ref_db: tuple[float, ...], version: str = "unversioned",
     ) -> None:
-        self.frequency_grid_ghz = grid = frequency_grid_ghz
-        self.zenith_gas_db = zenith_gas_db
-        self.scintillation_ref_db = scintillation_ref_db
+        columns = frequency_grid_ghz, zenith_gas_db, scintillation_ref_db
+        for key, column in zip(self.__slots__, columns):
+            setattr(self, key, tuple(_table_number(key, v) for v in column))
         self.version = version
+        grid = self.frequency_grid_ghz
         n = len(grid)
         if n < 2:
             raise TableFormatError("atmosphere table needs at least two rows")
@@ -176,7 +179,7 @@ class AtmosphereTable:
                 f"[{grid[0]:g}, {grid[-1]:g}]"
             )
         for col in (self.zenith_gas_db, self.scintillation_ref_db):
-            if any(not math.isfinite(v) or v < 0 for v in col):
+            if any(v < 0 for v in col):
                 raise TableFormatError("table values must be finite and >= 0")
         peak = max(
             (g for f, g in zip(grid, self.zenith_gas_db) if 55.0 <= f <= 65.0),
@@ -256,7 +259,10 @@ class ScenarioRow(NamedTuple):
 
 
 class ScenarioTable:
-    """LOS probability and clutter loss per scenario over an elevation grid."""
+    """LOS probability and clutter loss per scenario over an elevation grid.
+
+    Every value is typed by finite_number (else TableFormatError).
+    """
 
     __slots__ = ("elevation_grid_deg", "rows", "version")
 
@@ -264,8 +270,11 @@ class ScenarioTable:
         self, elevation_grid_deg: tuple[float, ...], rows: dict[Scenario, tuple[ScenarioRow, ...]],
         version: str = "unversioned",
     ) -> None:
-        self.elevation_grid_deg = grid = elevation_grid_deg
-        self.rows = rows
+        self.elevation_grid_deg = grid = tuple(
+            _table_number("elevation_grid_deg", v) for v in elevation_grid_deg)
+        self.rows = {scenario: tuple(ScenarioRow(*map(_table_number, ScenarioRow._fields, row))
+                                     for row in scenario_rows)
+                     for scenario, scenario_rows in rows.items()}
         self.version = version
         if len(grid) < 2 or any(grid[i] >= grid[i + 1] for i in range(len(grid) - 1)):
             raise TableFormatError("elevation grid must be strictly ascending")
@@ -347,14 +356,16 @@ def _read_table(text: str, name: str, columns: tuple[str, ...]):
     return version, rows()
 
 
+def _table_number(key: str, value: object) -> float:
+    """A table value, typed by finite_number (else TableFormatError)."""
+    return finite_number(value, key, TableFormatError)
+
+
 def _table_numbers(fields: list[str], line: str, name: str) -> list[float]:
     try:
-        numbers = [float(f) for f in fields]
+        return list(map(finite_number, fields))
     except ValueError:
-        numbers = [math.nan]
-    if not all(map(math.isfinite, numbers)):
-        raise TableFormatError(f"{name}: bad numeric field in line {line!r}")
-    return numbers
+        raise TableFormatError(f"{name}: bad numeric field in line {line!r}") from None
 
 
 def parse_atmosphere_table(text: str, name: str = "atmosphere table") -> AtmosphereTable:

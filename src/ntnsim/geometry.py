@@ -10,6 +10,10 @@ with R' the geocentric radius of the lower station, dh the altitude
 difference and a the elevation angle measured at the lower station.
 Elevation is restricted to [10, 90] degrees; lower angles are outside
 the supported sweep range and are rejected rather than extrapolated.
+
+finite_number is the one number rule: CLI flags, spec and table files and
+the constructors type every number through it. The stage functions
+(slant_range_km, classify_station, ...) take finite floats and do not re-type them.
 """
 
 from __future__ import annotations
@@ -70,6 +74,18 @@ def classify_station(altitude_km: float) -> StationClass:
     raise UnclassifiableAltitude(f"altitude {altitude_km} km lies in the gap {gap}")
 
 
+def finite_number(value: object, key: str = "", error: type[Exception] = ValueError) -> float:
+    """A finite float from text or any real number; error otherwise, its message led by key."""
+    try:
+        number = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        message = f"expected a finite number, got {value!r}"
+        raise error(f"{key}: {message}" if key else message)
+    return number
+
+
 def _check_elevation(elevation_deg: float) -> None:
     if not (MIN_ELEVATION_DEG <= elevation_deg <= MAX_ELEVATION_DEG):
         raise DomainError(f"elevation must be in {_ELEVATION_RANGE}, got {elevation_deg}")
@@ -91,7 +107,8 @@ def slant_range_km(low_km: float, high_km: float, elevation_deg: float) -> float
     -------
     float
         Slant range in km. Equals high_km - low_km at zenith and grows
-        monotonically as the elevation drops.
+        monotonically as the elevation drops. The altitudes are not
+        re-typed, so slant_range_km(0, nan, 30) is nan.
     """
     _check_elevation(elevation_deg)
     if low_km < 0:
@@ -148,6 +165,9 @@ class LinkGeometry(NamedTuple):
     def from_endpoints(
         cls, low_altitude_km: float, high_altitude_km: float, elevation_deg: float
     ) -> "LinkGeometry":
-        """Build a hop once slant_range_km accepts its endpoints."""
-        slant_range_km(low_altitude_km, high_altitude_km, elevation_deg)
-        return cls(low_altitude_km, high_altitude_km, elevation_deg)
+        """The hop, each value typed by finite_number (else GeometryError), once
+        slant_range_km accepts it."""
+        values = low_altitude_km, high_altitude_km, elevation_deg
+        hop = cls(*(finite_number(v, key, GeometryError) for key, v in zip(cls._fields, values)))
+        slant_range_km(*hop)
+        return hop

@@ -8,10 +8,9 @@ PARAMETERS checks and types every value, there as for CLI flags.
 
 from __future__ import annotations
 
-import math
-
 from ..channel import Scenario, _data_text
 from ..errors import ConfigError
+from ..geometry import finite_number
 from ..linkbudget import RadioConfig
 from ..relay import RelayMode
 
@@ -46,17 +45,6 @@ def parse_sections(
             raise error_cls(f"{name}:{lineno}: duplicate key {key!r}")
         out[section][key] = (value, lineno)
     return out
-
-
-def finite_number(value: object) -> float:
-    """A finite float from text or a number; ValueError otherwise."""
-    try:
-        number = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
 
 
 def _auto_or_number(value: object) -> float | None:

@@ -7,7 +7,8 @@ The budget closes in the dB domain:
 where -198.6 dBm/K/Hz is Boltzmann's constant and G/T is either given
 directly or derived as G_rx - 10 log10(T_sys). Evaluating both receiver
 forms through the same expression keeps them exactly equal whenever
-G_rx - 10 log10(T) == G/T.
+G_rx - 10 log10(T) == G/T. RadioConfig types its fields; the stage
+functions (snr_db, shannon_capacity_bps, ...) take finite floats as given.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .channel import (
 )
 from .constants import BOLTZMANN_DBM_PER_K_HZ
 from .errors import ConfigError, DomainError
-from .geometry import LinkGeometry
+from .geometry import LinkGeometry, finite_number
 
 _LN2 = math.log(2.0)
 _INF = math.inf
@@ -52,10 +53,11 @@ def default_bandwidth(fc_ghz: float) -> float:
 class RadioConfig(_ByFields):
     """Radio parameters for one hop.
 
-    Exactly one receiver form must be given: g_rx_dbi together with
-    noise_temperature_k, or g_over_t_dbi_per_k alone. bandwidth_hz None
-    means Auto (resolved from fc_ghz by default_bandwidth before any
-    SNR computation).
+    Each field is typed by finite_number (else ConfigError); the four
+    that default to None may be None. Exactly one receiver form must be
+    given: g_rx_dbi together with noise_temperature_k, or
+    g_over_t_dbi_per_k alone. bandwidth_hz None means Auto (resolved
+    from fc_ghz by default_bandwidth before any SNR computation).
     """
 
     __slots__ = _fields = (
@@ -68,16 +70,12 @@ class RadioConfig(_ByFields):
         g_rx_dbi: float | None = None, g_over_t_dbi_per_k: float | None = None,
         noise_temperature_k: float | None = None, bandwidth_hz: float | None = None,
     ) -> None:
-        self.fc_ghz = fc_ghz
-        self.tx_power_dbm = tx_power_dbm
-        self.g_tx_dbi = g_tx_dbi
-        self.g_rx_dbi = g_rx_dbi
-        self.g_over_t_dbi_per_k = g_over_t_dbi_per_k
-        self.noise_temperature_k = noise_temperature_k
-        self.bandwidth_hz = bandwidth_hz
-        for name, value in zip(self._fields, self._values()):
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        values = (fc_ghz, tx_power_dbm, g_tx_dbi, g_rx_dbi, g_over_t_dbi_per_k,
+                  noise_temperature_k, bandwidth_hz)
+        for i, (name, value) in enumerate(zip(self._fields, values)):  # the last four may be None
+            if value is not None or i < 3:
+                value = finite_number(value, name, ConfigError)
+            setattr(self, name, value)
         if self.fc_ghz <= 0:
             raise ConfigError(f"fc_ghz must be > 0, got {self.fc_ghz}")
         has_grx = self.g_rx_dbi is not None
@@ -184,8 +182,10 @@ def evaluate_link(
     The hop's losses are total_path_loss's, so its atmosphere fraction
     follows its lower endpoint. Sampled clutter draws the stream of point
     sampled_index of a sweep with seed sampled_seed, so the default 0
-    gives row 0's.
+    gives row 0's. The geometry is typed and checked first, by
+    LinkGeometry.from_endpoints.
     """
+    geometry = LinkGeometry.from_endpoints(*geometry)
     resolved = radio.resolve_bandwidth()
     breakdown = total_path_loss(
         geometry, resolved.fc_ghz, scenario, table, scenario_table,

@@ -3,7 +3,8 @@
 A chain runs top-down towards the ground: hop i's lower endpoint is hop
 i+1's upper endpoint and exactly the last hop reaches altitude zero.
 The chain's scenario applies to that ground-terminated hop only; higher
-hops see no ground clutter.
+hops see no ground clutter. The stage functions (af_end_to_end_snr,
+df_end_to_end_capacity, ...) take finite floats and do not re-type them.
 """
 
 from __future__ import annotations
@@ -111,9 +112,6 @@ def _validate_chain(chain: RelayChain) -> None:
                 f"hop {i} ends at {low_i:g} km but hop {i + 1} starts at "
                 f"{high_next:g} km"
             )
-    for i, hop in enumerate(chain.hops[:-1]):
-        if hop.geometry.low_altitude_km == 0.0:
-            raise ChainError(f"hop {i} reaches the ground before the final hop")
     if chain.hops[-1].geometry.low_altitude_km != 0.0:
         raise ChainError(
             f"hop {len(chain.hops) - 1} must terminate at altitude 0, got "
@@ -148,7 +146,11 @@ def evaluate_chain(
     total_path_loss). The aggregated breakdown sums each stage over the
     hops. The ground hop's sampled clutter draws the stream of point
     sampled_index of a sweep with seed sampled_seed (see evaluate_link).
+    Each hop's geometry is typed and checked by LinkGeometry.from_endpoints
+    before the chain's structure is.
     """
+    chain = chain._replace(hops=tuple(
+        RelayHop(LinkGeometry.from_endpoints(*geometry), radio) for geometry, radio in chain.hops))
     _validate_chain(chain)
     per_hop: list[LinkResult] = []
     for hop in chain.hops:

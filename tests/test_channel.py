@@ -4,6 +4,7 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from ntnsim import (
@@ -12,6 +13,7 @@ from ntnsim import (
     LinkGeometry,
     LossBreakdown,
     Scenario,
+    ScenarioTable,
     TableDomainError,
     TableFormatError,
     default_atmosphere_fraction,
@@ -381,3 +383,52 @@ class TestTableParsing:
         rows = ["rural 10 0.8 0.5 14 2.5", "rural 90 0.97 0.2 9 2.5"]
         with pytest.raises(TableFormatError):
             parse_scenario_table(self._atm_text(rows))
+
+
+ATMOSPHERE_COLUMNS = ("frequency_grid_ghz", "zenith_gas_db", "scintillation_ref_db")
+
+
+class TestTablesBuiltInPython:
+    """A table built in Python types every number as a table file's are typed."""
+
+    @pytest.mark.parametrize("column, index, value", [
+        ("frequency_grid_ghz", -1, math.inf),  # an end that still covers the band
+        ("zenith_gas_db", 0, math.nan),
+        ("scintillation_ref_db", 1, None),
+    ])
+    def test_atmosphere_value_not_a_finite_number(self, atm_table, column, index, value):
+        columns = {name: list(getattr(atm_table, name)) for name in ATMOSPHERE_COLUMNS}
+        columns[column][index] = value
+        with pytest.raises(TableFormatError) as err:
+            AtmosphereTable(**columns)
+        assert str(err.value) == f"{column}: expected a finite number, got {value!r}"
+
+    @pytest.mark.parametrize("field, value", [
+        ("shadow_sigma_db", math.nan),  # every sampled draw would read 0.0
+        ("clutter_nlos_db", math.inf),
+        ("p_los", "x"),
+    ])
+    def test_scenario_row_value_not_a_finite_number(self, scen_table, field, value):
+        rows = dict(scen_table.rows)
+        rows[Scenario.RURAL] = tuple(r._replace(**{field: value}) for r in rows[Scenario.RURAL])
+        with pytest.raises(TableFormatError) as err:
+            ScenarioTable(scen_table.elevation_grid_deg, rows)
+        assert str(err.value) == f"{field}: expected a finite number, got {value!r}"
+
+    def test_scenario_grid_end_not_a_finite_number(self, scen_table):
+        grid = scen_table.elevation_grid_deg[:-1] + (math.inf,)
+        with pytest.raises(TableFormatError) as err:
+            ScenarioTable(grid, scen_table.rows)
+        assert str(err.value) == "elevation_grid_deg: expected a finite number, got inf"
+
+    def test_numbers_of_any_real_type_become_floats(self, atm_table, scen_table):
+        atmosphere = AtmosphereTable(*(np.array(getattr(atm_table, name), dtype=np.float32)
+                                       for name in ATMOSPHERE_COLUMNS))
+        rows = {scenario: tuple(tuple(map(str, row)) for row in scenario_rows)
+                for scenario, scenario_rows in scen_table.rows.items()}
+        scenario = ScenarioTable(np.array(scen_table.elevation_grid_deg, dtype=np.int64), rows)
+        values = [v for name in ATMOSPHERE_COLUMNS for v in getattr(atmosphere, name)]
+        values += [*scenario.elevation_grid_deg,
+                   *(v for scenario_rows in scenario.rows.values() for r in scenario_rows for v in r)]
+        assert all(type(v) is float for v in values)
+        assert scenario.rows == scen_table.rows

@@ -8,6 +8,7 @@ in-test oracle below re-implements.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ntnsim import (
@@ -170,6 +171,14 @@ class TestLinkGeometry:
             LinkGeometry.from_endpoints(300, 200, 45)
         with pytest.raises(DomainError):
             LinkGeometry.from_endpoints(0, 300, 5)
+
+    def test_from_endpoints_types_its_values(self):
+        g = LinkGeometry.from_endpoints(np.int64(0), "600", np.float32(30.0))
+        assert g == (0.0, 600.0, 30.0) and all(type(v) is float for v in g)
+        for value in (None, "x", math.inf):
+            with pytest.raises(GeometryError) as err:
+                LinkGeometry.from_endpoints(0.0, value, 30.0)
+            assert str(err.value) == f"high_altitude_km: expected a finite number, got {value!r}"
 
     def test_changed_copy_equals_from_endpoints(self):
         # Slant range and delay follow the endpoints: no field holds a copy of them.

@@ -8,13 +8,17 @@ slant range at two nearby elevations) allow 1e-9, the tolerance at which
 the scalar path and any fast path must agree.
 """
 
+import functools
 import itertools
 import math
+import sys
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from ntnsim import (
     LinkGeometry,
+    NtnSimError,
     RadioConfig,
     RelayChain,
     RelayHop,
@@ -24,6 +28,8 @@ from ntnsim import (
     evaluate_link,
 )
 from ntnsim.harness import SweepSpec, run_sweep
+from ntnsim.harness.rows import RESULT_COLUMNS
+from test_sweep_reuse import AXIS_VALUES, FIXED_VALUES, NO_CAPACITY_EXIT
 
 TOL = 1e-9
 
@@ -198,3 +204,148 @@ def test_capacity_non_decreasing_in_receive_gain(
     capacities = [row["capacity_bps"] for row in rows]
     for c1, c2 in itertools.pairwise(capacities):
         assert c2 >= c1 * (1 - TOL)
+
+
+# The library boundary: evaluate_link, evaluate_chain and run_sweep called
+# with values as a library caller may give them. Each parameter has usual
+# and edge numbers: test_sweep_reuse's fixed values, its axis values (edge
+# where NO_CAPACITY_EXIT lists them), a few for the radio fields those leave
+# out, and bandwidths up to the largest float. A number is drawn as a float,
+# a numpy float32, float64 or int64 scalar, or text. A call takes edge values
+# for none, one or two parameters, as test_sweep_reuse's specs do; an edge
+# value is an edge number or True, False or None.
+POOLS = {
+    **FIXED_VALUES,
+    **{name: (tuple(v for v in AXIS_VALUES[name] if v not in edge), edge)
+       for name, edge in NO_CAPACITY_EXIT.items()},
+    "g_tx_dbi": ((39.7, 0.0), ()),
+    "g_over_t_dbi_per_k": ((15.9, -10.0, 1e-320), ()),
+    "ground_km": ((0.0,), ()),  # the last hop's lower end
+}
+POOLS["bandwidth_hz"] = (POOLS["bandwidth_hz"][0], (5e-324, 1e308, 1.7e308, sys.float_info.max))
+SEEDS = (None, None, 7, np.int64(7), True)
+INDICES = (0, 3, np.int64(3), 2.5)
+
+
+def forms(number):
+    if number is None:  # a bandwidth's Auto
+        return [None]
+    kinds = [number, np.float64(number), str(number)]
+    with np.errstate(over="ignore"):  # float32 takes 1e308 to inf
+        kinds.append(np.float32(number))
+    if number.is_integer() and abs(number) < 2**63:
+        kinds.append(np.int64(number))
+    return kinds
+
+
+@functools.cache  # one strategy per pool: building them took most of a draw's time
+def pool(name, edge):
+    usual, edges = POOLS[name]
+    if edge:
+        return st.sampled_from([kind for n in edges for kind in forms(n)] + [True, False, None])
+    return st.sampled_from([kind for n in usual for kind in forms(n)])
+
+
+@st.composite
+def boundary_chains(draw):
+    """(hops, mode, scenario, seed, index): hops top-down from a station through
+    none to two HAPs to the ground, as (geometry values, radio fields), each
+    hop with its own radio and receiver form."""
+    edges = draw(st.lists(st.sampled_from(tuple(POOLS)), max_size=2))
+
+    def value(name):
+        return draw(pool(name, name in edges))
+
+    def radio():
+        form = ("g_over_t_dbi_per_k",) if draw(st.booleans()) else ("g_rx_dbi", "noise_temperature_k")
+        return {name: value(name)
+                for name in ("fc_ghz", "tx_power_dbm", "g_tx_dbi", "bandwidth_hz", *form)}
+
+    haps = [value("hap_altitude_km") for _ in range(draw(st.integers(0, 2)))]
+    altitudes = [value("altitude_km"), *haps, value("ground_km")]
+    hops = tuple(((low, high, value("elevation_deg")), radio())
+                 for high, low in itertools.pairwise(altitudes))
+    return (hops, draw(st.sampled_from(list(RelayMode))), draw(scenarios),
+            draw(st.sampled_from(SEEDS)), draw(st.sampled_from(INDICES)))
+
+
+def chain_spec(hops, mode, scenario, seed):
+    """The chain's sweep: its station, direct and relayed through hop 0's lower
+    end, with hop 0's radio but its carrier, and each hop's elevation and
+    carrier as axes."""
+    (hap, station, _), radio = hops[0]
+    fixed = {key: value for key, value in radio.items() if key != "fc_ghz"}
+    fixed.update(scenario=scenario, relay_mode=mode, hap_altitude_km=hap,
+                 excess_mode="expected" if seed is None else "sampled")
+    axes = (("altitude_km", (station,)), ("mode", ("direct", "relay")),
+            ("elevation_deg", tuple(geometry[2] for geometry, _ in hops)),
+            ("fc_ghz", tuple(fields["fc_ghz"] for _, fields in hops)))
+    return SweepSpec(axes=axes, fixed=fixed, seed=seed)
+
+
+def assert_finite_floats(result):
+    for r in (result, *result.hops):
+        b, g = r.breakdown, r.geometry
+        values = (b.fspl_db, b.gas_db, b.scintillation_db, b.excess_db, b.total_db, r.snr_db,
+                  r.capacity_bps, r.bandwidth_hz, *g, g.slant_range_km, g.one_way_delay_ms)
+        assert all(type(v) is float and math.isfinite(v) for v in values), r
+
+
+AF_RADIO = {"fc_ghz": 20.0, "tx_power_dbm": 30.0, "g_over_t_dbi_per_k": 1e-320,
+            "bandwidth_hz": 1e308}
+# A rural AF chain whose ground hop's elevation is a numpy float32: its hop
+# SNRs' product underflows, so its SNR is folded in dB.
+AF_FLOAT32 = ((((17.0, 30.0, 10.0), AF_RADIO), ((0.0, 17.0, np.float32(30.0)), AF_RADIO)),
+              RelayMode.AMPLIFY_FORWARD, Scenario.RURAL, None, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(call=boundary_chains())
+@example(call=AF_FLOAT32)
+def test_library_gives_finite_floats_or_raises_its_errors(atm_table, scen_table, call):
+    # Each call returns finite Python floats, hop by hop, or raises an
+    # NtnSimError; each sweep row holds finite floats, or no metrics and an error.
+    hops, mode, scenario, seed, index = call
+    sampled = {"sampled_seed": seed, "sampled_index": index}
+
+    def link(i):
+        (geometry, fields), ground = hops[i], i == len(hops) - 1
+        return evaluate_link(LinkGeometry(*geometry), RadioConfig(**fields),
+                             scenario if ground else None, atm_table, scen_table,
+                             **(sampled if ground else {}))
+
+    def chain():
+        built = tuple(RelayHop(LinkGeometry(*geometry), RadioConfig(**fields))
+                      for geometry, fields in hops)
+        return evaluate_chain(RelayChain(built, mode, scenario), atm_table, scen_table, **sampled)
+
+    for i in range(len(hops) + 1):  # each hop's link, then the chain
+        try:
+            result = link(i) if i < len(hops) else chain()
+        except NtnSimError:
+            continue
+        assert_finite_floats(result)
+    try:
+        rows = run_sweep(chain_spec(hops, mode, scenario, seed), atm_table, scen_table).rows
+    except NtnSimError:
+        return
+    metrics = RESULT_COLUMNS[:-2]  # but label and error
+    for row in rows:
+        if row["error"]:
+            assert [row[name] for name in metrics] == [None] * len(metrics)
+        else:
+            assert all(type(row[name]) is float and math.isfinite(row[name]) for name in metrics)
+
+
+def test_af_chain_with_a_float32_elevation_equals_the_plain_one(atm_table, scen_table):
+    radio = RadioConfig(**AF_RADIO)
+
+    def chain(elevation):
+        hops = (RelayHop(LinkGeometry(17.0, 30.0, 10.0), radio),
+                RelayHop(LinkGeometry(0.0, 17.0, elevation), radio))
+        chain = RelayChain(hops, RelayMode.AMPLIFY_FORWARD, Scenario.RURAL)
+        return evaluate_chain(chain, atm_table, scen_table)
+
+    plain, float32 = chain(30.0), chain(np.float32(30.0))
+    assert float32 == plain
+    assert round(plain.snr_db, 1) == -5930.8 and plain.capacity_bps == 0.0

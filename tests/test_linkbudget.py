@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ntnsim import (
@@ -86,7 +87,7 @@ class TestRadioConfig:
         ["fc_ghz", "tx_power_dbm", "g_tx_dbi", "g_rx_dbi", "g_over_t_dbi_per_k",
          "noise_temperature_k", "bandwidth_hz"],
     )
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x"])
     def test_non_finite_field_rejected(self, field, value):
         if field in ("g_rx_dbi", "noise_temperature_k"):
             kwargs = dict(g_rx_dbi=40.0, noise_temperature_k=290.0)
@@ -96,7 +97,21 @@ class TestRadioConfig:
         kwargs[field] = value
         with pytest.raises(ConfigError) as err:
             RadioConfig(**kwargs)
-        assert field in str(err.value)
+        assert str(err.value) == f"{field}: expected a finite number, got {value!r}"
+
+    @pytest.mark.parametrize("field", ["fc_ghz", "tx_power_dbm", "g_tx_dbi"])
+    def test_required_field_may_not_be_none(self, field):
+        kwargs = dict(fc_ghz=20.0, tx_power_dbm=18.0, g_over_t_dbi_per_k=15.9)
+        kwargs[field] = None
+        with pytest.raises(ConfigError) as err:
+            RadioConfig(**kwargs)
+        assert str(err.value) == f"{field}: expected a finite number, got None"
+
+    def test_fields_of_any_real_type_become_floats(self):
+        radio = RadioConfig(np.float32(20.0), "18", True, g_over_t_dbi_per_k=np.int64(15),
+                            bandwidth_hz=np.float64(4e8))
+        assert radio == RadioConfig(20.0, 18.0, 1.0, g_over_t_dbi_per_k=15.0, bandwidth_hz=4e8)
+        assert all(type(v) is float for v in radio._values() if v is not None)
 
     def test_auto_bandwidth_resolution(self):
         r = RadioConfig(fc_ghz=20, tx_power_dbm=18, g_over_t_dbi_per_k=15.9)

@@ -151,6 +151,20 @@ class TestChainValidation:
         with pytest.raises(ChainError):
             evaluate_chain(chain, atm_table)
 
+    def test_hops_are_typed_before_the_chain_is_checked(self, atm_table, got_radio):
+        radio = got_radio()
+
+        def chain(upper, lower):
+            return RelayChain(hops=(RelayHop(LinkGeometry(*upper), radio),
+                                    RelayHop(LinkGeometry(*lower), radio)))
+
+        with pytest.raises(ChainError) as err:  # "25" is typed, so the message formats it
+            evaluate_chain(chain(("25", 1200.0, 10.0), (0.0, 20.0, 10.0)), atm_table)
+        assert str(err.value) == "hop 0 ends at 25 km but hop 1 starts at 20 km"
+        with pytest.raises(DomainError) as err:  # a bad hop comes before a broken chain
+            evaluate_chain(chain((25.0, 1200.0, 10.0), (0.0, 20.0, 5.0)), atm_table)
+        assert str(err.value) == "elevation must be in [10, 90] deg, got 5.0"
+
     def test_empty_chain(self, atm_table):
         with pytest.raises(ChainError):
             evaluate_chain(RelayChain(hops=()), atm_table)
