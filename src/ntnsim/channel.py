@@ -213,9 +213,16 @@ class ScenarioRow(NamedTuple):
     clutter_nlos_db: float
     shadow_sigma_db: float
 
+    def _numbers(self) -> tuple[float, float, float, float]:
+        """The four fields, each typed by finite_number (else DomainError)."""
+        return tuple(finite_number(value, key, DomainError)
+                     for key, value in zip(self._fields, self))
+
     def expected_db(self) -> float:
-        """Expected clutter loss: the LOS-probability mixture p*L_los + (1-p)*L_nlos."""
-        return self.p_los * self.clutter_los_db + (1.0 - self.p_los) * self.clutter_nlos_db
+        """Expected clutter loss: the LOS-probability mixture p*L_los + (1-p)*L_nlos,
+        of the typed _numbers()."""
+        p_los, los, nlos, _ = self._numbers()
+        return p_los * los + (1.0 - p_los) * nlos
 
     def sampled_db(self, seed: int, index: int = 0) -> float:
         """Sampled clutter loss of the point at row index of a sweep with seed.
@@ -234,7 +241,8 @@ class ScenarioRow(NamedTuple):
         return draw(index)
 
     def sampler(self, seed: int):
-        """draw(index): sampled_db(seed, index), with seed checked once, here.
+        """draw(index): sampled_db(seed, index), with seed checked and the
+        row typed by _numbers() once, here.
 
         A sweep makes one per cell. Each draw copies the hashed b"<seed>:"
         and adds only the index, so streams stay blake2b(b"<seed>:<index>").
@@ -242,7 +250,7 @@ class ScenarioRow(NamedTuple):
         if type(seed) is not int:  # "%d" would truncate 2.5 to the stream of 2
             raise DomainError(f"sampled_seed must be an integer, got {seed!r}")
         copy = hashlib.blake2b(b"%d:" % seed, digest_size=24).copy
-        p_los, los, nlos, sigma = self
+        p_los, los, nlos, sigma = self._numbers()
         unpack, sqrt, log, cos = _STREAM_WORDS, math.sqrt, math.log, math.cos
 
         def draw(index: int) -> float:

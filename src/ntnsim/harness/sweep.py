@@ -5,16 +5,17 @@ slowest). A grid point that fails to evaluate produces a row whose
 metric columns are empty and whose `error` column carries the reason;
 the sweep continues.
 
-run_sweep builds one plan per spec (see _plan): each stage runs once per
-distinct input through the scalar functions that evaluate_link and
-evaluate_chain use, and each point does their remaining float work inline,
-fused, in their order. evaluate_chain itself evaluates every point the
-fused path does not write. Points run a prefix at a time, and a prefix
-with a station in a gap takes its one error (see _records). So each
-record (see SweepRows), error rows and messages included, is
-result_record of the point's own evaluate_link or evaluate_chain result,
-with sampled_index its row index, and rows.emit_csv writes it as it
-writes link's and chain's.
+run_sweep builds one plan per spec (see _plan): a mode's stages, each
+named once with the axes it reads, run once per distinct input of those
+axes through the scalar functions that evaluate_link and evaluate_chain
+use, and each point does their remaining float work inline, fused, in
+their order. evaluate_chain itself evaluates every point the fused path
+does not write. Points run a prefix at a time, each stage's column keyed
+by its own axes, and a prefix with a station in a gap takes its one
+error (see _records). So each record (see SweepRows), error rows and
+messages included, is result_record of the point's own evaluate_link or
+evaluate_chain result, with sampled_index its row index, and
+rows.emit_csv writes it as it writes link's and chain's.
 
 Sampled clutter gives every point its own stream: the point at row
 index i of a sweep with seed s draws from blake2b(b"<s>:<i>"), through
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from functools import cache
+from functools import cache, partial
 from itertools import count, product, repeat
 from math import inf, log1p, log10
 from operator import itemgetter
@@ -188,17 +189,18 @@ def _plan(axes, fixed, table, scenario_table, seed):
     gap_error(altitude, mode) is the error of every point at that altitude
     and mode where no point's radio fails (the chain's first check) and one
     of its stations fails classify_station, else None.
-    plans maps each mode to (resolve, point, keys): resolve maps a point's
-    values of AXIS_NAMES but mode to its stage values, or raises, and the
-    point then gets reference(index); point maps those and the row index
-    to the point's record (see SweepRows) and never raises; keys holds the
-    axes that each stage value's key reads. Each stage is cached per
-    distinct input. point does the scalar functions' float work inline, in
-    their order, while their happy paths hold: FSPL > 0 and the other
-    stages >= 0 with a finite total, finite SNRs whose power ratios do not
-    overflow, 0 < bandwidth < _BANDWIDTH_BOUND (so that no capacity the
-    scalar path computes, each hop's included, overflows), for AF a finite
-    product and a normal gamma. Outside that guard it gives reference(index).
+    plans maps each mode to (stages, point). stages is a sequence of
+    (stage, axes) pairs: stage takes a point's values of axes, names of
+    AXIS_NAMES, in that order, is cached per distinct input, and raises
+    where the chain fails, and the point then gets reference(index). point
+    maps the stage values, in stages' order, and the row index to the
+    point's record (see SweepRows) and never raises. It does the scalar
+    functions' float work inline, in their order, while their happy paths
+    hold: FSPL > 0 and the other stages >= 0 with a finite total, finite
+    SNRs whose power ratios do not overflow, 0 < bandwidth <
+    _BANDWIDTH_BOUND (so that no capacity the scalar path computes, each
+    hop's included, overflows), for AF a finite product and a normal
+    gamma. Outside that guard it gives reference(index).
     """
     hap, relay_mode = fixed.get("hap_altitude_km"), fixed["relay_mode"]
     radio_fixed = _fixed_radio(fixed)  # RadioConfig's defaults stand for fields left out
@@ -236,9 +238,12 @@ def _plan(axes, fixed, table, scenario_table, seed):
         gas, scint = gas_attenuation_db(fc, elevation, table), scintillation_db(fc, elevation, table)
         return tuple((fraction * gas, fraction * scint) for fraction in fractions)
 
+    stations = cache(classify_station)
+
     def hops(low):
         @cache
         def stage(high, elevation):  # slant range, FSPL's range term
+            stations(high)  # raises for an upper station outside every band
             slant = slant_range_km(low, high, elevation)
             # 20 log10(0) as -inf: a zero slant range fails point's FSPL check
             return slant, fspl_range_db(slant) if slant > 0 else -inf
@@ -249,9 +254,6 @@ def _plan(axes, fixed, table, scenario_table, seed):
         cell = scenario_table.cell(scenario, elevation)
         return cell.sampler(seed) if seed is not None else cell.expected_db()
 
-    stations = cache(classify_station)
-    ground_hops = hops(0.0)
-
     def gap_error(altitude, mode):
         if radios_hold:
             try:  # the chain checks its stations top-down, right after the radio
@@ -261,17 +263,9 @@ def _plan(axes, fixed, table, scenario_table, seed):
                 return str(exc)
         return None
 
-    fc_grx, fc_elev = ("fc_ghz", "g_rx_dbi"), ("fc_ghz", "elevation_deg")  # keys' axes
-    alt_elev, scen_elev = ("altitude_km", "elevation_deg"), ("scenario", "elevation_deg")
-
-    def resolve(altitude, fc, elevation, g_rx, scenario):
-        stations(altitude)  # raises for an altitude outside every band
-        radio, hop = radios(fc, g_rx), ground_hops(altitude, elevation)
-        return radio, hop, atmosphere(fc, elevation)[0], cells(scenario, elevation)
-
     def fused_direct(radio, hop, air, excess, index):
         gain, bandwidth_db, carrier_db, bandwidth = radio
-        (slant, range_db), (gas, scint) = hop, air
+        (slant, range_db), (gas, scint) = hop, air[0]
         if seed is not None:
             excess = excess(index)
         fspl = carrier_db + range_db
@@ -286,25 +280,23 @@ def _plan(axes, fixed, table, scenario_table, seed):
             return reference(index)
         return slant, fspl, gas, scint, excess, total, snr, capacity, bandwidth, "direct", ""
 
-    plans = {MODE_DIRECT: (resolve, fused_direct, (fc_grx, alt_elev, fc_elev, scen_elev))}
+    radio = radios, ("fc_ghz", "g_rx_dbi")
+    air = atmosphere, ("fc_ghz", "elevation_deg")
+    clutter = cells, ("scenario", "elevation_deg")
+    ground_hops = hops(0.0)
+    direct = (radio, (ground_hops, ("altitude_km", "elevation_deg")), air, clutter)
+    plans = {MODE_DIRECT: (direct, fused_direct)}
     if MODE_RELAY not in axes["mode"]:
         return reference, gap_error, plans
     # Hop 0 runs from the HAP up to the station, without clutter; hop 1
     # from the ground up to the HAP. Both use the point's radio. A point's
     # slant range, gas and scintillation are the sums over its hops.
-    hap_hops = hops(hap)
     amplify, label = relay_mode is RelayMode.AMPLIFY_FORWARD, chain_label(relay_mode, 2)
 
-    def resolve_relay(altitude, fc, elevation, g_rx, scenario):
-        stations(altitude)
-        stations(hap)
-        hop0, hop1 = hap_hops(altitude, elevation), ground_hops(hap, elevation)
-        air1, air0 = atmosphere(fc, elevation)  # from the ground, from the HAP
-        return radios(fc, g_rx), hop0, hop1, air0, air1, cells(scenario, elevation)
-
-    def fused_relay(radio, hop0, hop1, air0, air1, excess, index):
+    def fused_relay(radio, hop0, hop1, air, excess, index):
         gain, bandwidth_db, carrier_db, bandwidth = radio
-        (upper, range0), (lower, range1), (gas0, scint0), (gas1, scint1) = hop0, hop1, air0, air1
+        (upper, range0), (lower, range1) = hop0, hop1
+        (gas1, scint1), (gas0, scint0) = air  # from the ground, from the HAP
         if seed is not None:
             excess = excess(index)
         fspl0, fspl1 = carrier_db + range0, carrier_db + range1
@@ -333,30 +325,38 @@ def _plan(axes, fixed, table, scenario_table, seed):
             return reference(index)
         return upper + lower, fspl, gas, scint, excess, total, snr, capacity, bandwidth, label, ""
 
-    keys = fc_grx, alt_elev, ("elevation_deg",), fc_elev, fc_elev, scen_elev
-    return reference, gap_error, {**plans, MODE_RELAY: (resolve_relay, fused_relay, keys)}
+    relay = (radio, (hops(hap), ("altitude_km", "elevation_deg")),
+             (partial(ground_hops, hap), ("elevation_deg",)), air, clutter)
+    return reference, gap_error, {**plans, MODE_RELAY: (relay, fused_relay)}
 
 
 def _records(axes, reference, gap_error, plans):
     """Every point's record in row order, from each of AXIS_NAMES' typed values.
 
-    The inner axis is the last in row order with more than one value. Each
-    value of the other axes, a prefix, maps its mode's point over a column
-    per stage value: the value repeated if its key does not read the inner
-    axis, else its values along it, kept for the call by the rest of its
-    key. Columns whose keys read no other varying axis are built once. A
-    point, or each point of a prefix, whose resolve raises gets
-    reference(index); but a prefix whose altitude, not the inner axis, has
-    a gap_error gets that error at every point.
+    Each stage reads only its own axes (see _plan). The inner axis is the
+    last in row order with more than one value. Each value of the other
+    axes, a prefix, maps its mode's point over one column per stage: the
+    stage's value repeated if its axes leave out the inner axis, else its
+    values along it, kept per stage and values of its other axes. Columns
+    of stages that read no other varying axis are built once. A point, or
+    each point of a prefix, whose stage raises gets reference(index); but
+    a prefix whose altitude, not the inner axis, has a gap_error gets that
+    error at every point.
     """
     names = list(axes)
-    pick = itemgetter(*map(names.index, AXIS_NAMES))
+    at_mode, at_altitude = names.index("mode"), names.index("altitude_km")
 
-    def one(point, index):  # point(*resolve(...), index), or reference(index)
-        *values, mode = pick(point)
-        resolve, evaluate, _ = plans[mode]
+    def arguments(stage_axes):  # a point's values of stage_axes, as a tuple
+        at = [names.index(name) for name in stage_axes]
+        return itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
+
+    calls = {mode: ([(stage, arguments(a)) for stage, a in stages], point)
+             for mode, (stages, point) in plans.items()}
+
+    def one(point, index):  # point(*stage values, index), or reference(index)
+        stages, evaluate = calls[point[at_mode]]
         try:
-            return evaluate(*resolve(*values), index)
+            return evaluate(*[stage(*args(point)) for stage, args in stages], index)
         except NtnSimError:
             return reference(index)
 
@@ -364,35 +364,32 @@ def _records(axes, reference, gap_error, plans):
     inner = varying.pop() if varying else "mode"
     if inner == "mode":  # the point function changes along the inner axis
         return list(map(one, product(*axes.values()), count()))
-    # The inner axis's place in a prefix and among resolve's arguments.
-    at, k, inner_values = names.index(inner), AXIS_NAMES.index(inner), axes[inner]
+    at, inner_values = names.index(inner), axes[inner]
     n, states, records = len(inner_values), {}, []
-    for mode, (resolve, point, keys) in plans.items():
-        # (column, None for a repeated value, else the positions of its key's other axes)
-        slots = [(j, [AXIS_NAMES.index(a) for a in key if a != inner] if inner in key else None)
-                 for j, key in enumerate(keys)]
-        changing = [slot for slot, key in zip(slots, keys) if set(key) & set(varying)]
-        states[mode] = [resolve, point, [None] * len(keys), slots, changing, {}]
+    for mode, (stages, point) in plans.items():
+        # (column, stage, its arguments, the inner axis's place among them or None)
+        slots = [(j, stage, arguments(a), a.index(inner) if inner in a else None)
+                 for j, (stage, a) in enumerate(stages)]
+        changing = [slot for slot, (_, a) in zip(slots, stages) if set(a) & set(varying)]
+        states[mode] = [point, [None] * len(stages), slots, changing, {}]
     prefixes = product(*(v[:1] if name == inner else v for name, v in axes.items()))
     for start, prefix in zip(count(0, n), prefixes):
-        *values, mode = pick(prefix)
-        resolve, point, columns, slots, changing, memo = state = states[mode]
+        mode = prefix[at_mode]
+        point, columns, slots, changing, memo = state = states[mode]
         try:
-            resolved, along = resolve(*values), None
-            for j, others in slots:
-                if others is None:
-                    columns[j] = repeat(resolved[j])
+            for j, stage, args, k in slots:
+                values = args(prefix)
+                if k is None:
+                    columns[j] = repeat(stage(*values))
                     continue
-                key = (j, *[values[i] for i in others])
+                key = (j, values)  # values hold the inner axis's first value
                 if key not in memo:
-                    along = along or list(zip(resolved, *(
-                        resolve(*values[:k], v, *values[k + 1:]) for v in inner_values[1:])))
-                    memo[key] = along[j]
+                    memo[key] = [stage(*values[:k], v, *values[k + 1:]) for v in inner_values]
                 columns[j] = memo[key]
-            state[3] = changing  # the other columns now hold for every prefix
+            state[2] = changing  # the other columns now hold for every prefix
             records += map(point, *columns, range(start, start + n))
         except NtnSimError:
-            error = inner != "altitude_km" and gap_error(values[0], mode)
+            error = inner != "altitude_km" and gap_error(prefix[at_altitude], mode)
             if error:  # every point of the prefix fails at the same station
                 records += [_FAILED + (error,)] * n
                 continue

@@ -183,9 +183,12 @@ def evaluate_link(
     follows its lower endpoint. Sampled clutter draws the stream of point
     sampled_index of a sweep with seed sampled_seed, so the default 0
     gives row 0's. The geometry is typed and checked first, by
-    LinkGeometry.from_endpoints.
+    LinkGeometry.from_endpoints, then radio must be a RadioConfig (else
+    ConfigError).
     """
     geometry = LinkGeometry.from_endpoints(*geometry)
+    if not isinstance(radio, RadioConfig):
+        raise ConfigError(f"radio must be a RadioConfig, not a {type(radio).__name__}")
     resolved = radio.resolve_bandwidth()
     breakdown = total_path_loss(
         geometry, resolved.fc_ghz, scenario, table, scenario_table,

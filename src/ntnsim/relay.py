@@ -92,16 +92,19 @@ def chain_label(mode: RelayMode, hop_count: int) -> str:
 def _build_chain(stations, radio: RadioConfig, mode: RelayMode, scenario) -> RelayChain:
     """The chain down from stations, (altitude, elevation) pairs top-down, once
     classify_station passes each altitude: hop i rises from station i + 1 (the
-    last from the ground) to station i, at station i's elevation."""
+    last from the ground) to station i, at station i's elevation. evaluate_chain
+    types and checks the hops."""
     for altitude, _ in stations:
         classify_station(altitude)
     lows = [altitude for altitude, _ in stations[1:]] + [0.0]
     return RelayChain(tuple(
-        RelayHop(LinkGeometry.from_endpoints(low, high, elevation), radio)
+        RelayHop(LinkGeometry(low, high, elevation), radio)
         for (high, elevation), low in zip(stations, lows)), mode, scenario)
 
 
 def _validate_chain(chain: RelayChain) -> None:
+    if not isinstance(chain.mode, RelayMode):
+        raise ChainError(f"relay mode must be a RelayMode, not {chain.mode!r}")
     if not chain.hops:
         raise ChainError("chain must contain at least one hop")
     for i in range(len(chain.hops) - 1):
@@ -147,7 +150,8 @@ def evaluate_chain(
     hops. The ground hop's sampled clutter draws the stream of point
     sampled_index of a sweep with seed sampled_seed (see evaluate_link).
     Each hop's geometry is typed and checked by LinkGeometry.from_endpoints
-    before the chain's structure is.
+    before the chain's mode (a RelayMode, else ChainError) and structure
+    are, and those before any hop is evaluated.
     """
     chain = chain._replace(hops=tuple(
         RelayHop(LinkGeometry.from_endpoints(*geometry), radio) for geometry, radio in chain.hops))

@@ -1,0 +1,134 @@
+"""The mutation record: one-place edits of src/ntnsim that named tests must kill.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py
+
+Each mutant replaces an exact `old` text, which must occur once in its
+file, with a `new` one. The runner copies src/ into a temporary directory,
+first checks that the named tests pass on the unchanged copy, then applies
+one mutant at a time to a fresh copy and runs `pytest -q -x` on that
+mutant's test ids, with PYTHONPATH set to the copy. A mutant is killed
+when pytest reports a failed test. The runner exits 1 if a mutant
+survives, if its `old` text no longer occurs exactly once (a stale
+mutant: update it, or retire it with a line in CHANGES.md), or if its
+tests do not run. Stdlib only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str  # under src/ntnsim
+    old: str
+    new: str
+    tests: tuple[str, ...]  # test ids expected to fail
+
+
+SWEEP, REUSE = "harness/sweep.py", "tests/test_sweep_reuse.py"
+COLUMNS = f"{REUSE}::test_columns_along_every_inner_axis_equal_the_scalar_rows"
+
+MUTANTS = (
+    # Each sweep stage names its axes once.
+    Mutant("hop-stage-without-station-check", SWEEP,
+           "            stations(high)  # raises for an upper station outside every band\n", "",
+           ("tests/test_harness.py::TestRunSweep::test_relay_hap_altitude_in_gap_is_error_row",
+            "tests/test_cli.py::test_sweep_rows_carry_the_errors_link_and_chain_print")),
+    Mutant("memo-key-without-stage-index", SWEEP,
+           "key = (j, values)", "key = values", (COLUMNS,)),
+    Mutant("hap-ground-stage-bound-to-the-station", SWEEP,
+           '(partial(ground_hops, hap), ("elevation_deg",))',
+           '(ground_hops, ("altitude_km", "elevation_deg"))',
+           (COLUMNS, "tests/test_golden_csv.py")),
+    # The gap fill and the scalar fallback.
+    Mutant("gap-fill-one-copy-short", SWEEP,
+           "records += [_FAILED + (error,)] * n", "records += [_FAILED + (error,)] * (n - 1)",
+           (f"{REUSE}::test_gap_altitude_prefixes_equal_the_scalar_rows",)),
+    Mutant("gap-fill-ignores-radios-hold", SWEEP,
+           "        if radios_hold:\n", "        if True:\n",
+           (f"{REUSE}::test_gap_hap_fails_after_the_radio_check_point_by_point",
+            "tests/test_cli.py::test_sweep_rows_carry_the_errors_link_and_chain_print")),
+    Mutant("gap-fill-on-an-altitude-inner-axis", SWEEP,
+           'error = inner != "altitude_km" and gap_error(', "error = gap_error(",
+           (f"{REUSE}::test_altitude_as_the_inner_axis_is_never_filled",)),
+    Mutant("fallback-draws-the-next-index", SWEEP,
+           "sampled_seed=seed, sampled_index=index))", "sampled_seed=seed, sampled_index=index + 1))",
+           (f"{REUSE}::test_af_product_overflow_row_equals_the_scalar_row",)),
+    # The fused points' guards.
+    Mutant("df-tie-to-hop-1", SWEEP,
+           "(snr1, capacity1) if capacity1 < capacity0", "(snr1, capacity1) if capacity1 <= capacity0",
+           ("tests/test_relay.py::TestDfCapacity::test_tie_takes_first_hop_in_chain_and_sweep",)),
+    Mutant("af-gamma-guard-removed", SWEEP,
+           "if not (product < inf and gamma >= float_info.min):", "if not product < inf:",
+           (f"{REUSE}::test_af_product_overflow_row_equals_the_scalar_row",)),
+    Mutant("no-bandwidth-bound", SWEEP,
+           "_BANDWIDTH_BOUND = 2.0 ** 1013", "_BANDWIDTH_BOUND = inf",
+           (f"{REUSE}::test_capacity_overflow_rows_equal_the_scalar_rows",)),
+    # The typed boundaries.
+    Mutant("finite-number-accepts-nan", "geometry.py",
+           "    if not math.isfinite(number):\n", "    if math.isinf(number):\n",
+           ("tests/test_channel.py::TestTableParsing::test_non_finite_cell_rejected",
+            "tests/test_channel.py::TestTablesBuiltInPython")),
+    Mutant("spec-seed-rule-deleted", SWEEP,
+           '    if seed is not None and excess_mode != "sampled":\n'
+           '        raise ConfigError("--seed applies only to a spec with excess_mode = sampled")\n',
+           "",
+           ("tests/test_cli.py::TestSweepCommand::test_seed_without_sampled_mode_is_usage_error",
+            "tests/test_harness.py::TestSweepSpecFiles::test_seed_applies_only_to_sampled_spec")),
+)
+
+
+def pytest(src: Path, tests) -> int:
+    """pytest -q -x on tests, with the package imported from src; its exit code."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def copy_src(work: Path, name: str) -> Path:
+    src = work / name / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        clean = copy_src(work, "clean")
+        tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        if pytest(clean, tests) != 0:
+            print("the named tests fail without a mutant", file=sys.stderr)
+            return 1
+        for m in MUTANTS:
+            src = copy_src(work, m.id)
+            path = src / "ntnsim" / m.file
+            text = path.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                verdict = f"stale: its old text occurs {text.count(m.old)} times in {m.file}"
+            else:
+                path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+                code = pytest(src, m.tests)
+                verdict = {0: "survived", 1: "killed"}.get(code, f"tests did not run (exit {code})")
+            print(f"{m.id}: {verdict}", flush=True)
+            if verdict != "killed":
+                problems.append(m.id)
+            shutil.rmtree(src.parent)
+    print(f"{len(MUTANTS) - len(problems)} of {len(MUTANTS)} mutants killed")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

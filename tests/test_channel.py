@@ -24,6 +24,7 @@ from ntnsim import (
     total_path_loss,
 )
 from ntnsim.channel import (
+    ScenarioRow,
     parse_atmosphere_table,
     parse_scenario_table,
     scintillation_elevation_scale,
@@ -432,3 +433,23 @@ class TestTablesBuiltInPython:
                    *(v for scenario_rows in scenario.rows.values() for r in scenario_rows for v in r)]
         assert all(type(v) is float for v in values)
         assert scenario.rows == scen_table.rows
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shadow_sigma_db", math.nan),  # sampled 0.0 at every draw, untyped
+    ("p_los", "x"),
+    ("clutter_los_db", None),
+])
+@pytest.mark.parametrize("loss", [ScenarioRow.expected_db, lambda row: row.sampled_db(7)])
+def test_scenario_row_types_its_fields(field, value, loss):
+    row = ScenarioRow(0.5, 1.0, 2.0, 3.0)._replace(**{field: value})
+    with pytest.raises(DomainError) as err:
+        loss(row)
+    assert str(err.value) == f"{field}: expected a finite number, got {value!r}"
+
+
+def test_scenario_row_fields_of_any_real_type_give_the_float_losses():
+    plain = ScenarioRow(0.5, 1.0, 2.0, 3.0)
+    typed = ScenarioRow("0.5", 1, np.float32(2.0), np.int64(3))
+    assert [typed.sampled_db(7, i) for i in range(5)] == [plain.sampled_db(7, i) for i in range(5)]
+    assert type(typed.expected_db()) is float and typed.expected_db() == plain.expected_db() == 1.5

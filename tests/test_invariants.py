@@ -213,7 +213,9 @@ def test_capacity_non_decreasing_in_receive_gain(
 # out, and bandwidths up to the largest float. A number is drawn as a float,
 # a numpy float32, float64 or int64 scalar, or text. A call takes edge values
 # for none, one or two parameters, as test_sweep_reuse's specs do; an edge
-# value is an edge number or True, False or None.
+# value is an edge number or True, False or None. Each call also evaluates
+# its chain once more in a loose form: its mode as text, or its radios as
+# their fields in a dict or a tuple.
 POOLS = {
     **FIXED_VALUES,
     **{name: (tuple(v for v in AXIS_VALUES[name] if v not in edge), edge)
@@ -225,6 +227,13 @@ POOLS = {
 POOLS["bandwidth_hz"] = (POOLS["bandwidth_hz"][0], (5e-324, 1e308, 1.7e308, sys.float_info.max))
 SEEDS = (None, None, 7, np.int64(7), True)
 INDICES = (0, 3, np.int64(3), 2.5)
+
+
+def radio_tuple(**fields):
+    return tuple(fields.values())
+
+
+LOOSE = ((lambda mode: mode.value, RadioConfig), (RelayMode, dict), (RelayMode, radio_tuple))
 
 
 def forms(number):
@@ -248,9 +257,10 @@ def pool(name, edge):
 
 @st.composite
 def boundary_chains(draw):
-    """(hops, mode, scenario, seed, index): hops top-down from a station through
-    none to two HAPs to the ground, as (geometry values, radio fields), each
-    hop with its own radio and receiver form."""
+    """(hops, mode, scenario, seed, index, loose): hops top-down from a station
+    through none to two HAPs to the ground, as (geometry values, radio fields),
+    each hop with its own radio and receiver form; loose is a (mode form,
+    radio builder) pair from LOOSE."""
     edges = draw(st.lists(st.sampled_from(tuple(POOLS)), max_size=2))
 
     def value(name):
@@ -266,7 +276,8 @@ def boundary_chains(draw):
     hops = tuple(((low, high, value("elevation_deg")), radio())
                  for high, low in itertools.pairwise(altitudes))
     return (hops, draw(st.sampled_from(list(RelayMode))), draw(scenarios),
-            draw(st.sampled_from(SEEDS)), draw(st.sampled_from(INDICES)))
+            draw(st.sampled_from(SEEDS)), draw(st.sampled_from(INDICES)),
+            draw(st.sampled_from(LOOSE)))
 
 
 def chain_spec(hops, mode, scenario, seed):
@@ -296,7 +307,7 @@ AF_RADIO = {"fc_ghz": 20.0, "tx_power_dbm": 30.0, "g_over_t_dbi_per_k": 1e-320,
 # A rural AF chain whose ground hop's elevation is a numpy float32: its hop
 # SNRs' product underflows, so its SNR is folded in dB.
 AF_FLOAT32 = ((((17.0, 30.0, 10.0), AF_RADIO), ((0.0, 17.0, np.float32(30.0)), AF_RADIO)),
-              RelayMode.AMPLIFY_FORWARD, Scenario.RURAL, None, 0)
+              RelayMode.AMPLIFY_FORWARD, Scenario.RURAL, None, 0, LOOSE[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -305,7 +316,7 @@ AF_FLOAT32 = ((((17.0, 30.0, 10.0), AF_RADIO), ((0.0, 17.0, np.float32(30.0)), A
 def test_library_gives_finite_floats_or_raises_its_errors(atm_table, scen_table, call):
     # Each call returns finite Python floats, hop by hop, or raises an
     # NtnSimError; each sweep row holds finite floats, or no metrics and an error.
-    hops, mode, scenario, seed, index = call
+    hops, mode, scenario, seed, index, loose = call
     sampled = {"sampled_seed": seed, "sampled_index": index}
 
     def link(i):
@@ -314,14 +325,17 @@ def test_library_gives_finite_floats_or_raises_its_errors(atm_table, scen_table,
                              scenario if ground else None, atm_table, scen_table,
                              **(sampled if ground else {}))
 
-    def chain():
-        built = tuple(RelayHop(LinkGeometry(*geometry), RadioConfig(**fields))
+    def chain(mode_form=RelayMode, radio=RadioConfig):
+        built = tuple(RelayHop(LinkGeometry(*geometry), radio(**fields))
                       for geometry, fields in hops)
-        return evaluate_chain(RelayChain(built, mode, scenario), atm_table, scen_table, **sampled)
+        return evaluate_chain(RelayChain(built, mode_form(mode), scenario),
+                              atm_table, scen_table, **sampled)
 
-    for i in range(len(hops) + 1):  # each hop's link, then the chain
+    # each hop's link, the chain, then the loose chain
+    for evaluate in [functools.partial(link, i) for i in range(len(hops))] + [
+            chain, functools.partial(chain, *loose)]:
         try:
-            result = link(i) if i < len(hops) else chain()
+            result = evaluate()
         except NtnSimError:
             continue
         assert_finite_floats(result)

@@ -254,6 +254,16 @@ class TestShannonCapacity:
 
 
 class TestEvaluateLink:
+    @pytest.mark.parametrize("radio", [
+        {"fc_ghz": 20.0, "tx_power_dbm": 18.0, "g_over_t_dbi_per_k": 15.9},
+        (20.0, 18.0, 39.7, None, 15.9),
+        None,
+    ])
+    def test_radio_must_be_a_radio_config(self, atm_table, radio):
+        with pytest.raises(ConfigError) as err:
+            evaluate_link(LinkGeometry(0.0, 600.0, 30.0), radio, None, atm_table)
+        assert str(err.value) == f"radio must be a RadioConfig, not a {type(radio).__name__}"
+
     def test_purity(self, atm_table, scen_table, got_radio):
         g = LinkGeometry.from_endpoints(0, 600, 30)
         r = got_radio()

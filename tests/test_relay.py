@@ -165,6 +165,13 @@ class TestChainValidation:
             evaluate_chain(chain((25.0, 1200.0, 10.0), (0.0, 20.0, 5.0)), atm_table)
         assert str(err.value) == "elevation must be in [10, 90] deg, got 5.0"
 
+    def test_text_mode_is_rejected_before_any_hop_is_evaluated(self, atm_table, got_radio):
+        # 120 GHz lies off the atmosphere table: evaluating a hop raises TableDomainError.
+        chain = leo_hap_ground_chain(got_radio(fc_ghz=120.0), mode="af")
+        with pytest.raises(ChainError) as err:
+            evaluate_chain(chain, atm_table)
+        assert str(err.value) == "relay mode must be a RelayMode, not 'af'"
+
     def test_empty_chain(self, atm_table):
         with pytest.raises(ChainError):
             evaluate_chain(RelayChain(hops=()), atm_table)

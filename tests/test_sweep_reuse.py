@@ -500,3 +500,39 @@ def test_altitude_as_the_inner_axis_is_never_filled(atm_table, scen_table, mode)
     rows = list(run_sweep(spec, atm_table, scen_table).rows)
     assert rows == reference_rows(spec, atm_table, scen_table)
     assert [bool(row["error"]) for row in rows] == [True, False, True, True, True, True]
+
+
+# Valid values only, so no point leaves the reused columns for the scalar
+# path: each stage's column along the inner axis must hold that stage's own
+# values, computed from the axes it reads.
+REUSE_AXES = {
+    "altitude_km": (600.0, 1200.0),
+    "fc_ghz": (20.0, 30.0),
+    "elevation_deg": (30.0, 60.0),
+    "g_rx_dbi": (30.0, 50.0),
+    "scenario": ("dense_urban", "rural"),
+    "mode": ("relay", "direct"),
+}
+
+
+@pytest.mark.parametrize("excess_mode", ["expected", "sampled"])
+@pytest.mark.parametrize("relay_mode", ["af", "df"])
+@pytest.mark.parametrize("inner", [name for name in REUSE_AXES if name != "mode"])
+def test_columns_along_every_inner_axis_equal_the_scalar_rows(
+    atm_table, scen_table, inner, relay_mode, excess_mode
+):
+    names = [name for name in REUSE_AXES if name != inner] + [inner]
+    spec = SweepSpec(
+        axes=tuple((name, REUSE_AXES[name]) for name in names),
+        fixed={
+            "tx_power_dbm": 18.0,
+            "noise_temperature_k": 290.0,
+            "hap_altitude_km": 20.0,
+            "relay_mode": relay_mode,
+            "excess_mode": excess_mode,
+        },
+        seed=7 if excess_mode == "sampled" else None,
+    )
+    rows = run_sweep(spec, atm_table, scen_table).rows
+    assert not any(row["error"] for row in rows)
+    assert list(rows) == reference_rows(spec, atm_table, scen_table)
