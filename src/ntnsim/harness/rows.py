@@ -5,7 +5,6 @@ link and chain write their one row with this module, not the sweep engine (sweep
 
 from __future__ import annotations
 
-import csv
 import enum
 import io
 from collections.abc import Sequence
@@ -84,12 +83,10 @@ def _combo(axes, index: int) -> tuple:
     return combo
 
 
-def _cell(value: object) -> str:
-    """value's CSV cell: format_value's text, quoted as csv.writer quotes it."""
-    text = format_value(value)
+def _quoted(text: str) -> str:
+    """text as a CSV cell: in double quotes, each doubled, if it holds , " LF or CR."""
     if "," in text or '"' in text or "\n" in text or "\r" in text:
-        csv.writer(buffer := io.StringIO(), lineterminator="\n").writerow((text, ""))
-        return buffer.getvalue()[:-2]
+        return '"%s"' % text.replace('"', '""')
     return text
 
 
@@ -125,7 +122,9 @@ def emit_csv(result: SweepResult, destination) -> None:
     """Write a sweep result as CSV: provenance comments, header, rows.
 
     destination is a path or a text file object. Output is UTF-8 with
-    LF line endings and is byte-identical for identical results.
+    LF line endings, its cells quoted as csv.writer quotes them with its
+    default terminator (see _quoted) on every Python, and byte-identical
+    for identical results.
     """
     if hasattr(destination, "write"):
         return _write_csv(result, destination)
@@ -137,15 +136,15 @@ def _write_csv(result: SweepResult, handle) -> None:
     for line in result.provenance:
         handle.write(f"# {line}\n")
     schema = result.schema
-    csv.writer(handle, lineterminator="\n").writerow(schema)
+    empty = '""' if len(schema) == 1 else ""  # a row's only cell is quoted when empty
+    handle.write(",".join(_quoted(name) or empty for name in schema) + "\n")
     # Records: one format string per kind of row, over its axis texts and
-    # record; "%.6g" gives format_value's text of a float, which csv never quotes.
+    # record; "%.6g" gives format_value's text of a float, which needs no quotes.
     # Failed points share few messages (every point at a gap altitude has the
     # same one), so errors quotes each distinct message once per write.
     axes, records = result.rows.axes, result.rows.records
     names = [name for name, _ in axes]
     n = len(names)
-    empty = '""' if len(schema) == 1 else ""  # csv.writer quotes the only cell of a row when empty
 
     def line(failed):  # a kind of row's format string, and its cells of axis texts + record
         formats, indices = [], []
@@ -162,12 +161,12 @@ def _write_csv(result: SweepResult, handle) -> None:
 
     (point, point_cells), (failed, failed_cells) = line(False), line(True)
     write, errors = handle.write, {}
-    texts = (tuple(_cell(value) or empty for value in values) for _, values in axes)
+    texts = (tuple(_quoted(format_value(v)) or empty for v in values) for _, values in axes)
     for cells, record in zip(product(*texts), records):
         if record[0] is None:  # failed: its error is the last cell
             error = errors.get(record[-1])
             if error is None:
-                error = errors[record[-1]] = _cell(record[-1])
+                error = errors[record[-1]] = _quoted(record[-1])
             write(failed % failed_cells(cells + record[:-1] + (error,)))
         else:
             write(point % point_cells(cells + record))

@@ -38,6 +38,9 @@ class Mutant(NamedTuple):
 
 SWEEP, REUSE = "harness/sweep.py", "tests/test_sweep_reuse.py"
 COLUMNS = f"{REUSE}::test_columns_along_every_inner_axis_equal_the_scalar_rows"
+AF_OVERFLOW = f"{REUSE}::test_af_product_overflow_row_equals_the_scalar_row"
+CSV = "tests/test_csv_fast_path.py"
+QUOTING = f"{CSV}::test_every_special_character_is_quoted_in_header_axes_and_errors"
 
 MUTANTS = (
     # Each sweep stage names its axes once.
@@ -46,7 +49,8 @@ MUTANTS = (
            ("tests/test_harness.py::TestRunSweep::test_relay_hap_altitude_in_gap_is_error_row",
             "tests/test_cli.py::test_sweep_rows_carry_the_errors_link_and_chain_print")),
     Mutant("memo-key-without-stage-index", SWEEP,
-           "key = (j, values)", "key = values", (COLUMNS,)),
+           "key = (j, values)", "key = values",
+           (COLUMNS, f"{REUSE}::test_sweep_rows_equal_per_point_evaluation")),
     Mutant("hap-ground-stage-bound-to-the-station", SWEEP,
            '(partial(ground_hops, hap), ("elevation_deg",))',
            '(ground_hops, ("altitude_km", "elevation_deg"))',
@@ -62,16 +66,25 @@ MUTANTS = (
     Mutant("gap-fill-on-an-altitude-inner-axis", SWEEP,
            'error = inner != "altitude_km" and gap_error(', "error = gap_error(",
            (f"{REUSE}::test_altitude_as_the_inner_axis_is_never_filled",)),
+    Mutant("gap-fill-checks-the-hap-alone", SWEEP,
+           "for high in highs(altitude, mode):\n", "for high in highs(altitude, mode)[-1:]:\n",
+           (f"{REUSE}::test_gap_altitude_prefixes_equal_the_scalar_rows",)),
     Mutant("fallback-draws-the-next-index", SWEEP,
            "sampled_seed=seed, sampled_index=index))", "sampled_seed=seed, sampled_index=index + 1))",
-           (f"{REUSE}::test_af_product_overflow_row_equals_the_scalar_row",)),
+           (AF_OVERFLOW,)),
+    Mutant("fallback-always-df", SWEEP,
+           "_build_chain(stations, radio, relay_mode, scenario)",
+           "_build_chain(stations, radio, RelayMode.DECODE_FORWARD, scenario)", (AF_OVERFLOW,)),
     # The fused points' guards.
     Mutant("df-tie-to-hop-1", SWEEP,
            "(snr1, capacity1) if capacity1 < capacity0", "(snr1, capacity1) if capacity1 <= capacity0",
            ("tests/test_relay.py::TestDfCapacity::test_tie_takes_first_hop_in_chain_and_sweep",)),
     Mutant("af-gamma-guard-removed", SWEEP,
            "if not (product < inf and gamma >= float_info.min):", "if not product < inf:",
-           (f"{REUSE}::test_af_product_overflow_row_equals_the_scalar_row",)),
+           (AF_OVERFLOW,)),
+    Mutant("af-product-guard-removed", SWEEP,
+           "if not (product < inf and gamma >= float_info.min):", "if not gamma >= float_info.min:",
+           (AF_OVERFLOW,)),
     Mutant("no-bandwidth-bound", SWEEP,
            "_BANDWIDTH_BOUND = 2.0 ** 1013", "_BANDWIDTH_BOUND = inf",
            (f"{REUSE}::test_capacity_overflow_rows_equal_the_scalar_rows",)),
@@ -86,6 +99,21 @@ MUTANTS = (
            "",
            ("tests/test_cli.py::TestSweepCommand::test_seed_without_sampled_mode_is_usage_error",
             "tests/test_harness.py::TestSweepSpecFiles::test_seed_applies_only_to_sampled_spec")),
+    Mutant("temp-dropped-with-got", "harness/cli.py",
+           'del radio["noise_temperature_k"]',
+           'del radio["noise_temperature_k"]; args.noise_temperature_k = None',
+           ("tests/test_cli.py::TestFlagValidation::test_temp_with_got_exits_1",)),
+    # The scalar stages.
+    Mutant("stage-total-right-to-left", "channel.py",
+           "    return fspl + gas + scint + excess\n", "    return excess + scint + gas + fspl\n",
+           ("tests/test_channel.py::TestLossBreakdown::test_additivity_over_random_inputs",
+            "tests/test_relay.py::TestEvaluateChain::test_aggregate_breakdown_sums_hops")),
+    # The CSV quoting rule.
+    Mutant("quote-test-without-cr", "harness/rows.py",
+           r' or "\n" in text or "\r" in text:', r' or "\n" in text:',
+           (f"{CSV}::test_a_carriage_return_in_a_word_axis_stays_in_its_row", QUOTING)),
+    Mutant("quote-without-doubling", "harness/rows.py",
+           """'"%s"' % text.replace('"', '""')""", """'"%s"' % text""", (QUOTING,)),
 )
 
 

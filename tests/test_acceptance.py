@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from ntnsim import (
     LinkGeometry,
     RadioConfig,
@@ -149,21 +150,15 @@ def test_criterion_5_relay_boost(atm_table, scen_table):
 
 
 def test_criterion_6_geo_differential_delay():
-    # independent re-derivation of the slant range via the central angle
-    def slant_indep(alt, elev_deg):
-        r_t, r_s = 6371.0, 6371.0 + alt
-        e = math.radians(elev_deg)
-        gamma = math.asin(r_t * math.cos(e) / r_s)
-        phi = math.pi / 2 - e - gamma
-        return math.sqrt(r_t**2 + r_s**2 - 2 * r_t * r_s * math.cos(phi))
-
     edges = [10.0, 15.0, 20.0, 25.0, 30.0]
     delays = {edge: differential_delay_ms(35786, edge, 90) for edge in edges}
     in_band = {e: d for e, d in delays.items() if 5.0 <= d <= 20.0}
     arithmetic_ok = all(
         delays[e]
         == pytest.approx(
-            (slant_indep(35786, e) - slant_indep(35786, 90)) / 299792.458 * 1000,
+            # the slant ranges re-derived independently, via the central angle
+            (oracle.slant_range_km(0.0, 35786, e) - oracle.slant_range_km(0.0, 35786, 90))
+            / 299792.458 * 1000,
             rel=1e-9,
         )
         for e in edges
@@ -194,13 +189,8 @@ def _interp(x, xs, ys):
 
 def _oracle_link(low, high, elev, fc, scenario, radio, atm, scen):
     """Separately coded formula chain for one hop."""
-    # slant range via the central angle (not the package's closed form)
-    r_t, r_s = 6371.0 + low, 6371.0 + high
+    d = oracle.slant_range_km(low, high, elev)
     e = math.radians(elev)
-    gamma = math.asin(r_t * math.cos(e) / r_s)
-    phi = math.pi / 2 - e - gamma
-    d = math.sqrt(r_t**2 + r_s**2 - 2 * r_t * r_s * math.cos(phi))
-
     fspl = 92.45 + 20 * math.log10(fc) + 20 * math.log10(d)
     if low < 17:
         frac = 1.0

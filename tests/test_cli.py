@@ -706,6 +706,7 @@ class TestSnrOverflow:
 def test_cli_imports_no_numpy_or_dataclasses(tmp_path, command):
     # numpy's import alone would about triple a cold one-slice `ntnsim` run;
     # dataclasses, which imports inspect, would add about a fifth to every command.
+    # The writer quotes its cells by hand, the same on every Python, without csv.
     # link and chain compile no sweep engine and read the packaged tables without
     # importlib.resources. The child runs without site, which may import any of these.
     spec = tmp_path / "s.cfg"
@@ -716,7 +717,7 @@ def test_cli_imports_no_numpy_or_dataclasses(tmp_path, command):
         "chain": [*CHAIN, "--txpow", "18"],
         "sweep": ["sweep", "--spec", str(spec)],
     }[command]
-    unused = ("numpy", "dataclasses", "inspect")
+    unused = ("numpy", "dataclasses", "inspect", "csv")
     if command in ("link", "chain"):
         unused += ("ntnsim.harness.sweep", "ntnsim.harness.presets", "importlib.resources")
     code = (

@@ -1,6 +1,7 @@
 """CSV bytes of every result equal csv.writer with format_value over its rows.
 
-The reference writes every row dict through csv.writer and format_value.
+The reference writes every row dict through csv.writer, with its default
+terminator, and format_value (see csv_line).
 _write_csv writes every result from its per-point records instead,
 through one format string per kind of row that writes every float column
 with "%.6g"; its bytes must equal the reference's.
@@ -76,15 +77,24 @@ def results(draw):
     )
 
 
-def reference_csv(result):
+def csv_line(cells):
+    """cells as csv.writer writes a row with its default terminator, then LF for its CRLF.
+
+    Quoting for that terminator takes in both CR and LF on every Python;
+    with lineterminator="\n", Pythons before 3.13 leave a lone CR unquoted.
+    """
     buffer = io.StringIO()
-    for line in result.provenance:
-        buffer.write(f"# {line}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(result.schema)
+    csv.writer(buffer).writerow(cells)
+    text = buffer.getvalue()
+    assert text.endswith("\r\n")
+    return text[:-2] + "\n"
+
+
+def reference_csv(result):
+    lines = [f"# {line}\n" for line in result.provenance] + [csv_line(result.schema)]
     for row in result.rows:
-        writer.writerow([format_value(row.get(col)) for col in result.schema])
-    return buffer.getvalue().encode("utf-8")
+        lines.append(csv_line([format_value(row.get(col)) for col in result.schema]))
+    return "".join(lines).encode("utf-8")
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,8 +103,38 @@ def test_csv_equals_csv_writer_with_format_value(result):
     assert csv_bytes(result) == reference_csv(result)
 
 
+def read_back(result):
+    """The header and rows csv.reader reads from result's CSV, provenance left out."""
+    body = csv_bytes(result).decode("utf-8").split("\n", len(result.provenance))[-1]
+    return list(csv.reader(io.StringIO(body, newline="")))
+
+
+def test_every_special_character_is_quoted_in_header_axes_and_errors():
+    words = ('say "hi", twice', "two\nlines", "carriage\rreturn", "cr\r\nlf", '"', "plain")
+    failed = (None,) * 9 + ("", 'a "quoted", message\r')
+    ok = (1.0,) * 9 + ("direct", "")
+    schema = ("scenario", 'odd "name", here', "capacity_bps", "error")
+    result = SweepResult(schema, SweepRows((("scenario", words),), (failed, ok) * 3))
+    assert csv_bytes(result) == reference_csv(result)
+    expected = [[word, "", "", failed[-1]] if i % 2 == 0 else [word, "", "1", ""]
+                for i, word in enumerate(words)]
+    assert read_back(result) == [list(schema), *expected]
+
+
+def test_a_carriage_return_in_a_word_axis_stays_in_its_row(atm_table, scen_table):
+    # csv.writer(lineterminator="\n") leaves a lone CR unquoted before Python
+    # 3.13, and csv.reader then ends the row at it.
+    spec = SweepSpec(axes=(("scenario", ("rural\r", "urban")),),
+                     fixed={**FIXED, "altitude_km": 600.0, "fc_ghz": 20.0,
+                            "elevation_deg": 30.0, "g_rx_dbi": 40.0})
+    result = run_sweep(spec, atm_table, scen_table)
+    header, *rows = read_back(result)
+    assert len(rows) == 2
+    assert [row[header.index("scenario")] for row in rows] == ["rural\r", "urban"]
+
+
 # Values as a Python spec may give them: ints, numpy floats, words with
-# capitals, spaces or a trailing newline (which csv quotes), enum members.
+# capitals, spaces or a trailing LF or CR (which csv quotes), enum members.
 # 100 km is a gap altitude, 0.3 and 120 GHz lie outside the atmosphere
 # table and 5 deg below the elevation range: their rows carry an error
 # message with commas.
@@ -103,7 +143,7 @@ SPEC_VALUES = {
     "fc_ghz": (20, 2.0, np.float64(60.0), 0.3, 120.0),
     "elevation_deg": (30, 10.0, np.float64(45.5), 5.0, 90.0),
     "g_rx_dbi": (50, 30.0, np.float64(40.0)),
-    "scenario": ("dense_urban", "Dense Urban", " rural\n", Scenario.SUBURBAN),
+    "scenario": ("dense_urban", "Dense Urban", " rural\n", "urban\r", Scenario.SUBURBAN),
     "mode": ("direct", "Relay", "relay"),
 }
 FIXED = {"tx_power_dbm": 18.0, "noise_temperature_k": 290.0, "hap_altitude_km": 20.0}

@@ -1,8 +1,8 @@
 """Geometry tests.
 
 Expected slant ranges were frozen from an independent law-of-cosines
-derivation (central angle between the two geocentric radii), which the
-in-test oracle below re-implements.
+derivation (central angle between the two geocentric radii), which
+oracle.slant_range_km re-implements.
 """
 
 import math
@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+import oracle
 from ntnsim import (
     DomainError,
     GeometryError,
@@ -22,19 +23,6 @@ from ntnsim import (
     propagation_delay_ms,
     slant_range_km,
 )
-
-R_EARTH = 6371.0
-
-
-def slant_oracle(low, high, elev_deg):
-    """Independent slant-range derivation via the central angle."""
-    r_t = R_EARTH + low
-    r_s = R_EARTH + high
-    e = math.radians(elev_deg)
-    gamma_sat = math.asin(r_t * math.cos(e) / r_s)
-    phi = math.pi / 2 - e - gamma_sat
-    return math.sqrt(r_t**2 + r_s**2 - 2 * r_t * r_s * math.cos(phi))
-
 
 class TestClassifyStation:
     @pytest.mark.parametrize(
@@ -86,7 +74,7 @@ class TestSlantRange:
             high = low + rng.uniform(10.0, 40000.0)
             elev = rng.uniform(10.0, 90.0)
             got = slant_range_km(low, high, elev)
-            assert got == pytest.approx(slant_oracle(low, high, elev), rel=1e-9)
+            assert got == pytest.approx(oracle.slant_range_km(low, high, elev), rel=1e-9)
 
     def test_strictly_decreasing_in_elevation(self):
         for low, high in [(0, 300), (0, 35786), (20, 1200)]:

@@ -10,7 +10,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ntnsim import (
     AtmosphereTable,
@@ -175,8 +175,19 @@ def specs(draw):
     return SweepSpec(axes=axes, fixed=fixed, seed=seed)
 
 
+# fc_ghz is the inner axis; on the one prefix, the radios stage's arguments
+# (fc_ghz, g_rx_dbi) and the atmosphere stage's (fc_ghz, elevation_deg) are both
+# (20.0, 30.0), so a column memo keyed without its stage would mix their columns.
+MEMO_COLLISION = SweepSpec(
+    axes=(("g_rx_dbi", (30.0,)), ("elevation_deg", (30.0,)), ("altitude_km", (600.0,)),
+          ("scenario", ("dense_urban",)), ("mode", ("direct",)), ("fc_ghz", (20.0, 30.0))),
+    fixed={"tx_power_dbm": 18.0, "noise_temperature_k": 290.0, "hap_altitude_km": 20.0},
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(specs())
+@example(spec=MEMO_COLLISION)
 def test_sweep_rows_equal_per_point_evaluation(atm_table, scen_table, spec):
     rows = run_sweep(spec, atm_table, scen_table).rows
     assert list(rows) == reference_rows(spec, atm_table, scen_table)
