@@ -61,10 +61,6 @@ class Scenario(enum.Enum):
     SUBURBAN = "suburban"
     RURAL = "rural"
 
-    # Members are singletons, so identity hashes them; Enum's own
-    # __hash__ runs Python code on every sweep point's clutter lookup.
-    __hash__ = object.__hash__
-
     @classmethod
     def from_name(cls, name: str) -> "Scenario":
         key = name.strip().lower().replace("-", "_").replace(" ", "_")
@@ -134,10 +130,12 @@ class LossBreakdown(_ByFields):
 
 
 def _interpolate(x: float, grid: tuple[float, ...], values: tuple[float, ...]) -> float:
-    """Piecewise-linear interpolation; caller guarantees x within the grid."""
+    """Piecewise-linear interpolation at x.
+
+    The caller has checked that grid[0] <= x <= grid[-1], so bisect_right
+    returns at least 1.
+    """
     i = bisect_right(grid, x)
-    if i <= 0:
-        return values[0]
     if i >= len(grid):
         return values[-1]
     x0, x1 = grid[i - 1], grid[i]

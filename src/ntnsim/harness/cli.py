@@ -29,9 +29,10 @@ from ..errors import (
     TableDomainError,
     TableFormatError,
 )
+from ..geometry import finite_number
 from ..linkbudget import RadioConfig
 from ..relay import RelayMode, _build_chain, evaluate_chain
-from .config import PARAMETERS, PRESET_NAMES, finite_number, load_fig_defaults
+from .config import PARAMETERS, PRESET_NAMES, load_fig_defaults
 from .rows import EXTRA_COLUMNS, METRIC_COLUMNS, SweepResult, SweepRows, emit_csv, result_record
 
 EXIT_OK = 0
@@ -47,14 +48,11 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the CLI contract wants 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_USAGE, f"{self.prog}: error: {message}")
+        raise SystemExit_(f"{self.prog}: error: {message}")
 
 
 class SystemExit_(Exception):
-    def __init__(self, code: int, message: str = ""):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    """A usage error; its text is argparse's error line."""
 
 
 def _param(parser, flag: str, key: str, help: str | None, **kwargs) -> None:
@@ -205,9 +203,8 @@ def main(argv: list[str] | None = None) -> int:
         emit_csv(_COMMANDS[args.command](args), sys.stdout if args.out is None else args.out)
         return EXIT_OK
     except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except (TableFormatError, TableDomainError) as exc:
         print(f"ntnsim: table error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -53,9 +53,11 @@ from ..geometry import classify_station, slant_range_km
 from ..linkbudget import _LN2, RadioConfig
 from ..relay import RelayMode, _build_chain, chain_label, evaluate_chain
 from .config import PARAMETERS, parse_sections, parse_value
-from .rows import (  # also read as this module's names: sweep.csv_bytes
-    EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, SweepResult, SweepRows, _FAILED, _combo,
-    csv_bytes, emit_csv, format_value, result_record)
+from .rows import (
+    EXTRA_COLUMNS, METRIC_COLUMNS, SweepResult, SweepRows, _FAILED, _combo, result_record)
+# Unused here: the benchmark reads the writer as sweep.csv_bytes and sweep.emit_csv
+# (bench/tracer.py's TARGETS, bench/workloads.py) until its span tracer is replaced.
+from .rows import csv_bytes, emit_csv
 
 AXIS_NAMES = ("altitude_km", "fc_ghz", "elevation_deg", "g_rx_dbi", "scenario", "mode")
 

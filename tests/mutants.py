@@ -114,6 +114,14 @@ MUTANTS = (
            (f"{CSV}::test_a_carriage_return_in_a_word_axis_stays_in_its_row", QUOTING)),
     Mutant("quote-without-doubling", "harness/rows.py",
            """'"%s"' % text.replace('"', '""')""", """'"%s"' % text""", (QUOTING,)),
+    # One home per harness name.
+    Mutant("sweep-drops-the-benchmark-names", SWEEP,
+           "from .rows import csv_bytes, emit_csv\n", "",
+           ("tests/test_bench_targets.py::test_every_tracer_target_resolves",)),
+    Mutant("harness-re-exports-a-name", "harness/__init__.py",
+           '- cli: the ntnsim command.\n"""\n',
+           '- cli: the ntnsim command.\n"""\n\nfrom .sweep import run_sweep\n',
+           ("tests/test_cli.py::test_setup_path_and_harness_names_import_only_their_homes",)),
 )
 
 

@@ -28,7 +28,8 @@ from ntnsim import (
     differential_delay_ms,
     evaluate_link,
 )
-from ntnsim.harness import preset, run_sweep
+from ntnsim.harness.presets import preset
+from ntnsim.harness.sweep import run_sweep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import csv
-import importlib
 import io
 import math
 import os
@@ -20,18 +19,14 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import ntnsim
 from ntnsim import harness
 from ntnsim.errors import ConfigError, NtnSimError, SpecError, TableDomainError
-from ntnsim.geometry import LinkGeometry
-from ntnsim.harness import (
-    SweepSpec, csv_bytes, load_fig_defaults, load_sweep_spec, preset, run_sweep)
-from ntnsim.harness.cli import SystemExit_, _radio_from_args, build_parser, main
+from ntnsim.geometry import LinkGeometry, finite_number
 from ntnsim.harness import sweep
-from ntnsim.harness.config import PARAMETERS, PRESET_NAMES, finite_number
-from ntnsim.harness.sweep import (
-    EXTRA_COLUMNS,
-    METRIC_COLUMNS,
-    RESULT_COLUMNS,
-    format_value,
-)
+from ntnsim.harness.cli import SystemExit_, _radio_from_args, build_parser, main
+from ntnsim.harness.config import PARAMETERS, PRESET_NAMES, load_fig_defaults
+from ntnsim.harness.presets import preset
+from ntnsim.harness.rows import (
+    EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, csv_bytes, format_value)
+from ntnsim.harness.sweep import SweepSpec, load_sweep_spec, run_sweep
 from ntnsim.linkbudget import RadioConfig
 from ntnsim.relay import RelayChain, RelayHop, evaluate_chain
 from test_params import FLAG_KEYS
@@ -752,20 +747,10 @@ def test_setup_path_and_harness_names_import_only_their_homes():
         " if m in sys.modules])\n"
     )
     assert run_without_site(code) == "[]\n"
-    # Each name of ntnsim.harness is its home module's, imported when read.
-    homes = {
-        "config": ("PRESET_NAMES", "load_fig_defaults"),
-        "presets": ("preset",),
-        "rows": ("SweepResult", "csv_bytes", "emit_csv"),
-        "sweep": ("AXIS_NAMES", "SweepSpec", "load_sweep_spec", "run_sweep"),
-    }
-    assert sorted(name for names in homes.values() for name in names) == harness.__all__
-    assert set(harness.__all__) <= set(dir(harness))
-    for module, names in homes.items():
-        home = importlib.import_module(f"ntnsim.harness.{module}")
-        assert all(getattr(harness, name) is getattr(home, name) for name in names)
-    with pytest.raises(AttributeError, match="has no attribute 'run'"):
-        harness.run
+    # ntnsim.harness is only its modules: each name is read from the module that defines it.
+    names = ("AXIS_NAMES", "PRESET_NAMES", "SweepResult", "SweepSpec", "csv_bytes", "emit_csv",
+             "load_fig_defaults", "load_sweep_spec", "preset", "run_sweep")
+    assert [name for name in names if hasattr(harness, name)] == []
 
 
 def subcommands(parser):
@@ -969,7 +954,7 @@ def test_link_and_chain_exit_as_their_inputs_say(atm_table, scen_table, argv):
         with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text, seen above
             args = CLI_PARSER.parse_args(argv)
     except SystemExit_ as exc:
-        assert (code, err.splitlines()[-1]) == (1, exc.message)
+        assert (code, err.splitlines()[-1]) == (1, str(exc))
         return
     if args.tables not in (None, Path(PACKAGED_TABLES)):
         assert code == 2 and err.startswith("ntnsim: i/o error: ")
@@ -1024,7 +1009,7 @@ def test_sweep_and_preset_exit_as_their_inputs_say(
         with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text, seen above
             args = CLI_PARSER.parse_args(argv)
     except SystemExit_ as exc:
-        assert (code, err.splitlines()[-1]) == (1, exc.message)
+        assert (code, err.splitlines()[-1]) == (1, str(exc))
         return
     # The checks' order: each line of the spec file, --seed, the whole spec.
     try:

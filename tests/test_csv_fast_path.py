@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ntnsim import RelayMode, Scenario
-from ntnsim.harness import SweepResult, SweepSpec, csv_bytes, emit_csv, run_sweep
 from ntnsim.harness.cli import main
-from ntnsim.harness.sweep import (
-    AXIS_NAMES, EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, SweepRows, format_value,
-)
+from ntnsim.harness.rows import (
+    EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, SweepResult, SweepRows, csv_bytes, emit_csv,
+    format_value)
+from ntnsim.harness.sweep import AXIS_NAMES, SweepSpec, run_sweep
 
 # Axis names as run_sweep, link and chain give them; a schema column that
 # is neither an axis nor a result column is an empty cell.

@@ -14,7 +14,8 @@ import hashlib
 
 import pytest
 
-from ntnsim.harness import SweepSpec, csv_bytes, run_sweep
+from ntnsim.harness.rows import csv_bytes
+from ntnsim.harness.sweep import SweepSpec, run_sweep
 
 AXES = (
     ("altitude_km", (20.0, 100.0, 600.0, 35786.0, 1234567)),

@@ -8,17 +8,11 @@ import pytest
 
 from ntnsim import ConfigError, SpecError, PresetError
 from ntnsim.channel import _data_text
-from ntnsim.harness import (
-    SweepSpec,
-    config,
-    csv_bytes,
-    emit_csv,
-    load_fig_defaults,
-    load_sweep_spec,
-    preset,
-    run_sweep,
-)
-from ntnsim.harness.sweep import RESULT_COLUMNS, SweepResult, SweepRows
+from ntnsim.harness import config
+from ntnsim.harness.config import load_fig_defaults
+from ntnsim.harness.presets import preset
+from ntnsim.harness.rows import RESULT_COLUMNS, SweepResult, SweepRows, csv_bytes, emit_csv
+from ntnsim.harness.sweep import SweepSpec, load_sweep_spec, run_sweep
 
 FIG_DEFAULTS = _data_text("fig_defaults.cfg")
 

@@ -27,8 +27,8 @@ from ntnsim import (
     evaluate_chain,
     evaluate_link,
 )
-from ntnsim.harness import SweepSpec, run_sweep
 from ntnsim.harness.rows import RESULT_COLUMNS
+from ntnsim.harness.sweep import SweepSpec, run_sweep
 from test_sweep_reuse import AXIS_VALUES, FIXED_VALUES, NO_CAPACITY_EXIT
 
 TOL = 1e-9

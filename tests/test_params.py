@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 
 from ntnsim import ConfigError, RelayMode, Scenario, SpecError
 from ntnsim.channel import _data_text
-from ntnsim.harness import SweepSpec, config, load_fig_defaults, load_sweep_spec, run_sweep
-from ntnsim.harness.config import PARAMETERS, finite_number
+from ntnsim.geometry import finite_number
+from ntnsim.harness import config
+from ntnsim.harness.config import PARAMETERS, load_fig_defaults
+from ntnsim.harness.sweep import SweepSpec, load_sweep_spec, run_sweep
 
 # Every numeric key that has a CLI flag, by flag.
 FLAG_KEYS = {

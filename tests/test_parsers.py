@@ -16,9 +16,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ntnsim import NtnSimError, Scenario
 from ntnsim.channel import _data_text, parse_atmosphere_table, parse_scenario_table
-from ntnsim.harness import SweepSpec, config, load_fig_defaults, load_sweep_spec, run_sweep
-from ntnsim.harness.config import PARAMETERS, parse_sections
-from ntnsim.harness.sweep import AXIS_NAMES, EXTRA_COLUMNS, METRIC_COLUMNS
+from ntnsim.harness import config
+from ntnsim.harness.config import PARAMETERS, load_fig_defaults, parse_sections
+from ntnsim.harness.rows import EXTRA_COLUMNS, METRIC_COLUMNS
+from ntnsim.harness.sweep import AXIS_NAMES, SweepSpec, load_sweep_spec, run_sweep
 
 FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

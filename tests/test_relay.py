@@ -20,7 +20,7 @@ from ntnsim import (
     evaluate_chain,
     evaluate_link,
 )
-from ntnsim.harness import SweepSpec, run_sweep
+from ntnsim.harness.sweep import SweepSpec, run_sweep
 from ntnsim.linkbudget import snr_linear
 from ntnsim.relay import _af_fold_db, af_chain_snr_db, df_bottleneck
 

@@ -27,9 +27,9 @@ from ntnsim import (
     load_atmosphere_table,
     load_scenario_table,
 )
-from ntnsim.harness import SweepSpec, run_sweep
 from ntnsim.harness.cli import main
-from ntnsim.harness.sweep import EXTRA_COLUMNS, METRIC_COLUMNS, format_value
+from ntnsim.harness.rows import EXTRA_COLUMNS, METRIC_COLUMNS, format_value
+from ntnsim.harness.sweep import SweepSpec, run_sweep
 from ntnsim.relay import RelayChain, RelayHop
 
 N_POINTS = 10_000

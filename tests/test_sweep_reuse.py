@@ -22,8 +22,8 @@ from ntnsim import (
     evaluate_chain,
     evaluate_link,
 )
-from ntnsim.harness import SweepSpec, run_sweep
-from ntnsim.harness.sweep import METRIC_COLUMNS, RESULT_COLUMNS, result_record
+from ntnsim.harness.rows import METRIC_COLUMNS, RESULT_COLUMNS, result_record
+from ntnsim.harness.sweep import SweepSpec, run_sweep
 from ntnsim.relay import RelayChain, RelayHop, RelayMode
 
 FAILED = {**dict.fromkeys(METRIC_COLUMNS + ("slant_range_km", "bandwidth_hz")), "label": ""}
