@@ -20,13 +20,22 @@ finite floats and do not re-type them.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 import struct
+import sys
 from bisect import bisect_right
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
+
+try:  # CPython's own hash modules, as random.py imports sha512: hashlib loads OpenSSL
+    from _blake2 import blake2b
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:
+    from hashlib import blake2b, sha256
 
 from .errors import DomainError, TableDomainError, TableFormatError
 from .geometry import (MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, _ELEVATION_RANGE, _STATION_BANDS,
@@ -205,6 +214,18 @@ class AtmosphereTable:
         return _interpolate(fc_ghz, self.frequency_grid_ghz, self.scintillation_ref_db)
 
 
+def _decimal(name: str, value: int) -> bytes:
+    """value in ASCII decimal, the stream key's text; DomainError unless value
+    is an int that the interpreter will print."""
+    if type(value) is not int:  # "%d" would truncate 2.5 to the stream of 2
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    try:
+        return b"%d" % value
+    except ValueError:  # more digits than sys.get_int_max_str_digits(); so is its repr
+        raise DomainError(f"{name} must be an integer of at most "
+                          f"{sys.get_int_max_str_digits()} digits, got a longer one") from None
+
+
 class ScenarioRow(NamedTuple):
     p_los: float
     clutter_los_db: float
@@ -234,8 +255,7 @@ class ScenarioRow(NamedTuple):
         This is self.sampler(seed)(index), with index checked as well.
         """
         draw = self.sampler(seed)
-        if type(index) is not int:  # "%d" would truncate 2.5 to the stream of 2
-            raise DomainError(f"sampled_index must be an integer, got {index!r}")
+        _decimal("sampled_index", index)
         return draw(index)
 
     def sampler(self, seed: int):
@@ -245,9 +265,7 @@ class ScenarioRow(NamedTuple):
         A sweep makes one per cell. Each draw copies the hashed b"<seed>:"
         and adds only the index, so streams stay blake2b(b"<seed>:<index>").
         """
-        if type(seed) is not int:  # "%d" would truncate 2.5 to the stream of 2
-            raise DomainError(f"sampled_seed must be an integer, got {seed!r}")
-        copy = hashlib.blake2b(b"%d:" % seed, digest_size=24).copy
+        copy = blake2b(_decimal("sampled_seed", seed) + b":", digest_size=24).copy
         p_los, los, nlos, sigma = self._numbers()
         unpack, sqrt, log, cos = _STREAM_WORDS, math.sqrt, math.log, math.cos
 
@@ -343,7 +361,7 @@ def _read_table(text: str, name: str, columns: tuple[str, ...]):
         raise TableFormatError(f"{name}: missing '# checksum:' header")
     if not checksum.startswith("sha256="):
         raise TableFormatError(f"{name}: checksum must be 'sha256=<hex>'")
-    digest = hashlib.sha256("\n".join(data_lines).encode("utf-8")).hexdigest()
+    digest = sha256("\n".join(data_lines).encode("utf-8")).hexdigest()
     if digest != checksum[len("sha256="):]:
         raise TableFormatError(
             f"{name}: checksum mismatch (file corrupted or edited without "

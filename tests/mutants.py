@@ -122,6 +122,19 @@ MUTANTS = (
            '- cli: the ntnsim command.\n"""\n',
            '- cli: the ntnsim command.\n"""\n\nfrom .sweep import run_sweep\n',
            ("tests/test_cli.py::test_setup_path_and_harness_names_import_only_their_homes",)),
+    # No OpenSSL at start-up.
+    Mutant("channel-loads-openssl", "channel.py",
+           "try:  # CPython's own hash modules, as random.py imports sha512: hashlib loads OpenSSL\n"
+           "    from _blake2 import blake2b\n"
+           "    if sys.version_info >= (3, 12):\n"
+           "        from _sha2 import sha256\n"
+           "    else:\n"
+           "        from _sha256 import sha256\n"
+           "except ImportError:\n"
+           "    from hashlib import blake2b, sha256\n",
+           "from hashlib import blake2b, sha256\n",
+           ("tests/test_cli.py::test_cli_imports_no_numpy_or_dataclasses",
+            "tests/test_cli.py::test_setup_path_and_harness_names_import_only_their_homes")),
 )
 
 

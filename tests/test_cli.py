@@ -697,32 +697,55 @@ class TestSnrOverflow:
         assert row["capacity_bps"] == format_value(result.capacity_bps)
 
 
+def importable(name):
+    try:
+        __import__(name)
+    except ImportError:
+        return False
+    return True
+
+
+# The table checksums and the sampled streams hash with CPython's own sha256
+# and blake2b, where the interpreter has them: hashlib would load OpenSSL's
+# libcrypto at every start.
+OPENSSL = (("hashlib", "_hashlib")
+           if importable("_blake2") and (importable("_sha256") or importable("_sha2")) else ())
+
+
+def sampled_spec(tmp_path):
+    spec = tmp_path / "sampled.cfg"
+    spec.write_text(TestSweepCommand.SPEC + "excess_mode = sampled\n")
+    return spec
+
+
 @pytest.mark.parametrize("command", ["preset", "link", "chain", "sweep"])
 def test_cli_imports_no_numpy_or_dataclasses(tmp_path, command):
     # numpy's import alone would about triple a cold one-slice `ntnsim` run;
     # dataclasses, which imports inspect, would add about a fifth to every command.
     # The writer quotes its cells by hand, the same on every Python, without csv.
     # link and chain compile no sweep engine and read the packaged tables without
-    # importlib.resources. The child runs without site, which may import any of these.
+    # importlib.resources. No command loads OpenSSL, sampled streams included.
+    # The child runs without site, which may import any of these.
     spec = tmp_path / "s.cfg"
     spec.write_text(TestSweepCommand.SPEC)
-    argv = {
-        "preset": ["preset", "--name", "fig2"],
-        "link": [*LINK, "--txpow", "18"],
-        "chain": [*CHAIN, "--txpow", "18"],
-        "sweep": ["sweep", "--spec", str(spec)],
+    argvs = {
+        "preset": [["preset", "--name", "fig2"]],
+        "link": [[*LINK, "--txpow", "18", "--seed", "7"]],
+        "chain": [[*CHAIN, "--txpow", "18"]],
+        "sweep": [["sweep", "--spec", str(spec)],
+                  ["sweep", "--spec", str(sampled_spec(tmp_path)), "--seed", "7"]],
     }[command]
-    unused = ("numpy", "dataclasses", "inspect", "csv")
+    unused = ("numpy", "dataclasses", "inspect", "csv", *OPENSSL)
     if command in ("link", "chain"):
         unused += ("ntnsim.harness.sweep", "ntnsim.harness.presets", "importlib.resources")
     code = (
         "import contextlib, io, sys\n"
         "from ntnsim.harness.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main({argv!r})\n"
-        f"print(code, [m for m in {unused!r} if m in sys.modules])\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        f"print(set(codes), [m for m in {unused!r} if m in sys.modules])\n"
     )
-    assert run_without_site(code) == "0 []\n"
+    assert run_without_site(code) == "{0} []\n"
 
 
 def run_without_site(code):
@@ -737,20 +760,43 @@ def run_without_site(code):
 
 def test_setup_path_and_harness_names_import_only_their_homes():
     # The fig-defaults fixture and both tables, as every command loads them,
-    # import neither the sweep engine nor csv.
+    # import neither the sweep engine nor csv, and check their sha256 without OpenSSL.
+    unused = ("ntnsim.harness.sweep", "ntnsim.harness.presets", "csv", *OPENSSL)
     code = (
         "import sys\n"
         "import ntnsim\n"
         "from ntnsim.harness.config import load_fig_defaults\n"
         "ntnsim.load_atmosphere_table(), ntnsim.load_scenario_table(), load_fig_defaults()\n"
-        "print([m for m in ('ntnsim.harness.sweep', 'ntnsim.harness.presets', 'csv')"
-        " if m in sys.modules])\n"
+        f"print([m for m in {unused!r} if m in sys.modules])\n"
     )
     assert run_without_site(code) == "[]\n"
     # ntnsim.harness is only its modules: each name is read from the module that defines it.
     names = ("AXIS_NAMES", "PRESET_NAMES", "SweepResult", "SweepSpec", "csv_bytes", "emit_csv",
              "load_fig_defaults", "load_sweep_spec", "preset", "run_sweep")
     assert [name for name in names if hasattr(harness, name)] == []
+
+
+def test_hashlib_fallback_prints_the_same_bytes(tmp_path):
+    # Where CPython's own hash modules are missing, channel.py takes sha256 and
+    # blake2b from hashlib: the same table checks and the same sampled streams.
+    argvs = [[*LINK, "--txpow", "18", "--seed", "7"],
+             ["sweep", "--spec", str(sampled_spec(tmp_path)), "--seed", "7"]]
+    run = (
+        "import ntnsim\n"
+        "from ntnsim.harness.cli import main\n"
+        "print(ntnsim.load_atmosphere_table().version, ntnsim.load_scenario_table().version)\n"
+        f"print([main(argv) for argv in {argvs!r}])\n"
+    )
+    fallback = (
+        "import hashlib, sys\n"
+        "sys.modules.update(_blake2=None, _sha256=None, _sha2=None)  # their imports now fail\n"
+        f"{run}"
+        "from ntnsim import channel\n"
+        "assert (channel.blake2b, channel.sha256) == (hashlib.blake2b, hashlib.sha256)\n"
+    )
+    out = run_without_site(run)
+    assert out.endswith("[0, 0]\n") and "per-point streams blake2b(seed:index)" in out
+    assert run_without_site(fallback) == out
 
 
 def subcommands(parser):

@@ -308,11 +308,19 @@ AF_RADIO = {"fc_ghz": 20.0, "tx_power_dbm": 30.0, "g_over_t_dbi_per_k": 1e-320,
 # SNRs' product underflows, so its SNR is folded in dB.
 AF_FLOAT32 = ((((17.0, 30.0, 10.0), AF_RADIO), ((0.0, 17.0, np.float32(30.0)), AF_RADIO)),
               RelayMode.AMPLIFY_FORWARD, Scenario.RURAL, None, 0, LOOSE[0])
+# A LEO-ground link whose seed, then whose index, has more digits than
+# Python will print; SEEDS and INDICES hold only small numbers.
+GROUND_LINK = (((0.0, 600.0, 30.0), {"fc_ghz": 20.0, "tx_power_dbm": 18.0,
+                                     "g_over_t_dbi_per_k": 15.9}),)
+HUGE_SEED = (GROUND_LINK, RelayMode.DECODE_FORWARD, Scenario.URBAN, 10**5000, 0, LOOSE[0])
+HUGE_INDEX = (GROUND_LINK, RelayMode.DECODE_FORWARD, Scenario.URBAN, 7, -10**5000, LOOSE[0])
 
 
 @settings(max_examples=100, deadline=None)
 @given(call=boundary_chains())
 @example(call=AF_FLOAT32)
+@example(call=HUGE_SEED)
+@example(call=HUGE_INDEX)
 def test_library_gives_finite_floats_or_raises_its_errors(atm_table, scen_table, call):
     # Each call returns finite Python floats, hop by hop, or raises an
     # NtnSimError; each sweep row holds finite floats, or no metrics and an error.
