@@ -22,8 +22,13 @@ import enum
 import math
 from typing import NamedTuple
 
-from .constants import EARTH_RADIUS_KM, SPEED_OF_LIGHT_KM_S
 from .errors import DomainError, GeometryError, UnclassifiableAltitude
+
+# Mean Earth radius, spherical model (km).
+EARTH_RADIUS_KM = 6371.0
+
+# Speed of light (km/s).
+SPEED_OF_LIGHT_KM_S = 299792.458
 
 MIN_ELEVATION_DEG = 10.0
 MAX_ELEVATION_DEG = 90.0

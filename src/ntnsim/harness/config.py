@@ -8,6 +8,8 @@ PARAMETERS checks and types every value, there as for CLI flags.
 
 from __future__ import annotations
 
+import sys
+
 from ..channel import Scenario, _data_text
 from ..errors import ConfigError
 from ..geometry import finite_number
@@ -57,6 +59,10 @@ def _integer(value: object) -> int:
     try:
         return int(str(value))  # through str, so that 2.5 is not truncated
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if type(value) is int or 0 < limit < len(str(value)):  # too long to convert or echo
+            raise ValueError(f"expected an integer of at most {limit} digits, "
+                             "got a longer one") from None
         raise ValueError(f"expected an integer, got {value!r}") from None
 
 

@@ -102,7 +102,7 @@ def result_record(result: LinkResult) -> tuple:
 
 def format_value(value: object) -> str:
     """Fixed CSV cell formatting: reals but integers at 6 significant digits."""
-    if type(value) is float:  # most cells: tested first
+    if type(value) is float:  # most axis values (_write_csv formats metric cells itself)
         return f"{value:.6g}"
     if value is None:
         return ""
@@ -140,8 +140,6 @@ def _write_csv(result: SweepResult, handle) -> None:
     handle.write(",".join(_quoted(name) or empty for name in schema) + "\n")
     # Records: one format string per kind of row, over its axis texts and
     # record; "%.6g" gives format_value's text of a float, which needs no quotes.
-    # Failed points share few messages (every point at a gap altitude has the
-    # same one), so errors quotes each distinct message once per write.
     axes, records = result.rows.axes, result.rows.records
     names = [name for name, _ in axes]
     n = len(names)
@@ -160,14 +158,11 @@ def _write_csv(result: SweepResult, handle) -> None:
         return ",".join(formats) + "\n", itemgetter(*indices) if indices else lambda _: ()
 
     (point, point_cells), (failed, failed_cells) = line(False), line(True)
-    write, errors = handle.write, {}
+    write = handle.write
     texts = (tuple(_quoted(format_value(v)) or empty for v in values) for _, values in axes)
     for cells, record in zip(product(*texts), records):
         if record[0] is None:  # failed: its error is the last cell
-            error = errors.get(record[-1])
-            if error is None:
-                error = errors[record[-1]] = _quoted(record[-1])
-            write(failed % failed_cells(cells + record[:-1] + (error,)))
+            write(failed % failed_cells(cells + record[:-1] + (_quoted(record[-1]),)))
         else:
             write(point % point_cells(cells + record))
 

@@ -47,10 +47,9 @@ from ..channel import (
     load_scenario_table,
     scintillation_db,
 )
-from ..constants import BOLTZMANN_DBM_PER_K_HZ
 from ..errors import ConfigError, NtnSimError, SpecError
 from ..geometry import classify_station, slant_range_km
-from ..linkbudget import _LN2, RadioConfig
+from ..linkbudget import _LN2, BOLTZMANN_DBM_PER_K_HZ, RadioConfig
 from ..relay import RelayMode, _build_chain, chain_label, evaluate_chain
 from .config import PARAMETERS, parse_sections, parse_value
 from .rows import (

@@ -24,9 +24,11 @@ from .channel import (
     _ByFields,
     total_path_loss,
 )
-from .constants import BOLTZMANN_DBM_PER_K_HZ
 from .errors import ConfigError, DomainError
 from .geometry import LinkGeometry, finite_number
+
+# Boltzmann's constant expressed in dBm/K/Hz: 10*log10(k_B * 1000 W/mW).
+BOLTZMANN_DBM_PER_K_HZ = -198.6
 
 _LN2 = math.log(2.0)
 _INF = math.inf

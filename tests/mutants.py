@@ -41,6 +41,9 @@ COLUMNS = f"{REUSE}::test_columns_along_every_inner_axis_equal_the_scalar_rows"
 AF_OVERFLOW = f"{REUSE}::test_af_product_overflow_row_equals_the_scalar_row"
 CSV = "tests/test_csv_fast_path.py"
 QUOTING = f"{CSV}::test_every_special_character_is_quoted_in_header_axes_and_errors"
+PARAMS = "tests/test_params.py"
+TABLES = "tests/test_channel.py::test_table_rules_raise_their_message"
+WHOLE_SPEC = "tests/test_harness.py::TestSweepValidation::test_whole_spec_rules_raise_their_message"
 
 MUTANTS = (
     # Each sweep stage names its axes once.
@@ -135,6 +138,27 @@ MUTANTS = (
            "from hashlib import blake2b, sha256\n",
            ("tests/test_cli.py::test_cli_imports_no_numpy_or_dataclasses",
             "tests/test_cli.py::test_setup_path_and_harness_names_import_only_their_homes")),
+    # Every check has a test that fails without it.
+    Mutant("integer-echoes-a-long-value", "harness/config.py",
+           "if type(value) is int or 0 < limit < len(str(value)):",
+           "if False:",
+           (f"{PARAMS}::test_word_and_integer_rules_raise_their_message[seed]",)),
+    Mutant("p-los-range-unchecked", "channel.py",
+           "                if not (0.0 <= r.p_los <= 1.0):\n"
+           '                    raise TableFormatError(f"p_los out of [0, 1]: {r.p_los}")\n',
+           "", (f"{TABLES}[p_los-out-of-range]",)),
+    Mutant("elevation-grid-cover-unchecked", "channel.py",
+           "        if grid[0] > MIN_ELEVATION_DEG or grid[-1] < MAX_ELEVATION_DEG:\n"
+           '            raise TableFormatError(f"elevation grid must cover {_ELEVATION_RANGE}")\n',
+           "", (f"{TABLES}[elevation-grid-short]",)),
+    Mutant("tx-power-not-required", SWEEP,
+           '    if "tx_power_dbm" not in spec.fixed:\n'
+           "        raise SpecError(\"fixed parameter 'tx_power_dbm' is required\")\n",
+           "", (f"{WHOLE_SPEC}[tx-power-missing]",)),
+    Mutant("unknown-output-column-accepted", SWEEP,
+           "        if col not in known_metrics:\n"
+           '            raise SpecError(f"unknown output column {col!r}")\n',
+           "", (f"{WHOLE_SPEC}[unknown-column]",)),
 )
 
 

@@ -1,7 +1,9 @@
 """Channel-stage tests: FSPL, gas, scintillation, excess loss, totals."""
 
+import hashlib
 import math
 import random
+import re
 import statistics
 
 import numpy as np
@@ -20,16 +22,20 @@ from ntnsim import (
     excess_loss_db,
     fspl_db,
     gas_attenuation_db,
+    load_atmosphere_table,
+    load_scenario_table,
     scintillation_db,
     total_path_loss,
 )
 from ntnsim.channel import (
     ScenarioRow,
+    _data_text,
     parse_atmosphere_table,
     parse_scenario_table,
     scintillation_elevation_scale,
     stage_total_db,
 )
+from ntnsim.harness.cli import main
 
 SCENARIOS_ORDERED = [
     Scenario.DENSE_URBAN,
@@ -453,3 +459,63 @@ def test_scenario_row_fields_of_any_real_type_give_the_float_losses():
     typed = ScenarioRow("0.5", 1, np.float32(2.0), np.int64(3))
     assert [typed.sampled_db(7, i) for i in range(5)] == [plain.sampled_db(7, i) for i in range(5)]
     assert type(typed.expected_db()) is float and typed.expected_db() == plain.expected_db() == 1.5
+
+
+# Table rules, each broken by a constructor call or, where a table file can break it,
+# by an edit (re.sub with re.M) of a packaged table's data lines under a fresh checksum
+# header; an edit without a pattern drops that header.
+TABLE_RULES = {
+    "atmosphere-columns-differ": (
+        lambda atm, scen: AtmosphereTable(
+            atm.frequency_grid_ghz, atm.zenith_gas_db[:-1], atm.scintillation_ref_db),
+        "atmosphere table columns differ in length"),
+    "atmosphere-negative-value": (
+        ("atmosphere.tsv", r"^0.5 0.032 0.08$", "0.5 0.032 -0.08"),
+        "table values must be finite and >= 0"),
+    "elevation-grid-short": (
+        ("scenario.tsv", r"^\w+ 90 .*\n", ""), "elevation grid must cover [10, 90] deg"),
+    "scenario-missing": (
+        lambda atm, scen: ScenarioTable(scen.elevation_grid_deg, {
+            s: rows for s, rows in scen.rows.items() if s is not Scenario.RURAL}),
+        "scenario table missing rural"),
+    "scenario-rows-short": (
+        lambda atm, scen: ScenarioTable(scen.elevation_grid_deg, {
+            **scen.rows, Scenario.RURAL: scen.rows[Scenario.RURAL][:-1]}),
+        "scenario rural has wrong number of rows"),
+    "p_los-out-of-range": (
+        ("scenario.tsv", r"^rural 90 0.975 ", "rural 90 1.5 "), "p_los out of [0, 1]: 1.5"),
+    "clutter-negative": (
+        ("scenario.tsv", r"^rural 90 0.975 0.2 ", "rural 90 0.975 -0.2 "),
+        "clutter and sigma values must be >= 0"),
+    "checksum-missing": (("atmosphere.tsv", None, None), "{path}: missing '# checksum:' header"),
+}
+
+
+@pytest.mark.parametrize("rule", TABLE_RULES)
+def test_table_rules_raise_their_message(tmp_path, capsys, atm_table, scen_table, rule):
+    # The library raises TableFormatError with the rule's message; through a table
+    # file, `ntnsim link --tables` exits 2 with that message and writes no row.
+    make, message = TABLE_RULES[rule]
+    if callable(make):
+        with pytest.raises(TableFormatError) as err:
+            make(atm_table, scen_table)
+        assert str(err.value) == message
+        return
+    name, pattern, replacement = make
+    for table in ("atmosphere.tsv", "scenario.tsv"):
+        (tmp_path / table).write_text(_data_text(table), encoding="utf-8")
+    data = "\n".join(l for l in _data_text(name).splitlines() if l and not l.startswith("#"))
+    header = "# version: 1\n"
+    if pattern is not None:
+        data = re.sub(pattern, replacement, data + "\n", flags=re.M).rstrip("\n")
+        header += f"# checksum: sha256={hashlib.sha256(data.encode()).hexdigest()}\n"
+    path = tmp_path / name
+    path.write_text(header + data + "\n", encoding="utf-8")
+    message = message.format(path=path)
+    load = load_atmosphere_table if name == "atmosphere.tsv" else load_scenario_table
+    with pytest.raises(TableFormatError) as err:
+        load(path)
+    assert str(err.value) == message
+    code = main(["link", "--alt", "600", "--elev", "30", "--fc", "20", "--got", "15.9",
+                 "--tables", str(tmp_path)])
+    assert (code, *capsys.readouterr()) == (2, "", f"ntnsim: table error: {message}\n")

@@ -9,10 +9,12 @@ import pytest
 from ntnsim import ConfigError, SpecError, PresetError
 from ntnsim.channel import _data_text
 from ntnsim.harness import config
+from ntnsim.harness.cli import main
 from ntnsim.harness.config import load_fig_defaults
 from ntnsim.harness.presets import preset
 from ntnsim.harness.rows import RESULT_COLUMNS, SweepResult, SweepRows, csv_bytes, emit_csv
 from ntnsim.harness.sweep import SweepSpec, load_sweep_spec, run_sweep
+from test_parsers import spec_text
 
 FIG_DEFAULTS = _data_text("fig_defaults.cfg")
 
@@ -162,6 +164,35 @@ class TestSweepValidation:
         spec = fig3_rural_spec(fixed={"excess_mode": "sampled"})
         with pytest.raises(SpecError):
             run_sweep(spec, atm_table)
+
+    @pytest.mark.parametrize("spec, message, file_message", [
+        pytest.param(fig3_rural_spec()._replace(axes=(
+            ("elevation_deg", (10.0,)), ("elevation_deg", (20.0,)))),
+            "axis 'elevation_deg' declared twice", "s.cfg:3: duplicate key 'elevation_deg'",
+            id="axis-twice"),
+        pytest.param(fig3_rural_spec(fixed={"tilt_deg": 1.0}),
+                     "unknown fixed parameter 'tilt_deg'", None, id="unknown-fixed"),
+        pytest.param(fig3_rural_spec(fixed={"seed": 3}),
+                     "unknown fixed parameter 'seed'", None, id="seed-in-fixed"),
+        pytest.param(fig3_rural_spec()._replace(fixed={
+            k: v for k, v in fig3_rural_spec().fixed.items() if k != "tx_power_dbm"}),
+            "fixed parameter 'tx_power_dbm' is required", None, id="tx-power-missing"),
+        pytest.param(fig3_rural_spec(output_schema=("elevation_deg", "snrdb")),
+                     "unknown output column 'snrdb'", None, id="unknown-column"),
+    ])
+    def test_whole_spec_rules_raise_their_message(
+            self, tmp_path, capsys, atm_table, scen_table, spec, message, file_message):
+        # run_sweep raises SpecError with the rule's message, and `ntnsim sweep` on the
+        # spec's file exits 3 with it (file_message: the file's rule that comes first)
+        # and writes no row.
+        with pytest.raises(SpecError) as err:
+            run_sweep(spec, atm_table, scen_table)
+        assert str(err.value) == message
+        path = tmp_path / "s.cfg"
+        path.write_text(spec_text(spec), encoding="utf-8")
+        code = main(["sweep", "--spec", str(path)])
+        expected = f"ntnsim: spec error: {file_message or message}\n"
+        assert (code, *capsys.readouterr()) == (3, "", expected)
 
 
 class TestRunSweep:

@@ -1,6 +1,7 @@
 """Parameter values: the fig-defaults fixture, spec files, Python specs and CLI flags agree."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from ntnsim import ConfigError, RelayMode, Scenario, SpecError
 from ntnsim.channel import _data_text
 from ntnsim.geometry import finite_number
 from ntnsim.harness import config
+from ntnsim.harness.cli import main
 from ntnsim.harness.config import PARAMETERS, load_fig_defaults
 from ntnsim.harness.sweep import SweepSpec, load_sweep_spec, run_sweep
 
@@ -97,6 +99,48 @@ def test_capitalised_words_accepted_everywhere(tmp_path, atm_table, scen_table):
     (row,) = run_sweep(load_sweep_spec(spec_file), atm_table, scen_table).rows
     assert row["error"] == ""
     assert row["label"] == "df:2hop"
+
+
+LONG = f"expected an integer of at most {sys.get_int_max_str_digits()} digits, got a longer one"
+# A flag's command line but the flag.
+FLAG_ARGV = {
+    "--mode": ("chain", "--hop", "1200:10", "--hop", "20:10", "--fc", "20", "--got", "15.9"),
+    "--seed": ("link", "--alt", "600", "--elev", "30", "--fc", "20", "--got", "15.9"),
+}
+
+
+@pytest.mark.parametrize("key, text, value, flag, message", [
+    pytest.param(*case, id=case[0]) for case in [
+        ("mode", "xx", "xx", None, "expected one of direct, relay, got 'xx'"),
+        ("relay_mode", "xx", "xx", "--mode", "expected one of af, df, got 'xx'"),
+        ("excess_mode", "xx", "xx", None, "expected one of expected, sampled, got 'xx'"),
+        # Too long to convert, and so to echo: 5,000 digits would fill the message.
+        ("seed", "9" * 5000, 10**5000, "--seed", LONG),
+    ]
+])
+def test_word_and_integer_rules_raise_their_message(
+        tmp_path, capsys, atm_table, scen_table, key, text, value, flag, message):
+    # A Python spec's value (SpecError), a spec file's line (exit 3, naming file:line)
+    # and a flag (exit 1, argparse's one error line after the usage) give one message.
+    fixed = {k: v if k == "scenario" else float(v) for k, v in {**BASE, **GOT_FORM}.items()}
+    spec = SweepSpec(axes=(), fixed=fixed)
+    spec = spec._replace(seed=value) if key == "seed" else spec._replace(fixed={**fixed, key: value})
+    with pytest.raises(SpecError) as err:
+        run_sweep(spec, atm_table, scen_table)
+    assert str(err.value) == f"{key}: {message}"
+    lines = ["[fixed]", *(f"{k} = {v}" for k, v in fixed.items())]
+    at = 0 if key == "seed" else len(lines)  # a seed is a top-level key
+    lines.insert(at, f"{key} = {text}")
+    path = tmp_path / "s.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["sweep", "--spec", str(path)])
+    expected = f"ntnsim: spec error: s.cfg:{at + 1}: {key}: {message}\n"
+    assert (code, *capsys.readouterr()) == (3, "", expected)
+    if flag:
+        command = FLAG_ARGV[flag]
+        code, out, err = main([*command, flag, text]), *capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.endswith(f"\nntnsim {command[0]}: error: argument {flag}: {message}\n")
 
 
 # Valid values of every key of PARAMETERS, as text and as typed values.
