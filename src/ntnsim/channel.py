@@ -39,7 +39,7 @@ except ImportError:
 
 from .errors import DomainError, TableDomainError, TableFormatError
 from .geometry import (MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, _ELEVATION_RANGE, _STATION_BANDS,
-                       LinkGeometry, StationClass, _check_elevation, finite_number)
+                       LinkGeometry, StationClass, _check_elevation, echo, finite_number)
 
 # Fraction of the zenith gas/scintillation column that applies to a hop,
 # keyed by the altitude of the hop's lower endpoint. Nearly all of the
@@ -77,7 +77,7 @@ class Scenario(enum.Enum):
             if member.value == key:
                 return member
         raise DomainError(
-            f"unknown scenario {name!r}; expected one of "
+            f"unknown scenario {echo(name)}; expected one of "
             + ", ".join(m.value for m in cls)
         )
 

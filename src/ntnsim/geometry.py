@@ -79,6 +79,16 @@ def classify_station(altitude_km: float) -> StationClass:
     raise UnclassifiableAltitude(f"altitude {altitude_km} km lies in the gap {gap}")
 
 
+def echo(value: object) -> str:
+    """value as an error message shows it: its repr, or past 60 characters the
+    repr's first 40, "..." and its length, so that no input fills a message."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int of more digits than sys.get_int_max_str_digits()
+        return "an integer too long to print"
+    return text if len(text) <= 60 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def finite_number(value: object, key: str = "", error: type[Exception] = ValueError) -> float:
     """A finite float from text or any real number; error otherwise, its message led by key."""
     try:
@@ -86,7 +96,7 @@ def finite_number(value: object, key: str = "", error: type[Exception] = ValueEr
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
-        message = f"expected a finite number, got {value!r}"
+        message = f"expected a finite number, got {echo(value)}"
         raise error(f"{key}: {message}" if key else message)
     return number
 

@@ -29,7 +29,7 @@ from ..errors import (
     TableDomainError,
     TableFormatError,
 )
-from ..geometry import finite_number
+from ..geometry import echo, finite_number
 from ..linkbudget import RadioConfig
 from ..relay import RelayMode, _build_chain, evaluate_chain
 from .config import PARAMETERS, PRESET_NAMES, load_fig_defaults
@@ -74,7 +74,7 @@ def _hop(text: str) -> tuple[str, float, float]:
         altitude, elevation = map(finite_number, text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected ALT:ELEV, two finite numbers, got {text!r}"
+            f"expected ALT:ELEV, two finite numbers, got {echo(text)}"
         ) from None
     return text, altitude, elevation
 

@@ -12,7 +12,7 @@ import sys
 
 from ..channel import Scenario, _data_text
 from ..errors import ConfigError
-from ..geometry import finite_number
+from ..geometry import echo, finite_number
 from ..linkbudget import RadioConfig
 from ..relay import RelayMode
 
@@ -63,14 +63,14 @@ def _integer(value: object) -> int:
         if type(value) is int or 0 < limit < len(str(value)):  # too long to convert or echo
             raise ValueError(f"expected an integer of at most {limit} digits, "
                              "got a longer one") from None
-        raise ValueError(f"expected an integer, got {value!r}") from None
+        raise ValueError(f"expected an integer, got {echo(value)}") from None
 
 
 def _word(*choices: str):
     def parse(value: object) -> str:
         word = str(value).strip().lower()
         if word not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+            raise ValueError(f"expected one of {', '.join(choices)}, got {echo(value)}")
         return word
 
     return parse

@@ -159,6 +159,18 @@ MUTANTS = (
            "        if col not in known_metrics:\n"
            '            raise SpecError(f"unknown output column {col!r}")\n',
            "", (f"{WHOLE_SPEC}[unknown-column]",)),
+    # No input fills an error message.
+    Mutant("finite-number-echoes-a-long-value", "geometry.py",
+           'got {echo(value)}"', 'got {value!r}"',
+           (f"{PARAMS}::test_a_long_value_is_echoed_in_a_bounded_message[txpow]",
+            f"{PARAMS}::test_a_long_value_is_echoed_in_a_bounded_message[spec-file]")),
+    Mutant("integer-echoes-a-long-word", "harness/config.py",
+           'f"expected an integer, got {echo(value)}"', 'f"expected an integer, got {value!r}"',
+           (f"{PARAMS}::test_a_long_value_is_echoed_in_a_bounded_message[seed]",)),
+    Mutant("echo-of-an-unprintable-integer", "geometry.py",
+           "    try:\n        text = repr(value)\n    except ValueError:",
+           "    text = repr(value)\n    if False:",
+           (f"{PARAMS}::test_an_integer_too_long_to_print_raises_the_typed_error",)),
 )
 
 

@@ -29,9 +29,7 @@ from ntnsim.harness.rows import (
 from ntnsim.harness.sweep import SweepSpec, load_sweep_spec, run_sweep
 from ntnsim.linkbudget import RadioConfig
 from ntnsim.relay import RelayChain, RelayHop, evaluate_chain
-from test_params import FLAG_KEYS
-from test_parsers import SAMPLED_SPEC, SPEC, config_texts
-from test_sweep_reuse import chain_record
+from strategies import FLAG_KEYS, SAMPLED_SPEC, SPEC, chain_record, config_texts
 
 
 def run_cli(capsys, *argv):

@@ -21,9 +21,9 @@ from hypothesis import given, settings, strategies as st
 from ntnsim import RelayMode, Scenario
 from ntnsim.harness.cli import main
 from ntnsim.harness.rows import (
-    EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, SweepResult, SweepRows, csv_bytes, emit_csv,
-    format_value)
-from ntnsim.harness.sweep import AXIS_NAMES, SweepSpec, run_sweep
+    RESULT_COLUMNS, SweepResult, SweepRows, csv_bytes, emit_csv, format_value)
+from ntnsim.harness.sweep import SweepSpec, run_sweep
+from strategies import FIXED, sweep_specs
 
 # Axis names as run_sweep, link and chain give them; a schema column that
 # is neither an axis nor a result column is an empty cell.
@@ -131,48 +131,6 @@ def test_a_carriage_return_in_a_word_axis_stays_in_its_row(atm_table, scen_table
     header, *rows = read_back(result)
     assert len(rows) == 2
     assert [row[header.index("scenario")] for row in rows] == ["rural\r", "urban"]
-
-
-# Values as a Python spec may give them: ints, numpy floats, words with
-# capitals, spaces or a trailing LF or CR (which csv quotes), enum members.
-# 100 km is a gap altitude, 0.3 and 120 GHz lie outside the atmosphere
-# table and 5 deg below the elevation range: their rows carry an error
-# message with commas.
-SPEC_VALUES = {
-    "altitude_km": (600, 100.0, np.float64(1200.0), 35786.0, 20.0),
-    "fc_ghz": (20, 2.0, np.float64(60.0), 0.3, 120.0),
-    "elevation_deg": (30, 10.0, np.float64(45.5), 5.0, 90.0),
-    "g_rx_dbi": (50, 30.0, np.float64(40.0)),
-    "scenario": ("dense_urban", "Dense Urban", " rural\n", "urban\r", Scenario.SUBURBAN),
-    "mode": ("direct", "Relay", "relay"),
-}
-FIXED = {"tx_power_dbm": 18.0, "noise_temperature_k": 290.0, "hap_altitude_km": 20.0}
-
-
-@st.composite
-def sweep_specs(draw):
-    axes, fixed = [], dict(FIXED)
-    for name in draw(st.permutations(AXIS_NAMES)):
-        values = draw(st.lists(st.sampled_from(SPEC_VALUES[name]), min_size=1, max_size=3))
-        if name in ("altitude_km", "fc_ghz", "elevation_deg") or draw(st.booleans()):
-            axes.append((name, tuple(values)))
-        else:  # a fixed parameter, which a schema may still name
-            fixed[name] = values[0]
-    fixed["relay_mode"] = draw(st.sampled_from(["af", "df"]))
-    fixed["excess_mode"] = draw(st.sampled_from(["expected", "sampled"]))
-    columns = AXIS_NAMES + METRIC_COLUMNS + EXTRA_COLUMNS
-    schema = draw(st.one_of(
-        st.just(()),  # the default schema
-        st.lists(st.sampled_from(columns), min_size=1, max_size=1),
-        st.permutations(columns).flatmap(
-            lambda c: st.lists(st.sampled_from(c), min_size=1, unique=True)
-        ),
-    ))
-    seed = draw(st.integers(-2**40, 2**40)) if fixed["excess_mode"] == "sampled" else None
-    return SweepSpec(
-        axes=tuple(axes), fixed=fixed, output_schema=tuple(schema), seed=seed,
-        provenance=("spec: random",),
-    )
 
 
 @contextmanager

@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 
 from ntnsim import ConfigError, SpecError, PresetError
-from ntnsim.channel import _data_text
 from ntnsim.harness import config
 from ntnsim.harness.cli import main
 from ntnsim.harness.config import load_fig_defaults
 from ntnsim.harness.presets import preset
 from ntnsim.harness.rows import RESULT_COLUMNS, SweepResult, SweepRows, csv_bytes, emit_csv
 from ntnsim.harness.sweep import SweepSpec, load_sweep_spec, run_sweep
-from test_parsers import spec_text
-
-FIG_DEFAULTS = _data_text("fig_defaults.cfg")
+from strategies import FIG_DEFAULTS, spec_text
 
 FIG3_FIXED = {
     "altitude_km": 300.0,

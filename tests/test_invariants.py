@@ -29,7 +29,7 @@ from ntnsim import (
 )
 from ntnsim.harness.rows import RESULT_COLUMNS
 from ntnsim.harness.sweep import SweepSpec, run_sweep
-from test_sweep_reuse import AXIS_VALUES, FIXED_VALUES, NO_CAPACITY_EXIT
+from strategies import AXIS_VALUES, FIXED_VALUES, NO_CAPACITY_EXIT
 
 TOL = 1e-9
 

@@ -6,26 +6,15 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from ntnsim import ConfigError, RelayMode, Scenario, SpecError
+from ntnsim import ConfigError, RadioConfig, RelayMode, Scenario, SpecError
 from ntnsim.channel import _data_text
 from ntnsim.geometry import finite_number
 from ntnsim.harness import config
 from ntnsim.harness.cli import main
 from ntnsim.harness.config import PARAMETERS, load_fig_defaults
 from ntnsim.harness.sweep import SweepSpec, load_sweep_spec, run_sweep
+from strategies import FLAG_KEYS
 
-# Every numeric key that has a CLI flag, by flag.
-FLAG_KEYS = {
-    "--alt": "altitude_km",
-    "--elev": "elevation_deg",
-    "--fc": "fc_ghz",
-    "--txpow": "tx_power_dbm",
-    "--gtx": "g_tx_dbi",
-    "--grx": "g_rx_dbi",
-    "--got": "g_over_t_dbi_per_k",
-    "--temp": "noise_temperature_k",
-    "--bandwidth": "bandwidth_hz",
-}
 FIXTURE_KEYS = ("tx_power_dbm", "g_tx_dbi", "noise_temperature_k")
 BAD_VALUES = ("nan", "-inf", "1e999", "x")
 
@@ -141,6 +130,39 @@ def test_word_and_integer_rules_raise_their_message(
         code, out, err = main([*command, flag, text]), *capsys.readouterr()
         assert (code, out) == (1, "")
         assert err.endswith(f"\nntnsim {command[0]}: error: argument {flag}: {message}\n")
+
+
+# Values of 5,000 characters, which would fill the message that echoed them whole.
+LONG_VALUES = {
+    "txpow": ((*FLAG_ARGV["--seed"], "--txpow", "9" * 5000), 1),
+    "mode": ((*FLAG_ARGV["--mode"], "--mode", "x" * 5000), 1),
+    "scenario": ((*FLAG_ARGV["--seed"], "--scenario", "x" * 5000), 1),
+    "hop": (("chain", "--hop", "9" * 5000 + ":10", *FLAG_ARGV["--mode"][3:]), 1),
+    "seed": ((*FLAG_ARGV["--seed"], "--seed", "x" * 4000), 1),  # below the digit limit
+    "spec-file": (None, 3),  # a tx_power_dbm line
+}
+
+
+@pytest.mark.parametrize("case", LONG_VALUES)
+def test_a_long_value_is_echoed_in_a_bounded_message(tmp_path, capsys, case):
+    argv, exit_code = LONG_VALUES[case]
+    if argv is None:
+        fixed = fixed_with("tx_power_dbm", "9" * 5000)
+        path = tmp_path / "s.cfg"
+        path.write_text("[fixed]\n" + "".join(f"{k} = {v}\n" for k, v in fixed.items()))
+        argv = ("sweep", "--spec", str(path))
+    code, out, err = main(list(argv)), *capsys.readouterr()
+    assert (code, out) == (exit_code, "")
+    (line,) = [line for line in err.splitlines() if "error" in line]
+    assert err.endswith(f"{line}\n") and len(line.encode()) < 400
+    assert "Traceback" not in err
+
+
+def test_an_integer_too_long_to_print_raises_the_typed_error():
+    # repr refuses an int of more digits than sys.get_int_max_str_digits().
+    with pytest.raises(ConfigError) as err:
+        RadioConfig(fc_ghz=10**5000, tx_power_dbm=18.0, g_over_t_dbi_per_k=15.9)
+    assert str(err.value) == "fc_ghz: expected a finite number, got an integer too long to print"
 
 
 # Valid values of every key of PARAMETERS, as text and as typed values.

@@ -10,60 +10,14 @@ import itertools
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
-from ntnsim import (
-    AtmosphereTable,
-    LinkGeometry,
-    NtnSimError,
-    RadioConfig,
-    Scenario,
-    classify_station,
-    evaluate_chain,
-    evaluate_link,
-)
-from ntnsim.harness.rows import METRIC_COLUMNS, RESULT_COLUMNS, result_record
+from ntnsim import AtmosphereTable, NtnSimError, Scenario
+from ntnsim.harness.rows import METRIC_COLUMNS, RESULT_COLUMNS
 from ntnsim.harness.sweep import SweepSpec, run_sweep
-from ntnsim.relay import RelayChain, RelayHop, RelayMode
+from strategies import chain_record, edge_specs
 
 FAILED = {**dict.fromkeys(METRIC_COLUMNS + ("slant_range_km", "bandwidth_hz")), "label": ""}
-
-# Gap altitudes (100, 26), out-of-range elevations (5, 95) and carriers
-# outside the atmosphere table (0.3, 120) make error rows; 20 km is a HAP,
-# so a relay through a 20 km HAP cannot reach it. A carrier of -2 GHz
-# fails the radio, which the chain checks before every station. From the
-# ground, 1e-13 km gives a zero slant range, whose FSPL error comes before
-# a carrier's, and 2e-12 km a negative FSPL, which the carrier's error
-# comes before. A receive gain of ±1e308 dBi with a transmit power of the
-# same sign (see FIXED_VALUES) makes an SNR that is not finite.
-AXIS_VALUES = {
-    "altitude_km": (1e-13, 2e-12, 20.0, 100.0, 300.0, 600.0, 1200.0, 35786.0),
-    "fc_ghz": (-2.0, 0.3, 2.0, 20.0, 60.0, 90.0, 120.0),
-    "elevation_deg": (5.0, 10.0, 30.0, 45.5, 90.0, 95.0),
-    "g_rx_dbi": (30.0, 50.0, 1e308, -1e308),
-    "scenario": tuple(s.value for s in Scenario),
-    "mode": ("direct", "relay"),
-}
-
-
-def chain_record(radio, stations, mode, scenario, table, scenario_table, seed=None, index=0):
-    """The record of the chain down from stations, (altitude, elevation) pairs
-    top-down, built by hand in the chain's check order: the radio (from its
-    RadioConfig fields), each station's band top-down, each hop, then
-    evaluate_link for one hop or evaluate_chain, sampled as row index of a
-    sweep with seed seed."""
-    radio = RadioConfig(**radio)
-    for altitude, _ in stations:
-        classify_station(altitude)
-    lows = [altitude for altitude, _ in stations[1:]] + [0.0]
-    hops = tuple(RelayHop(LinkGeometry.from_endpoints(low, high, elevation), radio)
-                 for (high, elevation), low in zip(stations, lows))
-    sampled = {"sampled_seed": seed, "sampled_index": index}
-    if len(hops) == 1:
-        return result_record(evaluate_link(
-            hops[0].geometry, radio, scenario, table, scenario_table, **sampled))
-    chain = RelayChain(hops, RelayMode(mode), scenario)
-    return result_record(evaluate_chain(chain, table, scenario_table, **sampled))
 
 
 def reference_row(point, fixed, table, scenario_table, seed, index):
@@ -102,79 +56,6 @@ def reference_rows(spec, table, scenario_table):
     return rows
 
 
-# Fixed values: usual ones, and edge ones, which take points off the sweep's
-# fused float path to the scalar one or fail a relay's HAP. A spec takes
-# edge values for the names of one entry of EDGES: none, one or a pair.
-# From 3000 to 3100 dBm hop SNRs near and pass about 3083 dB, where a
-# power ratio overflows; at 3000 dBm
-# the AF product of two hops' ratios overflows first, at -2900 dBm it
-# underflows, and at -3500 dBm both ratios are 0, a DF tie. ±1e308 dBm
-# saturate a budget. A subnormal noise temperature or bandwidth adds about
-# 3233 dB to every SNR, and 1e308 takes about 3080 dB off. Through a HAP at
-# 1e-13 km the HAP-ground hop has a zero slant range, at 2e-12 km a
-# negative FSPL; 26 km lies in the gap. At 1e308 Hz a capacity overflows a
-# float above an SNR of about 3.9 dB, which only a subnormal noise
-# temperature or 3000-3100 dBm reaches: EDGES pairs each with the bandwidth.
-# The power pair, CAPACITY, is drawn twice as often as another entry.
-# Three of its draws in four, capacity draws, take 1e308 Hz with 3050 dBm
-# (whose hop SNRs there stay below 3083 dB and mostly lie above 3.9 dB) and
-# sweep only axis values that can reach a capacity exit (see axis).
-FIXED_VALUES = {
-    "tx_power_dbm": ((18.0,), (1e308, -1e308, -3500.0, -2900.0, 3000.0, 3050.0, 3100.0)),
-    "noise_temperature_k": ((290.0,), (5e-324, 1e308)),
-    "bandwidth_hz": ((None, 400e6), (5e-324, 1e308)),
-    "hap_altitude_km": ((17.0, 20.0), (1e-13, 2e-12, 26.0)),
-}
-CAPACITY = ("bandwidth_hz", "tx_power_dbm")
-EDGES = ((), *((name,) for name in FIXED_VALUES), ("bandwidth_hz", "noise_temperature_k"),
-         *(CAPACITY,) * 2)
-
-
-def fixed_value(name, edges):
-    usual, edge_values = FIXED_VALUES[name]
-    return st.sampled_from(edge_values if name in edges else usual)
-
-
-# The axis values whose points cannot reach a guard's capacity exit: they
-# fail (see AXIS_VALUES) or, at ±1e308 dBi, leave the fused path at any
-# fixed value.
-NO_CAPACITY_EXIT = {"altitude_km": (1e-13, 2e-12, 100.0), "fc_ghz": (-2.0, 0.3, 120.0),
-                    "elevation_deg": (5.0, 95.0), "g_rx_dbi": (1e308, -1e308)}
-
-
-def axis(name, capacity=False):
-    """An axis's values; for a capacity draw (see CAPACITY) both modes, and
-    only values whose points can reach a guard's capacity exit."""
-    if capacity and name == "mode":
-        return st.permutations(AXIS_VALUES["mode"])
-    # Lists, not sets: repeated values are part of what is tested.
-    values = [v for v in AXIS_VALUES[name]
-              if not (capacity and v in NO_CAPACITY_EXIT.get(name, ()))]
-    return st.lists(st.sampled_from(values), min_size=1, max_size=3)
-
-
-@st.composite
-def specs(draw):
-    # Every axis, declared in any order: row order, and so which axes vary
-    # fastest, follows the declaration.
-    edges = draw(st.sampled_from(EDGES))
-    capacity = edges == CAPACITY and draw(st.integers(0, 3)) > 0
-    order = draw(st.permutations(tuple(AXIS_VALUES)))
-    axes = tuple((name, tuple(draw(axis(name, capacity)))) for name in order)
-    excess_mode = draw(st.sampled_from(["expected", "sampled"]))
-    fixed = {
-        **{name: draw(fixed_value(name, edges)) for name in FIXED_VALUES},
-        "relay_mode": draw(st.sampled_from(["af", "df"])),
-        "excess_mode": excess_mode,
-    }
-    if capacity:
-        fixed.update(bandwidth_hz=1e308, tx_power_dbm=3050.0)
-    if fixed["bandwidth_hz"] is None:  # Auto
-        del fixed["bandwidth_hz"]
-    seed = draw(st.integers(0, 2**31 - 1)) if excess_mode == "sampled" else None
-    return SweepSpec(axes=axes, fixed=fixed, seed=seed)
-
-
 # fc_ghz is the inner axis; on the one prefix, the radios stage's arguments
 # (fc_ghz, g_rx_dbi) and the atmosphere stage's (fc_ghz, elevation_deg) are both
 # (20.0, 30.0), so a column memo keyed without its stage would mix their columns.
@@ -186,7 +67,7 @@ MEMO_COLLISION = SweepSpec(
 
 
 @settings(max_examples=40, deadline=None)
-@given(specs())
+@given(edge_specs())
 @example(spec=MEMO_COLLISION)
 def test_sweep_rows_equal_per_point_evaluation(atm_table, scen_table, spec):
     rows = run_sweep(spec, atm_table, scen_table).rows
