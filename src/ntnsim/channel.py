@@ -218,7 +218,7 @@ def _decimal(name: str, value: int) -> bytes:
     """value in ASCII decimal, the stream key's text; DomainError unless value
     is an int that the interpreter will print."""
     if type(value) is not int:  # "%d" would truncate 2.5 to the stream of 2
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {echo(value)}")
     try:
         return b"%d" % value
     except ValueError:  # more digits than sys.get_int_max_str_digits(); so is its repr
@@ -373,7 +373,8 @@ def _read_table(text: str, name: str, columns: tuple[str, ...]):
             fields = line.split()
             if len(fields) != len(columns):
                 raise TableFormatError(
-                    f"{name}: expected {len(columns)} columns ({' '.join(columns)}), got {line!r}"
+                    f"{name}: expected {len(columns)} columns ({' '.join(columns)}), "
+                    f"got {echo(line)}"
                 )
             yield fields, line
 
@@ -389,7 +390,7 @@ def _table_numbers(fields: list[str], line: str, name: str) -> list[float]:
     try:
         return list(map(finite_number, fields))
     except ValueError:
-        raise TableFormatError(f"{name}: bad numeric field in line {line!r}") from None
+        raise TableFormatError(f"{name}: bad numeric field in line {echo(line)}") from None
 
 
 def parse_atmosphere_table(text: str, name: str = "atmosphere table") -> AtmosphereTable:
@@ -405,7 +406,7 @@ def parse_scenario_table(text: str, name: str = "scenario table") -> ScenarioTab
         try:
             scenario = Scenario.from_name(fields[0])
         except DomainError as exc:
-            raise TableFormatError(f"{name}: {exc} in line {line!r}") from None
+            raise TableFormatError(f"{name}: {exc} in line {echo(line)}") from None
         elev, p, los, nlos, sigma = _table_numbers(fields[1:], line, name)
         if elev in cells[scenario]:
             raise TableFormatError(
@@ -514,7 +515,7 @@ def excess_loss_db(
     no frequency column, so the loss does not depend on the carrier.
     """
     if not isinstance(scenario, Scenario):
-        raise DomainError(f"unknown scenario: {scenario!r}")
+        raise DomainError(f"unknown scenario: {echo(scenario)}")
     cell = (table or load_scenario_table()).cell(scenario, elevation_deg)
     if sampled_seed is None:
         return cell.expected_db()

@@ -39,12 +39,12 @@ def parse_sections(
             out.setdefault(section, {})
             continue
         if "=" not in line:
-            raise error_cls(f"{name}:{lineno}: expected 'key = value', got {raw!r}")
+            raise error_cls(f"{name}:{lineno}: expected 'key = value', got {echo(raw)}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
-            raise error_cls(f"{name}:{lineno}: empty key or value in {raw!r}")
+            raise error_cls(f"{name}:{lineno}: empty key or value in {echo(raw)}")
         if key in out[section]:
-            raise error_cls(f"{name}:{lineno}: duplicate key {key!r}")
+            raise error_cls(f"{name}:{lineno}: duplicate key {echo(key)}")
         out[section][key] = (value, lineno)
     return out
 

@@ -10,6 +10,7 @@ fixed value's origin is recorded in the CSV provenance header.
 from __future__ import annotations
 
 from ..errors import PresetError
+from ..geometry import echo
 from .config import PRESET_NAMES, load_fig_defaults
 from .sweep import SweepSpec
 
@@ -20,7 +21,7 @@ def preset(name: str) -> SweepSpec:
     """Sweep spec for one of the built-in figure presets."""
     if name not in PRESET_NAMES:
         raise PresetError(
-            f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
+            f"unknown preset {echo(name)}; valid names: {', '.join(PRESET_NAMES)}"
         )
     fx = load_fig_defaults()
     fixture = {"tx_power_dbm": fx["tx_power_dbm"], "g_tx_dbi": fx["g_tx_dbi"]}

@@ -69,10 +69,6 @@ class SweepRows(Sequence):
         combo = _combo([values for _, values in self.axes], index % len(self))
         return dict(zip(self.columns, combo + record))
 
-    def __iter__(self):
-        for combo, record in zip(product(*(v for _, v in self.axes)), self.records):
-            yield dict(zip(self.columns, combo + record))
-
 
 def _combo(axes, index: int) -> tuple:
     """Row index's values, one from each of axes' value sequences, the last fastest."""

@@ -48,7 +48,7 @@ from ..channel import (
     scintillation_db,
 )
 from ..errors import ConfigError, NtnSimError, SpecError
-from ..geometry import classify_station, slant_range_km
+from ..geometry import classify_station, echo, slant_range_km
 from ..linkbudget import _LN2, BOLTZMANN_DBM_PER_K_HZ, RadioConfig
 from ..relay import RelayMode, _build_chain, chain_label, evaluate_chain
 from .config import PARAMETERS, parse_sections, parse_value
@@ -125,22 +125,22 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[str, tuple], dict[str, object]
         try:
             name, values = entry
         except (TypeError, ValueError):
-            raise SpecError(f"axes entry {entry!r} is not a (name, values) pair") from None
+            raise SpecError(f"axes entry {echo(entry)} is not a (name, values) pair") from None
         if isinstance(values, Mapping) or not _is_sequence(values):
             kind = type(values).__name__
-            raise SpecError(f"axis {name!r} takes a sequence of values, not a {kind}")
+            raise SpecError(f"axis {echo(name)} takes a sequence of values, not a {kind}")
         if name not in AXIS_NAMES:
-            raise SpecError(f"unknown axis {name!r}; axes may be {AXIS_NAMES}")
+            raise SpecError(f"unknown axis {echo(name)}; axes may be {AXIS_NAMES}")
         if name in axes:
-            raise SpecError(f"axis {name!r} declared twice")
+            raise SpecError(f"axis {echo(name)} declared twice")
         if len(values) == 0:
-            raise SpecError(f"axis {name!r} is empty")
+            raise SpecError(f"axis {echo(name)} is empty")
         if name in spec.fixed:
-            raise SpecError(f"{name!r} appears in both axes and fixed")
+            raise SpecError(f"{echo(name)} appears in both axes and fixed")
         axes[name] = tuple(parse_value(name, v, SpecError) for v in values)
     for key in spec.fixed:
         if key not in PARAMETERS or key == "seed":
-            raise SpecError(f"unknown fixed parameter {key!r}")
+            raise SpecError(f"unknown fixed parameter {echo(key)}")
     fixed = {
         key: parse_value(key, value, SpecError)
         for key, value in {**_DEFAULTS, **spec.fixed}.items()
@@ -175,9 +175,9 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[str, tuple], dict[str, object]
     schema = spec.schema()
     for i, col in enumerate(schema):
         if col not in known_metrics:
-            raise SpecError(f"unknown output column {col!r}")
+            raise SpecError(f"unknown output column {echo(col)}")
         if col in schema[:i]:
-            raise SpecError(f"output column {col!r} listed twice")
+            raise SpecError(f"output column {echo(col)} listed twice")
     for name in AXIS_NAMES:
         axes.setdefault(name, (fixed.get(name),))
     return axes, fixed, seed if sampled else None
@@ -456,7 +456,7 @@ def load_sweep_spec(path: str | Path, seed: int | None = None) -> SweepSpec:
     known = {"", "axes", "fixed", "output"}
     unknown = set(sections) - known
     if unknown:
-        raise SpecError(f"{p.name}: unknown sections {sorted(unknown)}")
+        raise SpecError(f"{p.name}: unknown sections {echo(sorted(unknown))}")
 
     def value_of(key: str, text: str, lineno: int) -> object:
         # Checked here to name the line; numbers are kept parsed and
@@ -479,10 +479,12 @@ def load_sweep_spec(path: str | Path, seed: int | None = None) -> SweepSpec:
     top = dict(sections.get("", {}))
     file_seed = value_of("seed", *top.pop("seed")) if "seed" in top else None  # checked if replaced
     if top:
-        raise SpecError(f"{p.name}: unexpected top-level keys {sorted(top)}")
+        raise SpecError(f"{p.name}: unexpected top-level keys {echo(sorted(top))}")
     for key, (value, lineno) in sections.get("output", {}).items():
         if key != "columns":
-            raise SpecError(f"{p.name}:{lineno}: unknown output key {key!r}; expected 'columns'")
+            raise SpecError(
+                f"{p.name}:{lineno}: unknown output key {echo(key)}; expected 'columns'"
+            )
         schema = tuple(v.strip() for v in value.split(",") if v.strip())
         if not schema:
             raise SpecError(f"{p.name}:{lineno}: columns lists no column")

@@ -22,7 +22,7 @@ from .channel import (
     ScenarioTable,
 )
 from .errors import ChainError, DomainError
-from .geometry import LinkGeometry, classify_station
+from .geometry import LinkGeometry, classify_station, echo
 from .linkbudget import LinkResult, RadioConfig, evaluate_link, shannon_capacity_bps, snr_linear
 
 
@@ -104,7 +104,7 @@ def _build_chain(stations, radio: RadioConfig, mode: RelayMode, scenario) -> Rel
 
 def _validate_chain(chain: RelayChain) -> None:
     if not isinstance(chain.mode, RelayMode):
-        raise ChainError(f"relay mode must be a RelayMode, not {chain.mode!r}")
+        raise ChainError(f"relay mode must be a RelayMode, not {echo(chain.mode)}")
     if not chain.hops:
         raise ChainError("chain must contain at least one hop")
     for i in range(len(chain.hops) - 1):

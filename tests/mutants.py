@@ -44,6 +44,8 @@ QUOTING = f"{CSV}::test_every_special_character_is_quoted_in_header_axes_and_err
 PARAMS = "tests/test_params.py"
 TABLES = "tests/test_channel.py::test_table_rules_raise_their_message"
 WHOLE_SPEC = "tests/test_harness.py::TestSweepValidation::test_whole_spec_rules_raise_their_message"
+LONG = f"{PARAMS}::test_a_long_value_is_echoed_in_a_bounded_message"
+ORACLE = "tests/test_acceptance.py::test_criterion_7_oracle_equivalence"
 
 MUTANTS = (
     # Each sweep stage names its axes once.
@@ -157,20 +159,36 @@ MUTANTS = (
            "", (f"{WHOLE_SPEC}[tx-power-missing]",)),
     Mutant("unknown-output-column-accepted", SWEEP,
            "        if col not in known_metrics:\n"
-           '            raise SpecError(f"unknown output column {col!r}")\n',
+           '            raise SpecError(f"unknown output column {echo(col)}")\n',
            "", (f"{WHOLE_SPEC}[unknown-column]",)),
     # No input fills an error message.
     Mutant("finite-number-echoes-a-long-value", "geometry.py",
            'got {echo(value)}"', 'got {value!r}"',
-           (f"{PARAMS}::test_a_long_value_is_echoed_in_a_bounded_message[txpow]",
-            f"{PARAMS}::test_a_long_value_is_echoed_in_a_bounded_message[spec-file]")),
+           (f"{LONG}[txpow]", f"{LONG}[spec-file]")),
     Mutant("integer-echoes-a-long-word", "harness/config.py",
            'f"expected an integer, got {echo(value)}"', 'f"expected an integer, got {value!r}"',
-           (f"{PARAMS}::test_a_long_value_is_echoed_in_a_bounded_message[seed]",)),
+           (f"{LONG}[seed]",)),
     Mutant("echo-of-an-unprintable-integer", "geometry.py",
            "    try:\n        text = repr(value)\n    except ValueError:",
            "    text = repr(value)\n    if False:",
            (f"{PARAMS}::test_an_integer_too_long_to_print_raises_the_typed_error",)),
+    Mutant("parse-sections-echoes-a-long-line", "harness/config.py",
+           'got {echo(raw)}"', 'got {raw!r}"', (f"{LONG}[spec-line]",)),
+    Mutant("unknown-axis-echoes-a-long-name", SWEEP,
+           "unknown axis {echo(name)}", "unknown axis {name!r}", (f"{LONG}[unknown-axis]",)),
+    # Faults common to the package's two copies of a formula: the independent oracle kills them.
+    Mutant("boltzmann-constant-off-by-0.1-db", "linkbudget.py",
+           "BOLTZMANN_DBM_PER_K_HZ = -198.6", "BOLTZMANN_DBM_PER_K_HZ = -198.5", (ORACLE,)),
+    Mutant("hap-atmosphere-fraction-off", "channel.py",
+           "        return 0.1\n", "        return 0.11\n", (ORACLE,)),
+    Mutant("af-fold-plus-two", "relay.py",
+           "return product / (snr_linear_1 + snr_linear_2 + 1.0)",
+           "return product / (snr_linear_1 + snr_linear_2 + 2.0)",
+           ("tests/test_relay.py::TestAfSnr::test_symmetric_unit",)),
+    Mutant("df-takes-the-strongest-hop", "relay.py",
+           "return min(c1_bps, c2_bps)", "return max(c1_bps, c2_bps)",
+           tuple(f"tests/test_relay.py::TestDfCapacity::test_{name}" for name in (
+               "absorbing_zero", "min", "bottleneck_is_first_hop_with_least_capacity"))),
 )
 
 

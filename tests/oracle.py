@@ -5,7 +5,9 @@ collect this file (its name lacks the test_ prefix); test modules import
 it as `oracle`.
 """
 
+import hashlib
 import math
+import struct
 from bisect import bisect_right
 
 EARTH_RADIUS_KM = 6371.0
@@ -81,5 +83,18 @@ def _oracle_link(low, high, elev, fc, scenario, radio, atm, scen):
             + 198.6
             - 10 * math.log10(radio.bandwidth_hz)
         )
-    capacity = radio.bandwidth_hz * math.log1p(10 ** (snr / 10)) / math.log(2)
-    return total, snr, capacity
+    return total, snr, capacity_bps(radio.bandwidth_hz, snr)
+
+
+def capacity_bps(bandwidth_hz, snr_db):
+    """Shannon capacity of a link of bandwidth_hz at snr_db."""
+    return bandwidth_hz * math.log1p(10 ** (snr_db / 10)) / math.log(2)
+
+
+def documented_draw(cell, seed, index):
+    """The data/FORMATS.md recipe, from hashlib and math only."""
+    words = struct.unpack(">3Q", hashlib.blake2b(b"%d:%d" % (seed, index), digest_size=24).digest())
+    u1, u2, u3 = ((w >> 11) / 2.0**53 for w in words)
+    clutter = cell.clutter_los_db if u1 < cell.p_los else cell.clutter_nlos_db
+    normal = math.sqrt(-2.0 * math.log(1.0 - u2)) * math.cos(2.0 * math.pi * u3)
+    return max(0.0, clutter + cell.shadow_sigma_db * normal)

@@ -142,7 +142,6 @@ def no_row_dicts():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SweepRows, "__getitem__", build)
-        patch.setattr(SweepRows, "__iter__", build)
         yield
 
 

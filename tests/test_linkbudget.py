@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import oracle
 from ntnsim import (
     ConfigError,
     DomainError,
@@ -19,10 +20,6 @@ from ntnsim import (
     snr_db,
 )
 from ntnsim.relay import af_chain_snr_db
-
-
-def capacity_identity(result):
-    return result.bandwidth_hz * math.log1p(10 ** (result.snr_db / 10)) / math.log(2)
 
 
 class TestDefaultBandwidth:
@@ -276,7 +273,8 @@ class TestEvaluateLink:
         res = evaluate_link(
             g, got_radio(fc_ghz=30), Scenario.SUBURBAN, atm_table, scenario_table=scen_table
         )
-        assert res.capacity_bps == pytest.approx(capacity_identity(res), rel=1e-9)
+        identity = oracle.capacity_bps(res.bandwidth_hz, res.snr_db)
+        assert res.capacity_bps == pytest.approx(identity, rel=1e-9)
 
     def test_sub6_point_stays_under_500mbps(self, atm_table, scen_table):
         g = LinkGeometry.from_endpoints(0, 600, 10)

@@ -1,12 +1,15 @@
 """Parameter values: the fig-defaults fixture, spec files, Python specs and CLI flags agree."""
 
+import hashlib
 import math
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ntnsim import ConfigError, RadioConfig, RelayMode, Scenario, SpecError
+from ntnsim import (
+    ChainError, ConfigError, DomainError, LinkGeometry, RadioConfig, RelayChain, RelayHop,
+    RelayMode, Scenario, SpecError, evaluate_chain, excess_loss_db)
 from ntnsim.channel import _data_text
 from ntnsim.geometry import finite_number
 from ntnsim.harness import config
@@ -35,6 +38,11 @@ def fixed_with(key, value):
     return {**BASE, **form, key: value}
 
 
+def fixed_text(fixed):
+    """A spec file's [fixed] section of fixed."""
+    return "[fixed]\n" + "".join(f"{k} = {v}\n" for k, v in fixed.items())
+
+
 @pytest.mark.parametrize("key", FIXTURE_KEYS)
 @pytest.mark.parametrize("value", BAD_VALUES)
 def test_config_file_rejects(monkeypatch, key, value):
@@ -52,7 +60,7 @@ def test_config_file_rejects(monkeypatch, key, value):
 def test_spec_file_rejects(tmp_path, key, value):
     fixed = fixed_with(key, value)
     path = tmp_path / "s.cfg"
-    path.write_text("[fixed]\n" + "".join(f"{k} = {v}\n" for k, v in fixed.items()))
+    path.write_text(fixed_text(fixed))
     with pytest.raises(SpecError) as err:
         load_sweep_spec(path)
     line = list(fixed).index(key) + 2
@@ -132,30 +140,84 @@ def test_word_and_integer_rules_raise_their_message(
         assert err.endswith(f"\nntnsim {command[0]}: error: argument {flag}: {message}\n")
 
 
-# Values of 5,000 characters, which would fill the message that echoed them whole.
+X = "x" * 5000
+ECHO = f"'{'x' * 39}... (5002 characters)"  # geometry.echo of X
+
+
+def spec_argv(text):
+    """A sweep command line, its spec file written under tmp_path with text."""
+
+    def argv(tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text(text)
+        return ("sweep", "--spec", str(path))
+
+    return argv
+
+
+def table_argv(name, line):
+    """A link command line on tables under tmp_path, where table name holds
+    line as its one row, checksummed, and the atmosphere table is otherwise
+    the packaged one."""
+
+    def argv(tmp_path):
+        (tmp_path / "atmosphere.tsv").write_text(_data_text("atmosphere.tsv"))
+        digest = hashlib.sha256(line.encode()).hexdigest()
+        (tmp_path / name).write_text(f"# version: 1\n# checksum: sha256={digest}\n{line}\n")
+        return (*FLAG_ARGV["--seed"], "--tables", str(tmp_path))
+
+    return argv
+
+
+# Values of 5,000 characters, which would fill the message that echoed them whole:
+# command lines, or for files a function that writes them and gives the command line.
 LONG_VALUES = {
     "txpow": ((*FLAG_ARGV["--seed"], "--txpow", "9" * 5000), 1),
-    "mode": ((*FLAG_ARGV["--mode"], "--mode", "x" * 5000), 1),
-    "scenario": ((*FLAG_ARGV["--seed"], "--scenario", "x" * 5000), 1),
+    "mode": ((*FLAG_ARGV["--mode"], "--mode", X), 1),
+    "scenario": ((*FLAG_ARGV["--seed"], "--scenario", X), 1),
     "hop": (("chain", "--hop", "9" * 5000 + ":10", *FLAG_ARGV["--mode"][3:]), 1),
     "seed": ((*FLAG_ARGV["--seed"], "--seed", "x" * 4000), 1),  # below the digit limit
-    "spec-file": (None, 3),  # a tx_power_dbm line
+    "spec-file": (spec_argv(fixed_text(fixed_with("tx_power_dbm", "9" * 5000))), 3),
+    "spec-line": (spec_argv(f"{X}\n"), 3),
+    "spec-empty-value": (spec_argv(f"{X} =\n"), 3),
+    "duplicate-key": (spec_argv(f"[fixed]\n{X} = 1\n{X} = 1\n"), 3),
+    "unknown-section": (spec_argv(f"[{X}]\n"), 3),
+    "top-level-key": (spec_argv(f"{X} = 1\n"), 3),
+    "output-key": (spec_argv(f"[output]\n{X} = 1\n"), 3),
+    "unknown-axis": (spec_argv(f"[axes]\n{X} = 1\n"), 3),
+    "unknown-fixed": (spec_argv(f"[fixed]\n{X} = 1\n"), 3),
+    "unknown-column": (spec_argv(fixed_text(fixed_with("tx_power_dbm", "18"))
+                                 + f"[output]\ncolumns = {X}\n"), 3),
+    "preset": (("preset", "--name", X), 3),
+    "table-columns": (table_argv("atmosphere.tsv", f"20 0.1 0.1 {X}"), 2),
+    "table-number": (table_argv("atmosphere.tsv", f"20 0.1 {X}"), 2),
+    "table-scenario": (table_argv("scenario.tsv", f"{X} 10 0.5 1 2 3"), 2),
 }
 
 
 @pytest.mark.parametrize("case", LONG_VALUES)
 def test_a_long_value_is_echoed_in_a_bounded_message(tmp_path, capsys, case):
     argv, exit_code = LONG_VALUES[case]
-    if argv is None:
-        fixed = fixed_with("tx_power_dbm", "9" * 5000)
-        path = tmp_path / "s.cfg"
-        path.write_text("[fixed]\n" + "".join(f"{k} = {v}\n" for k, v in fixed.items()))
-        argv = ("sweep", "--spec", str(path))
+    if callable(argv):
+        argv = argv(tmp_path)
     code, out, err = main(list(argv)), *capsys.readouterr()
     assert (code, out) == (exit_code, "")
     (line,) = [line for line in err.splitlines() if "error" in line]
     assert err.endswith(f"{line}\n") and len(line.encode()) < 400
     assert "Traceback" not in err
+
+
+def test_a_long_library_value_is_echoed_in_a_bounded_message(atm_table, scen_table, got_radio):
+    with pytest.raises(DomainError) as err:
+        scen_table.cell(Scenario.RURAL, 30.0).sampled_db(X)
+    assert str(err.value) == f"sampled_seed must be an integer, got {ECHO}"
+    with pytest.raises(DomainError) as err:
+        excess_loss_db(X, 30.0, scen_table)
+    assert str(err.value) == f"unknown scenario: {ECHO}"
+    hop = RelayHop(LinkGeometry.from_endpoints(0.0, 600.0, 30.0), got_radio())
+    with pytest.raises(ChainError) as err:
+        evaluate_chain(RelayChain((hop,), X), atm_table, scen_table)
+    assert str(err.value) == f"relay mode must be a RelayMode, not {ECHO}"
 
 
 def test_an_integer_too_long_to_print_raises_the_typed_error():

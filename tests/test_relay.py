@@ -6,6 +6,7 @@ from functools import reduce
 
 import pytest
 
+import oracle
 from ntnsim import (
     ChainError,
     DomainError,
@@ -298,5 +299,5 @@ class TestEvaluateChain:
             res = evaluate_chain(
                 leo_hap_ground_chain(got_radio(), mode=mode), atm_table, scen_table
             )
-            identity = res.bandwidth_hz * math.log1p(10 ** (res.snr_db / 10)) / math.log(2)
+            identity = oracle.capacity_bps(res.bandwidth_hz, res.snr_db)
             assert res.capacity_bps == pytest.approx(identity, rel=1e-9)

@@ -8,15 +8,14 @@ check that nearby and opposite seeds are unrelated, and recompute the
 documented scheme from hashlib alone.
 """
 
-import hashlib
 import math
 import statistics
-import struct
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from ntnsim import (
     DomainError,
     LinkGeometry,
@@ -111,15 +110,6 @@ def test_non_integer_seed_rejected(scen_table, seed):
             excess_loss_db(SCENARIO, ELEVATION, scen_table, sampled_seed=seed)
 
 
-def documented_draw(cell, seed, index):
-    """The data/FORMATS.md recipe, from hashlib and math only."""
-    words = struct.unpack(">3Q", hashlib.blake2b(b"%d:%d" % (seed, index), digest_size=24).digest())
-    u1, u2, u3 = ((w >> 11) / 2.0**53 for w in words)
-    clutter = cell.clutter_los_db if u1 < cell.p_los else cell.clutter_nlos_db
-    normal = math.sqrt(-2.0 * math.log(1.0 - u2)) * math.cos(2.0 * math.pi * u3)
-    return max(0.0, clutter + cell.shadow_sigma_db * normal)
-
-
 SEEDS = [0, 2**63, -2**63, *range(-8, 12)]
 
 
@@ -129,7 +119,7 @@ def test_cached_seed_prefixes_leave_every_stream_unchanged(scen_table):
     cell = scen_table.cell(SCENARIO, ELEVATION)
     for index in (0, 1, 0, 12345, 1):
         for seed in SEEDS + SEEDS[::-1]:
-            assert cell.sampled_db(seed, index) == documented_draw(cell, seed, index)
+            assert cell.sampled_db(seed, index) == oracle.documented_draw(cell, seed, index)
 
 
 def test_samplers_leave_every_stream_unchanged(scen_table):
@@ -139,7 +129,7 @@ def test_samplers_leave_every_stream_unchanged(scen_table):
     draws = {seed: cell.sampler(seed) for seed in SEEDS}
     for index in (0, 1, 0, 12345, 1, 1):
         for seed in SEEDS + SEEDS[::-1]:
-            assert draws[seed](index) == documented_draw(cell, seed, index)
+            assert draws[seed](index) == oracle.documented_draw(cell, seed, index)
 
 
 @pytest.mark.parametrize("index", [2.5, True])
@@ -180,7 +170,7 @@ def test_rows_follow_the_documented_scheme(atm_table, scen_table, seed):
     for index, row in enumerate(rows):
         if not row["error"]:
             cell = scen_table.cell(Scenario.from_name(row["scenario"]), row["elevation_deg"])
-            assert row["excess_db"] == documented_draw(cell, seed, index)
+            assert row["excess_db"] == oracle.documented_draw(cell, seed, index)
 
 
 GRID_VALUES = {  # 100 km is a gap altitude and 120 GHz is off the table: error rows
