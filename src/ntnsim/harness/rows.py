@@ -49,14 +49,19 @@ class SweepRows(Sequence):
     one value each (link's and chain's: their inputs, one value each, over
     result_record). A point's record holds its values of RESULT_COLUMNS,
     in that order; a failed point's are None but for an empty label and
-    its error. Row i's axis values are decoded from i
-    by mixed radix. Each row dict is built when read and never kept.
+    its error. texts names RESULT_COLUMNS whose CSV text, "%.6g" of the
+    value, follows an ok record's values, in that order, for emit_csv to
+    write as it is; a failed record has none. A row dict zips its columns
+    with the record, so it stops before the texts. Row i's axis values are
+    decoded from i by mixed radix. Each row dict is built when read and
+    never kept.
     """
 
-    __slots__ = ("axes", "records", "columns")
+    __slots__ = ("axes", "records", "texts", "columns")
 
-    def __init__(self, axes: tuple[tuple[str, tuple], ...], records: tuple[tuple, ...]) -> None:
-        self.axes, self.records = axes, records
+    def __init__(self, axes: tuple[tuple[str, tuple], ...], records: tuple[tuple, ...],
+                 texts: tuple[str, ...] = ()) -> None:
+        self.axes, self.records, self.texts = axes, records, texts
         self.columns = tuple(name for name, _ in axes) + RESULT_COLUMNS
 
     def __len__(self) -> int:
@@ -135,8 +140,9 @@ def _write_csv(result: SweepResult, handle) -> None:
     empty = '""' if len(schema) == 1 else ""  # a row's only cell is quoted when empty
     handle.write(",".join(_quoted(name) or empty for name in schema) + "\n")
     # Records: one format string per kind of row, over its axis texts and
-    # record; "%.6g" gives format_value's text of a float, which needs no quotes.
-    axes, records = result.rows.axes, result.rows.records
+    # record; "%.6g" gives format_value's text of a float, which needs no
+    # quotes, and an ok record's texts hold it already.
+    axes, records, texts = result.rows.axes, result.rows.records, result.rows.texts
     names = [name for name, _ in axes]
     n = len(names)
 
@@ -148,6 +154,9 @@ def _write_csv(result: SweepResult, handle) -> None:
                 indices.append(names.index(col))
             elif col not in RESULT_COLUMNS or (col == "error") != failed:
                 formats.append(empty)  # a point's error, a failed point's metrics and label
+            elif col in texts:
+                formats.append("%s")
+                indices.append(n + len(RESULT_COLUMNS) + texts.index(col))
             else:
                 formats.append("%s" if col in ("label", "error") else "%.6g")
                 indices.append(n + RESULT_COLUMNS.index(col))

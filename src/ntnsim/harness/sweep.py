@@ -15,7 +15,10 @@ by its own axes, and a prefix with a station in a gap takes its one
 error (see _records). So each record (see SweepRows), error rows and
 messages included, is result_record of the point's own evaluate_link or
 evaluate_chain result, with sampled_index its row index, and
-rows.emit_csv writes it as it writes link's and chain's.
+rows.emit_csv writes it as it writes link's and chain's. An ok record
+also carries the CSV text of gas, scintillation and expected clutter
+after its values (_plan's texts), which the stages format once per
+distinct input, so the writer formats only the per-point floats.
 
 Sampled clutter gives every point its own stream: the point at row
 index i of a sweep with seed s draws from blake2b(b"<s>:<i>"), through
@@ -53,7 +56,8 @@ from ..linkbudget import _LN2, BOLTZMANN_DBM_PER_K_HZ, RadioConfig
 from ..relay import RelayMode, _build_chain, chain_label, evaluate_chain
 from .config import PARAMETERS, parse_sections, parse_value
 from .rows import (
-    EXTRA_COLUMNS, METRIC_COLUMNS, SweepResult, SweepRows, _FAILED, _combo, result_record)
+    EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, SweepResult, SweepRows, _FAILED, _combo,
+    result_record)
 # Unused here: the benchmark reads the writer as sweep.csv_bytes and sweep.emit_csv
 # (bench/tracer.py's TARGETS, bench/workloads.py) until its span tracer is replaced.
 from .rows import csv_bytes, emit_csv
@@ -184,9 +188,14 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[str, tuple], dict[str, object]
 
 
 def _plan(axes, fixed, table, scenario_table, seed):
-    """(reference, gap_error, plans) for _validate_spec's axes, fixed and seed.
+    """(reference, gap_error, plans, texts) for _validate_spec's axes, fixed and seed.
 
-    reference(index) is row index's record as evaluate_chain gives it.
+    texts names the RESULT_COLUMNS whose CSV text ("%.6g") an ok record
+    carries after its values, in that order (see SweepRows): gas_db and
+    scintillation_db, and excess_db unless clutter is sampled, whose
+    draw is the point's own.
+    reference(index) is row index's record as evaluate_chain gives it,
+    with its texts if it is ok.
     gap_error(altitude, mode) is the error of every point at that altitude
     and mode where no point's radio fails (the chain's first check) and one
     of its stations fails classify_station, else None.
@@ -195,17 +204,24 @@ def _plan(axes, fixed, table, scenario_table, seed):
     AXIS_NAMES, in that order, is cached per distinct input, and raises
     where the chain fails, and the point then gets reference(index). point
     maps the stage values, in stages' order, and the row index to the
-    point's record (see SweepRows) and never raises. It does the scalar
-    functions' float work inline, in their order, while their happy paths
-    hold: FSPL > 0 and the other stages >= 0 with a finite total, finite
-    SNRs whose power ratios do not overflow, 0 < bandwidth <
-    _BANDWIDTH_BOUND (so that no capacity the scalar path computes, each
-    hop's included, overflows), for AF a finite product and a normal
-    gamma. Outside that guard it gives reference(index).
+    point's record, texts included, and never raises. The stages give:
+    radios (gain and bandwidth terms, FSPL's carrier term, bandwidth); a
+    hop (slant range, FSPL's range term); atmosphere, a (gas, scint, gas
+    text, scint text) per hop fraction, the ground's first, and given a
+    HAP a third, the two-hop sums, hop 0's term first; and cells,
+    (expected clutter, its text), or in sampled mode the cell's sampler.
+    point does the scalar functions' float work inline, in their order,
+    while their happy paths hold: FSPL > 0 and the other stages >= 0 with
+    a finite total, finite SNRs whose power ratios do not overflow, 0 <
+    bandwidth < _BANDWIDTH_BOUND (so that no capacity the scalar path
+    computes, each hop's included, overflows), for AF a finite product
+    and a normal gamma. Outside that guard it gives reference(index).
     """
     hap, relay_mode = fixed.get("hap_altitude_km"), fixed["relay_mode"]
     radio_fixed = _fixed_radio(fixed)  # RadioConfig's defaults stand for fields left out
     values, pick = tuple(axes.values()), itemgetter(*map(list(axes).index, AXIS_NAMES))
+    texts = ("gas_db", "scintillation_db") + (("excess_db",) if seed is None else ())
+    text_at = [RESULT_COLUMNS.index(name) for name in texts]
 
     def highs(altitude, mode):  # the hops' upper stations, top-down
         return (altitude, hap) if mode == MODE_RELAY else (altitude,)
@@ -216,10 +232,11 @@ def _plan(axes, fixed, table, scenario_table, seed):
         try:
             radio = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx)
             chain = _build_chain(stations, radio, relay_mode, scenario)
-            return result_record(evaluate_chain(
+            record = result_record(evaluate_chain(
                 chain, table, scenario_table, sampled_seed=seed, sampled_index=index))
         except NtnSimError as exc:
             return _FAILED + (str(exc),)
+        return record + tuple("%.6g" % record[i] for i in text_at)
 
     @cache
     def radios(fc, g_rx):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth
@@ -235,9 +252,13 @@ def _plan(axes, fixed, table, scenario_table, seed):
     fractions = [default_atmosphere_fraction(low) for low in (0.0, hap) if low is not None]
 
     @cache
-    def atmosphere(fc, elevation):  # (gas, scintillation) at each fraction, from one lookup
+    def atmosphere(fc, elevation):  # (gas, scint, their texts) per fraction, then the sums
         gas, scint = gas_attenuation_db(fc, elevation, table), scintillation_db(fc, elevation, table)
-        return tuple((fraction * gas, fraction * scint) for fraction in fractions)
+        air = [(fraction * gas, fraction * scint) for fraction in fractions]
+        if hap is not None:  # from the ground, from the HAP: the sums run hop 0 first
+            (gas1, scint1), (gas0, scint0) = air
+            air.append((gas0 + gas1, scint0 + scint1))
+        return tuple((gas, scint, "%.6g" % gas, "%.6g" % scint) for gas, scint in air)
 
     stations = cache(classify_station)
 
@@ -251,9 +272,12 @@ def _plan(axes, fixed, table, scenario_table, seed):
         return stage
 
     @cache
-    def cells(scenario, elevation):  # expected clutter, or the cell's sampler: draw(index)
+    def cells(scenario, elevation):  # (expected clutter, its text), or the cell's sampler
         cell = scenario_table.cell(scenario, elevation)
-        return cell.sampler(seed) if seed is not None else cell.expected_db()
+        if seed is not None:
+            return cell.sampler(seed)  # draw(index)
+        excess = cell.expected_db()
+        return excess, "%.6g" % excess
 
     def gap_error(altitude, mode):
         if radios_hold:
@@ -266,8 +290,10 @@ def _plan(axes, fixed, table, scenario_table, seed):
 
     def fused_direct(radio, hop, air, excess, index):
         gain, bandwidth_db, carrier_db, bandwidth = radio
-        (slant, range_db), (gas, scint) = hop, air[0]
-        if seed is not None:
+        (slant, range_db), (gas, scint, gas_text, scint_text) = hop, air[0]
+        if seed is None:
+            excess, excess_text = excess
+        else:
             excess = excess(index)
         fspl = carrier_db + range_db
         total = fspl + gas + scint + excess
@@ -279,7 +305,11 @@ def _plan(axes, fixed, table, scenario_table, seed):
             capacity = bandwidth * log1p(10.0 ** (snr / 10.0)) / _LN2
         except OverflowError:
             return reference(index)
-        return slant, fspl, gas, scint, excess, total, snr, capacity, bandwidth, "direct", ""
+        if seed is None:
+            return (slant, fspl, gas, scint, excess, total, snr, capacity, bandwidth, "direct", "",
+                    gas_text, scint_text, excess_text)
+        return (slant, fspl, gas, scint, excess, total, snr, capacity, bandwidth, "direct", "",
+                gas_text, scint_text)
 
     radio = radios, ("fc_ghz", "g_rx_dbi")
     air = atmosphere, ("fc_ghz", "elevation_deg")
@@ -288,7 +318,7 @@ def _plan(axes, fixed, table, scenario_table, seed):
     direct = (radio, (ground_hops, ("altitude_km", "elevation_deg")), air, clutter)
     plans = {MODE_DIRECT: (direct, fused_direct)}
     if MODE_RELAY not in axes["mode"]:
-        return reference, gap_error, plans
+        return reference, gap_error, plans, texts
     # Hop 0 runs from the HAP up to the station, without clutter; hop 1
     # from the ground up to the HAP. Both use the point's radio. A point's
     # slant range, gas and scintillation are the sums over its hops.
@@ -297,13 +327,16 @@ def _plan(axes, fixed, table, scenario_table, seed):
     def fused_relay(radio, hop0, hop1, air, excess, index):
         gain, bandwidth_db, carrier_db, bandwidth = radio
         (upper, range0), (lower, range1) = hop0, hop1
-        (gas1, scint1), (gas0, scint0) = air  # from the ground, from the HAP
-        if seed is not None:
+        # From the ground, from the HAP, their sums.
+        (gas1, scint1, _, _), (gas0, scint0, _, _), (gas, scint, gas_text, scint_text) = air
+        if seed is None:
+            excess, excess_text = excess
+        else:
             excess = excess(index)
         fspl0, fspl1 = carrier_db + range0, carrier_db + range1
         snr0 = gain - (fspl0 + gas0 + scint0) - BOLTZMANN_DBM_PER_K_HZ - bandwidth_db
         snr1 = gain - (fspl1 + gas1 + scint1 + excess) - BOLTZMANN_DBM_PER_K_HZ - bandwidth_db
-        fspl, gas, scint = fspl0 + fspl1, gas0 + gas1, scint0 + scint1
+        fspl = fspl0 + fspl1
         total = fspl + gas + scint + excess
         if not (fspl0 > 0.0 and fspl1 > 0.0 and gas0 >= 0.0 and gas1 >= 0.0 and scint0 >= 0.0
                 and scint1 >= 0.0 and excess >= 0.0 and total < inf and -inf < snr0 < inf
@@ -324,11 +357,15 @@ def _plan(axes, fixed, table, scenario_table, seed):
                 snr, capacity = (snr1, capacity1) if capacity1 < capacity0 else (snr0, capacity0)
         except OverflowError:
             return reference(index)
-        return upper + lower, fspl, gas, scint, excess, total, snr, capacity, bandwidth, label, ""
+        if seed is None:
+            return (upper + lower, fspl, gas, scint, excess, total, snr, capacity, bandwidth, label,
+                    "", gas_text, scint_text, excess_text)
+        return (upper + lower, fspl, gas, scint, excess, total, snr, capacity, bandwidth, label, "",
+                gas_text, scint_text)
 
     relay = (radio, (hops(hap), ("altitude_km", "elevation_deg")),
              (partial(ground_hops, hap), ("elevation_deg",)), air, clutter)
-    return reference, gap_error, {**plans, MODE_RELAY: (relay, fused_relay)}
+    return reference, gap_error, {**plans, MODE_RELAY: (relay, fused_relay)}, texts
 
 
 def _records(axes, reference, gap_error, plans):
@@ -415,7 +452,8 @@ def run_sweep(
     axes, fixed, seed = _validate_spec(spec)
     if scenario_table is None:
         scenario_table = load_scenario_table()
-    records = _records(axes, *_plan(axes, fixed, table, scenario_table, seed))
+    *plan, texts = _plan(axes, fixed, table, scenario_table, seed)
+    records = _records(axes, *plan)
     provenance = spec.provenance + (
         f"atmosphere table version: {table.version}",
         f"scenario table version: {scenario_table.version}",
@@ -428,7 +466,8 @@ def run_sweep(
     given, schema = {**_DEFAULTS, **spec.fixed}, spec.schema()
     unswept = tuple((name, (given[name],)) for name in schema
                     if name in AXIS_NAMES and name in given and name not in spec.axis_names())
-    return SweepResult(schema, SweepRows((*spec.axes, *unswept), tuple(records)), provenance)
+    rows = SweepRows((*spec.axes, *unswept), tuple(records), texts)
+    return SweepResult(schema, rows, provenance)
 
 
 # ---------------------------------------------------------------------------

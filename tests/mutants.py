@@ -41,6 +41,7 @@ COLUMNS = f"{REUSE}::test_columns_along_every_inner_axis_equal_the_scalar_rows"
 AF_OVERFLOW = f"{REUSE}::test_af_product_overflow_row_equals_the_scalar_row"
 CSV = "tests/test_csv_fast_path.py"
 QUOTING = f"{CSV}::test_every_special_character_is_quoted_in_header_axes_and_errors"
+STAGE_TEXTS = f"{CSV}::test_ok_records_carry_the_six_digit_text_of_their_stages"
 PARAMS = "tests/test_params.py"
 TABLES = "tests/test_channel.py::test_table_rules_raise_their_message"
 WHOLE_SPEC = "tests/test_harness.py::TestSweepValidation::test_whole_spec_rules_raise_their_message"
@@ -77,9 +78,16 @@ MUTANTS = (
     Mutant("fallback-draws-the-next-index", SWEEP,
            "sampled_seed=seed, sampled_index=index))", "sampled_seed=seed, sampled_index=index + 1))",
            (AF_OVERFLOW,)),
+    Mutant("fallback-texts-out-of-order", SWEEP,
+           '"%.6g" % record[i] for i in text_at)', '"%.6g" % record[i] for i in text_at[::-1])',
+           (STAGE_TEXTS,)),
     Mutant("fallback-always-df", SWEEP,
            "_build_chain(stations, radio, relay_mode, scenario)",
            "_build_chain(stations, radio, RelayMode.DECODE_FORWARD, scenario)", (AF_OVERFLOW,)),
+    # The stages' CSV text.
+    Mutant("stage-text-five-digits", SWEEP,
+           '(gas, scint, "%.6g" % gas, "%.6g" % scint)',
+           '(gas, scint, "%.5g" % gas, "%.5g" % scint)', (STAGE_TEXTS,)),
     # The fused points' guards.
     Mutant("df-tie-to-hop-1", SWEEP,
            "(snr1, capacity1) if capacity1 < capacity0", "(snr1, capacity1) if capacity1 <= capacity0",

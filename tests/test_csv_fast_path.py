@@ -4,7 +4,8 @@ The reference writes every row dict through csv.writer, with its default
 terminator, and format_value (see csv_line).
 _write_csv writes every result from its per-point records instead,
 through one format string per kind of row that writes every float column
-with "%.6g"; its bytes must equal the reference's.
+with "%.6g", or as the text an ok record carries for it (SweepRows'
+texts); its bytes must equal the reference's.
 """
 
 import csv
@@ -13,6 +14,7 @@ import math
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from strategies import FIXED, sweep_specs
 # is neither an axis nor a result column is an empty cell.
 AXES = ("altitude_km", "hops", "mode")
 COLUMNS = AXES + ("fspl_db", "snr_db", "capacity_bps", "label", "error")
+FLOAT_COLUMNS = RESULT_COLUMNS[:-2]  # but label and error
 
 floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -70,11 +73,21 @@ def results(draw):
     axes = tuple((name, tuple(draw(axis))) for name in names)
     size = math.prod(len(values) for _, values in axes)
     width = draw(st.sampled_from([1, 7]))  # one column often: csv quotes a lone empty cell
+    # Float columns, in any order, whose "%.6g" text an ok record carries after its values.
+    texts = tuple(draw(st.lists(st.sampled_from(FLOAT_COLUMNS), unique=True)))
+    drawn = draw(st.lists(records, min_size=size, max_size=size))
     return SweepResult(
         schema=tuple(draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=width))),
-        rows=SweepRows(axes, tuple(draw(st.lists(records, min_size=size, max_size=size)))),
+        rows=SweepRows(axes, tuple(map(partial(with_texts, texts), drawn)), texts),
         provenance=("spec: x",),
     )
+
+
+def with_texts(texts, record):
+    """record, and if it is ok, the "%.6g" text of its values of texts, in that order."""
+    if record[0] is None:
+        return record
+    return record + tuple("%.6g" % record[RESULT_COLUMNS.index(name)] for name in texts)
 
 
 def csv_line(cells):
@@ -157,8 +170,7 @@ def test_records_csv_equals_csv_writer_over_rows(atm_table, scen_table, spec):
     rows = result.rows
     listed = list(rows)
     # "%.6g" gives format_value's text only of a Python float.
-    float_columns = RESULT_COLUMNS[:-2]  # but label and error
-    assert all(type(row[c]) is float for row in listed if not row["error"] for c in float_columns)
+    assert all(type(row[c]) is float for row in listed if not row["error"] for c in FLOAT_COLUMNS)
     assert [rows[i] for i in range(len(rows))] == listed
     assert [rows[i] for i in range(-len(rows), 0)] == listed
     assert rows[-1] == listed[-1]
@@ -168,6 +180,34 @@ def test_records_csv_equals_csv_writer_over_rows(atm_table, scen_table, spec):
         rows[len(rows)]
     with no_row_dicts():
         assert csv_bytes(result) == written
+
+
+# A bandwidth past the fused points' bound (2**1013 Hz) sends every point
+# to the scalar fallback; at -200 dBi the capacity stays finite.
+FALLBACK = {"bandwidth_hz": 1e306, "g_rx_dbi": -200.0}
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["fused", "fallback"])
+@pytest.mark.parametrize("excess_mode", ["expected", "sampled"])
+@pytest.mark.parametrize("mode", ["direct", "relay"])
+def test_ok_records_carry_the_six_digit_text_of_their_stages(
+    atm_table, scen_table, mode, excess_mode, fallback
+):
+    spec = SweepSpec(
+        axes=(("altitude_km", (600.0, 1200.0)), ("fc_ghz", (20.0, 30.0, 60.0)),
+              ("elevation_deg", (10.0, 35.0, 90.0)), ("scenario", ("dense_urban", "rural"))),
+        fixed={**FIXED, "mode": mode, "excess_mode": excess_mode, "g_rx_dbi": 40.0,
+               **(FALLBACK if fallback else {})},
+        seed=7 if excess_mode == "sampled" else None,
+    )
+    result = run_sweep(spec, atm_table, scen_table)
+    rows = result.rows
+    texts = ("gas_db", "scintillation_db") + (("excess_db",) if excess_mode == "expected" else ())
+    assert rows.texts == texts
+    assert not any(row["error"] for row in rows)
+    for record in rows.records:
+        assert record == with_texts(texts, record[:len(RESULT_COLUMNS)])
+    assert csv_bytes(result) == reference_csv(result)
 
 
 SPEC = SweepSpec(
