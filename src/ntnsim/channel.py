@@ -17,8 +17,6 @@ data. The tables type their values; the loss stages (fspl_db, ...) take
 finite floats and do not re-type them.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import struct

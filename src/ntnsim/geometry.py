@@ -16,8 +16,6 @@ the constructors type every number through it. The stage functions
 (slant_range_km, classify_station, ...) take finite floats and do not re-type them.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from typing import NamedTuple

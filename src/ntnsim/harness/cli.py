@@ -13,8 +13,6 @@ commands emit CSV (see emit_csv) to --out or stdout. Exit codes:
 0 success, 1 usage error, 2 data/table error, 3 spec error.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from functools import cache

@@ -6,8 +6,6 @@ and the packaged fig-defaults fixture are read through parse_sections;
 PARAMETERS checks and types every value, there as for CLI flags.
 """
 
-from __future__ import annotations
-
 import sys
 
 from ..channel import Scenario, _data_text

@@ -7,8 +7,6 @@ case-study trends hold; they are not authoritative inputs, and every
 fixed value's origin is recorded in the CSV provenance header.
 """
 
-from __future__ import annotations
-
 from ..errors import PresetError
 from ..geometry import echo
 from .config import PRESET_NAMES, load_fig_defaults

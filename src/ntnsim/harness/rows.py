@@ -3,8 +3,6 @@
 link and chain write their one row with this module, not the sweep engine (sweep.py).
 """
 
-from __future__ import annotations
-
 import enum
 import io
 from collections.abc import Sequence
@@ -35,7 +33,7 @@ class SweepResult(NamedTuple):
     """
 
     schema: tuple[str, ...]
-    rows: SweepRows
+    rows: "SweepRows"
     provenance: tuple[str, ...] = ()
 
     def error_rows(self) -> tuple[dict[str, object], ...]:

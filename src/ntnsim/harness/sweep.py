@@ -11,11 +11,11 @@ axes through the scalar functions that evaluate_link and evaluate_chain
 use, and each point does their remaining float work inline, fused, in
 their order. evaluate_chain itself evaluates every point the fused path
 does not write. Points run a prefix at a time, each stage's column keyed
-by its own axes, and a prefix with a station in a gap takes its one
-error (see _records). So each record (see SweepRows), error rows and
-messages included, is result_record of the point's own evaluate_link or
-evaluate_chain result, with sampled_index its row index, and
-rows.emit_csv writes it as it writes link's and chain's. An ok record
+by its own axes, and a prefix whose radios hold, with a station in a gap,
+takes its one error (see _records). So each record (see SweepRows),
+error rows and messages included, is result_record of the point's own
+evaluate_link or evaluate_chain result, with sampled_index its row index,
+and rows.emit_csv writes it as it writes link's and chain's. An ok record
 also carries the CSV text of gas, scintillation and expected clutter
 after its values (_plan's texts), which the stages format once per
 distinct input, so the writer formats only the per-point floats.
@@ -26,8 +26,6 @@ its cell's sampler (channel.ScenarioRow.sampler). Streams of distinct
 seeds and of distinct points are unrelated, and a single link or chain
 with sampled_seed s draws the stream of row 0.
 """
-
-from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
@@ -196,9 +194,9 @@ def _plan(axes, fixed, table, scenario_table, seed):
     draw is the point's own.
     reference(index) is row index's record as evaluate_chain gives it,
     with its texts if it is ok.
-    gap_error(altitude, mode) is the error of every point at that altitude
-    and mode where no point's radio fails (the chain's first check) and one
-    of its stations fails classify_station, else None.
+    gap_error(altitude, mode) is the error of the first of that altitude's
+    and mode's stations, top-down, to fail classify_station, else None: the
+    error of every point there whose radio holds (the chain's first check).
     plans maps each mode to (stages, point). stages is a sequence of
     (stage, axes) pairs: stage takes a point's values of axes, names of
     AXIS_NAMES, in that order, is cached per distinct input, and raises
@@ -243,11 +241,6 @@ def _plan(axes, fixed, table, scenario_table, seed):
         resolved = RadioConfig(**radio_fixed, fc_ghz=fc, g_rx_dbi=g_rx).resolve_bandwidth()
         return (*resolved.budget_terms(), fspl_carrier_db(fc), resolved.bandwidth_hz)
 
-    try:  # no point's radio fails RadioConfig, the chain's first check
-        radios_hold = all(radios(*pair) for pair in product(axes["fc_ghz"], axes["g_rx_dbi"]))
-    except NtnSimError:
-        radios_hold = False
-
     # The share of the column a hop sees from the ground and, given a HAP, from the HAP.
     fractions = [default_atmosphere_fraction(low) for low in (0.0, hap) if low is not None]
 
@@ -280,12 +273,11 @@ def _plan(axes, fixed, table, scenario_table, seed):
         return excess, "%.6g" % excess
 
     def gap_error(altitude, mode):
-        if radios_hold:
-            try:  # the chain checks its stations top-down, right after the radio
-                for high in highs(altitude, mode):
-                    stations(high)
-            except NtnSimError as exc:
-                return str(exc)
+        try:  # the chain checks its stations top-down, right after the radio
+            for high in highs(altitude, mode):
+                stations(high)
+        except NtnSimError as exc:
+            return str(exc)
         return None
 
     def fused_direct(radio, hop, air, excess, index):
@@ -371,15 +363,17 @@ def _plan(axes, fixed, table, scenario_table, seed):
 def _records(axes, reference, gap_error, plans):
     """Every point's record in row order, from each of AXIS_NAMES' typed values.
 
-    Each stage reads only its own axes (see _plan). The inner axis is the
+    Only the modes the axes hold are set up, and each stage reads only its
+    own axes (see _plan), through one argument getter. The inner axis is the
     last in row order with more than one value. Each value of the other
     axes, a prefix, maps its mode's point over one column per stage: the
     stage's value repeated if its axes leave out the inner axis, else its
     values along it, kept per stage and values of its other axes. Columns
     of stages that read no other varying axis are built once. A point, or
     each point of a prefix, whose stage raises gets reference(index); but
-    a prefix whose altitude, not the inner axis, has a gap_error gets that
-    error at every point.
+    a prefix whose stage past the radios, the first, raises and whose
+    altitude, not the inner axis, has a gap_error gets that error at every
+    point.
     """
     names = list(axes)
     at_mode, at_altitude = names.index("mode"), names.index("altitude_km")
@@ -388,13 +382,13 @@ def _records(axes, reference, gap_error, plans):
         at = [names.index(name) for name in stage_axes]
         return itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
 
-    calls = {mode: ([(stage, arguments(a)) for stage, a in stages], point)
-             for mode, (stages, point) in plans.items()}
+    calls = {mode: (plans[mode][1], [(stage, a, arguments(a)) for stage, a in plans[mode][0]])
+             for mode in axes["mode"]}
 
     def one(point, index):  # point(*stage values, index), or reference(index)
-        stages, evaluate = calls[point[at_mode]]
+        evaluate, stages = calls[point[at_mode]]
         try:
-            return evaluate(*[stage(*args(point)) for stage, args in stages], index)
+            return evaluate(*[stage(*args(point)) for stage, _, args in stages], index)
         except NtnSimError:
             return reference(index)
 
@@ -404,11 +398,11 @@ def _records(axes, reference, gap_error, plans):
         return list(map(one, product(*axes.values()), count()))
     at, inner_values = names.index(inner), axes[inner]
     n, states, records = len(inner_values), {}, []
-    for mode, (stages, point) in plans.items():
+    for mode, (point, stages) in calls.items():
         # (column, stage, its arguments, the inner axis's place among them or None)
-        slots = [(j, stage, arguments(a), a.index(inner) if inner in a else None)
-                 for j, (stage, a) in enumerate(stages)]
-        changing = [slot for slot, (_, a) in zip(slots, stages) if set(a) & set(varying)]
+        slots = [(j, stage, args, a.index(inner) if inner in a else None)
+                 for j, (stage, a, args) in enumerate(stages)]
+        changing = [slot for slot, (_, a, _) in zip(slots, stages) if set(a) & set(varying)]
         states[mode] = [point, [None] * len(stages), slots, changing, {}]
     prefixes = product(*(v[:1] if name == inner else v for name, v in axes.items()))
     for start, prefix in zip(count(0, n), prefixes):
@@ -427,8 +421,10 @@ def _records(axes, reference, gap_error, plans):
             state[2] = changing  # the other columns now hold for every prefix
             records += map(point, *columns, range(start, start + n))
         except NtnSimError:
-            error = inner != "altitude_km" and gap_error(prefix[at_altitude], mode)
-            if error:  # every point of the prefix fails at the same station
+            # Stage j raised. Past stage 0, the radios, every point's radio holds and the
+            # chain checks it before the stations, so every point fails at the same station.
+            error = j > 0 and inner != "altitude_km" and gap_error(prefix[at_altitude], mode)
+            if error:
                 records += [_FAILED + (error,)] * n
                 continue
             points = (prefix[:at] + (v,) + prefix[at + 1:] for v in inner_values)

@@ -11,8 +11,6 @@ G_rx - 10 log10(T) == G/T. RadioConfig types its fields; the stage
 functions (snr_db, shannon_capacity_bps, ...) take finite floats as given.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

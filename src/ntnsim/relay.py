@@ -7,8 +7,6 @@ hops see no ground clutter. The stage functions (af_end_to_end_snr,
 df_end_to_end_capacity, ...) take finite floats and do not re-type them.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import sys

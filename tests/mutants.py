@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 SWEEP, REUSE = "harness/sweep.py", "tests/test_sweep_reuse.py"
 COLUMNS = f"{REUSE}::test_columns_along_every_inner_axis_equal_the_scalar_rows"
 AF_OVERFLOW = f"{REUSE}::test_af_product_overflow_row_equals_the_scalar_row"
+BESIDE_A_BAD_CARRIER = f"{REUSE}::test_gap_prefixes_beside_a_failing_carrier_equal_the_scalar_rows"
 CSV = "tests/test_csv_fast_path.py"
 QUOTING = f"{CSV}::test_every_special_character_is_quoted_in_header_axes_and_errors"
 STAGE_TEXTS = f"{CSV}::test_ok_records_carry_the_six_digit_text_of_their_stages"
@@ -64,13 +65,14 @@ MUTANTS = (
     # The gap fill and the scalar fallback.
     Mutant("gap-fill-one-copy-short", SWEEP,
            "records += [_FAILED + (error,)] * n", "records += [_FAILED + (error,)] * (n - 1)",
-           (f"{REUSE}::test_gap_altitude_prefixes_equal_the_scalar_rows",)),
-    Mutant("gap-fill-ignores-radios-hold", SWEEP,
-           "        if radios_hold:\n", "        if True:\n",
+           (f"{REUSE}::test_gap_altitude_prefixes_equal_the_scalar_rows", BESIDE_A_BAD_CARRIER)),
+    Mutant("gap-fill-ignores-the-radio-stage", SWEEP,
+           "error = j > 0 and inner", "error = inner",
            (f"{REUSE}::test_gap_hap_fails_after_the_radio_check_point_by_point",
+            BESIDE_A_BAD_CARRIER,
             "tests/test_cli.py::test_sweep_rows_carry_the_errors_link_and_chain_print")),
     Mutant("gap-fill-on-an-altitude-inner-axis", SWEEP,
-           'error = inner != "altitude_km" and gap_error(', "error = gap_error(",
+           'and inner != "altitude_km" and gap_error(', "and gap_error(",
            (f"{REUSE}::test_altitude_as_the_inner_axis_is_never_filled",)),
     Mutant("gap-fill-checks-the-hap-alone", SWEEP,
            "for high in highs(altitude, mode):\n", "for high in highs(altitude, mode)[-1:]:\n",
@@ -169,6 +171,22 @@ MUTANTS = (
            "        if col not in known_metrics:\n"
            '            raise SpecError(f"unknown output column {echo(col)}")\n',
            "", (f"{WHOLE_SPEC}[unknown-column]",)),
+    Mutant("version-header-unchecked", "channel.py",
+           """        raise TableFormatError(f"{name}: missing '# version:' header")\n""",
+           "        pass\n", (f"{TABLES}[version-missing]",)),
+    Mutant("duplicate-table-row-accepted", "channel.py",
+           "            raise TableFormatError(\n"
+           '                f"{name}: duplicate row for {scenario.value} at {elev:g} deg"\n'
+           "            )\n",
+           "            pass\n", (f"{TABLES}[duplicate-row]",)),
+    Mutant("top-level-keys-ignored", SWEEP,
+           """        raise SpecError(f"{p.name}: unexpected top-level keys {echo(sorted(top))}")\n""",
+           "        pass\n",
+           ("tests/test_cli.py::TestSweepCommand::test_unexpected_top_level_key_is_spec_error",)),
+    Mutant("delay-altitude-unchecked", "geometry.py",
+           """        raise DomainError(f"altitude must be > 0 km, got {altitude_km}")\n""",
+           "        pass\n",
+           ("tests/test_geometry.py::TestDifferentialDelay::test_rules_raise_their_message",)),
     # No input fills an error message.
     Mutant("finite-number-echoes-a-long-value", "geometry.py",
            'got {echo(value)}"', 'got {value!r}"',

@@ -462,8 +462,8 @@ def test_scenario_row_fields_of_any_real_type_give_the_float_losses():
 
 
 # Table rules, each broken by a constructor call or, where a table file can break it,
-# by an edit (re.sub with re.M) of a packaged table's data lines under a fresh checksum
-# header; an edit without a pattern drops that header.
+# by an edit (re.sub with re.M) of a packaged table's data lines under fresh version
+# and checksum headers; an edit without a pattern drops the header its third field names.
 TABLE_RULES = {
     "atmosphere-columns-differ": (
         lambda atm, scen: AtmosphereTable(
@@ -487,7 +487,11 @@ TABLE_RULES = {
     "clutter-negative": (
         ("scenario.tsv", r"^rural 90 0.975 0.2 ", "rural 90 0.975 -0.2 "),
         "clutter and sigma values must be >= 0"),
-    "checksum-missing": (("atmosphere.tsv", None, None), "{path}: missing '# checksum:' header"),
+    "checksum-missing": (("atmosphere.tsv", None, "checksum"), "{path}: missing '# checksum:' header"),
+    "version-missing": (("atmosphere.tsv", None, "version"), "{path}: missing '# version:' header"),
+    "duplicate-row": (
+        ("scenario.tsv", r"^(dense_urban 30 .*)$", r"\1\n\1"),
+        "{path}: duplicate row for dense_urban at 30 deg"),
 }
 
 
@@ -505,11 +509,13 @@ def test_table_rules_raise_their_message(tmp_path, capsys, atm_table, scen_table
     for table in ("atmosphere.tsv", "scenario.tsv"):
         (tmp_path / table).write_text(_data_text(table), encoding="utf-8")
     data = "\n".join(l for l in _data_text(name).splitlines() if l and not l.startswith("#"))
-    header = "# version: 1\n"
     if pattern is not None:
         data = re.sub(pattern, replacement, data + "\n", flags=re.M).rstrip("\n")
-        header += f"# checksum: sha256={hashlib.sha256(data.encode()).hexdigest()}\n"
+    headers = {"version": "1", "checksum": f"sha256={hashlib.sha256(data.encode()).hexdigest()}"}
+    if pattern is None:
+        del headers[replacement]
     path = tmp_path / name
+    header = "".join(f"# {key}: {value}\n" for key, value in headers.items())
     path.write_text(header + data + "\n", encoding="utf-8")
     message = message.format(path=path)
     load = load_atmosphere_table if name == "atmosphere.tsv" else load_scenario_table

@@ -165,6 +165,17 @@ g_over_t_dbi_per_k = 15.9
         code, _, _ = run_cli(capsys, "sweep", "--spec", str(spec))
         assert code == 3
 
+    def test_unexpected_top_level_key_is_spec_error(self, tmp_path, capsys):
+        # A misspelt seed is neither a parameter nor ignored.
+        spec = tmp_path / "s.cfg"
+        spec.write_text("sed = 7\n" + self.SPEC)
+        with pytest.raises(SpecError) as err:
+            load_sweep_spec(spec)
+        assert type(err.value) is SpecError
+        assert str(err.value) == "s.cfg: unexpected top-level keys ['sed']"
+        assert run_cli(capsys, "sweep", "--spec", str(spec)) == (
+            3, "", f"ntnsim: spec error: {err.value}\n")
+
     def test_unknown_scenario_is_spec_error(self, tmp_path, capsys):
         spec = tmp_path / "s.cfg"
         spec.write_text(self.SPEC.replace("rural", "rurall"))

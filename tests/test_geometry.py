@@ -147,6 +147,19 @@ class TestDifferentialDelay:
         with pytest.raises(DomainError):
             differential_delay_ms(0, 10, 90)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, 10, 90), "altitude must be > 0 km, got 0"),
+        ((-1.5, 10, 90), "altitude must be > 0 km, got -1.5"),
+        ((600, 5, 90), "elevation must be in [10, 90] deg, got 5"),
+        ((600, 10, 95), "elevation must be in [10, 90] deg, got 95"),
+        ((35786, 90, 10), "edge elevation must be strictly below center elevation (90 >= 10)"),
+        ((35786, 45, 45), "edge elevation must be strictly below center elevation (45 >= 45)"),
+    ])
+    def test_rules_raise_their_message(self, args, message):
+        with pytest.raises(DomainError) as err:
+            differential_delay_ms(*args)
+        assert type(err.value) is DomainError and str(err.value) == message
+
 
 class TestLinkGeometry:
     def test_from_endpoints_derives_fields(self):

@@ -375,6 +375,25 @@ def test_gap_hap_fails_after_the_radio_check_point_by_point(atm_table, scen_tabl
 
 
 @pytest.mark.parametrize("mode", ["direct", "relay"])
+def test_gap_prefixes_beside_a_failing_carrier_equal_the_scalar_rows(atm_table, scen_table, mode):
+    # A carrier of -2 GHz fails the radio check, the first, of its prefixes,
+    # which go point by point. The 100 km prefix at 20 GHz, whose radio
+    # holds, is filled with its station's error.
+    spec = SweepSpec(
+        axes=(
+            ("fc_ghz", (-2.0, 20.0)),
+            ("altitude_km", (600.0, 100.0)),
+            ("elevation_deg", (10.0, 45.0, 90.0)),  # the inner axis
+        ),
+        fixed={**FILL_FIXED, "scenario": "suburban", "mode": mode, "hap_altitude_km": 20.0},
+    )
+    rows = list(run_sweep(spec, atm_table, scen_table).rows)
+    assert rows == reference_rows(spec, atm_table, scen_table)
+    errors = [row["error"].split(" lies")[0] for row in rows]
+    assert errors == ["fc_ghz must be > 0, got -2.0"] * 6 + [""] * 3 + ["altitude 100.0 km"] * 3
+
+
+@pytest.mark.parametrize("mode", ["direct", "relay"])
 def test_altitude_as_the_inner_axis_is_never_filled(atm_table, scen_table, mode):
     spec = SweepSpec(
         axes=(("fc_ghz", (20.0, 120.0)), ("altitude_km", (100.0, 600.0, 100.0))),
