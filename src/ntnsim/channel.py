@@ -357,13 +357,11 @@ def _read_table(text: str, name: str, columns: tuple[str, ...]):
         raise TableFormatError(f"{name}: missing '# version:' header")
     if checksum is None:
         raise TableFormatError(f"{name}: missing '# checksum:' header")
-    if not checksum.startswith("sha256="):
-        raise TableFormatError(f"{name}: checksum must be 'sha256=<hex>'")
-    digest = sha256("\n".join(data_lines).encode("utf-8")).hexdigest()
-    if digest != checksum[len("sha256="):]:
+    expected = "sha256=" + sha256("\n".join(data_lines).encode("utf-8")).hexdigest()
+    if checksum != expected:  # label and digest alike
         raise TableFormatError(
             f"{name}: checksum mismatch (file corrupted or edited without "
-            f"updating the header); expected sha256={digest}"
+            f"updating the header); expected {expected}"
         )
 
     def rows():

@@ -45,6 +45,7 @@ QUOTING = f"{CSV}::test_every_special_character_is_quoted_in_header_axes_and_err
 STAGE_TEXTS = f"{CSV}::test_ok_records_carry_the_six_digit_text_of_their_stages"
 PARAMS = "tests/test_params.py"
 TABLES = "tests/test_channel.py::test_table_rules_raise_their_message"
+GRAMMAR = "tests/test_cli.py::TestSweepCommand::test_grammar_rules_name_their_line"
 WHOLE_SPEC = "tests/test_harness.py::TestSweepValidation::test_whole_spec_rules_raise_their_message"
 LONG = f"{PARAMS}::test_a_long_value_is_echoed_in_a_bounded_message"
 ORACLE = "tests/test_acceptance.py::test_criterion_7_oracle_equivalence"
@@ -183,6 +184,15 @@ MUTANTS = (
            """        raise SpecError(f"{p.name}: unexpected top-level keys {echo(sorted(top))}")\n""",
            "        pass\n",
            ("tests/test_cli.py::TestSweepCommand::test_unexpected_top_level_key_is_spec_error",)),
+    Mutant("empty-section-header-accepted", "harness/config.py",
+           """                raise error_cls(f"{name}:{lineno}: empty section header")\n""",
+           "                pass\n", (f"{GRAMMAR}[empty-section-header]",)),
+    Mutant("empty-key-or-value-accepted", "harness/config.py",
+           """            raise error_cls(f"{name}:{lineno}: empty key or value in {echo(raw)}")\n""",
+           "            pass\n", (f"{GRAMMAR}[empty-key]",)),
+    Mutant("checksum-label-unchecked", "channel.py",
+           "if checksum != expected:", "if checksum[7:] != expected[7:]:",
+           (f"{TABLES}[checksum-label-upper-case]",)),
     Mutant("delay-altitude-unchecked", "geometry.py",
            """        raise DomainError(f"altitude must be > 0 km, got {altitude_km}")\n""",
            "        pass\n",

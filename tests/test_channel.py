@@ -463,7 +463,8 @@ def test_scenario_row_fields_of_any_real_type_give_the_float_losses():
 
 # Table rules, each broken by a constructor call or, where a table file can break it,
 # by an edit (re.sub with re.M) of a packaged table's data lines under fresh version
-# and checksum headers; an edit without a pattern drops the header its third field names.
+# and checksum headers; an edit without a pattern sets the headers its third field maps
+# (None drops one, {digest} is the data's sha256).
 TABLE_RULES = {
     "atmosphere-columns-differ": (
         lambda atm, scen: AtmosphereTable(
@@ -487,8 +488,14 @@ TABLE_RULES = {
     "clutter-negative": (
         ("scenario.tsv", r"^rural 90 0.975 0.2 ", "rural 90 0.975 -0.2 "),
         "clutter and sigma values must be >= 0"),
-    "checksum-missing": (("atmosphere.tsv", None, "checksum"), "{path}: missing '# checksum:' header"),
-    "version-missing": (("atmosphere.tsv", None, "version"), "{path}: missing '# version:' header"),
+    "checksum-missing": (("atmosphere.tsv", None, {"checksum": None}),
+                         "{path}: missing '# checksum:' header"),
+    "checksum-label-upper-case": (
+        ("atmosphere.tsv", None, {"checksum": "SHA256={digest}"}),
+        "{path}: checksum mismatch (file corrupted or edited without updating the header); "
+        "expected sha256={digest}"),
+    "version-missing": (("atmosphere.tsv", None, {"version": None}),
+                        "{path}: missing '# version:' header"),
     "duplicate-row": (
         ("scenario.tsv", r"^(dense_urban 30 .*)$", r"\1\n\1"),
         "{path}: duplicate row for dense_urban at 30 deg"),
@@ -511,13 +518,15 @@ def test_table_rules_raise_their_message(tmp_path, capsys, atm_table, scen_table
     data = "\n".join(l for l in _data_text(name).splitlines() if l and not l.startswith("#"))
     if pattern is not None:
         data = re.sub(pattern, replacement, data + "\n", flags=re.M).rstrip("\n")
-    headers = {"version": "1", "checksum": f"sha256={hashlib.sha256(data.encode()).hexdigest()}"}
+    digest = hashlib.sha256(data.encode()).hexdigest()
+    headers = {"version": "1", "checksum": "sha256={digest}"}
     if pattern is None:
-        del headers[replacement]
+        headers.update(replacement)
     path = tmp_path / name
-    header = "".join(f"# {key}: {value}\n" for key, value in headers.items())
+    header = "".join(f"# {key}: {value.format(digest=digest)}\n"
+                     for key, value in headers.items() if value is not None)
     path.write_text(header + data + "\n", encoding="utf-8")
-    message = message.format(path=path)
+    message = message.format(path=path, digest=digest)
     load = load_atmosphere_table if name == "atmosphere.tsv" else load_scenario_table
     with pytest.raises(TableFormatError) as err:
         load(path)

@@ -176,6 +176,22 @@ g_over_t_dbi_per_k = 15.9
         assert run_cli(capsys, "sweep", "--spec", str(spec)) == (
             3, "", f"ntnsim: spec error: {err.value}\n")
 
+    @pytest.mark.parametrize("text, message", [
+        # A trailing empty header would hold nothing, and one before keys would make them top-level.
+        (SPEC + "[ ]\n", "s.cfg:9: empty section header"),
+        # Read as key '', it would fail later as an unknown fixed parameter, without its line.
+        (SPEC.replace("[fixed]\n", "[fixed]\n= 5\n"), "s.cfg:4: empty key or value in '= 5'"),
+    ], ids=["empty-section-header", "empty-key"])
+    def test_grammar_rules_name_their_line(self, tmp_path, capsys, text, message):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(text)
+        with pytest.raises(SpecError) as err:
+            load_sweep_spec(spec)
+        assert type(err.value) is SpecError
+        assert str(err.value) == message
+        assert run_cli(capsys, "sweep", "--spec", str(spec)) == (
+            3, "", f"ntnsim: spec error: {message}\n")
+
     def test_unknown_scenario_is_spec_error(self, tmp_path, capsys):
         spec = tmp_path / "s.cfg"
         spec.write_text(self.SPEC.replace("rural", "rurall"))

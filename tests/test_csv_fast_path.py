@@ -238,6 +238,16 @@ def test_axis_cell_of_any_real_has_six_digits(atm_table, scen_table, value):
     assert csv_bytes(result).decode().splitlines()[-1].split(",")[0] == "%.6g" % float(value)
 
 
+def test_a_signaling_nan_axis_cell_is_written_as_its_text():
+    # float() refuses a signaling NaN, so format_value falls back to str().
+    snan = Decimal("sNaN")
+    assert format_value(snan) == "sNaN"
+    ok = (1.0,) * 9 + ("direct", "")
+    out = io.StringIO()
+    emit_csv(SweepResult(("x", "snr_db"), SweepRows((("x", (snan,)),), (ok,))), out)
+    assert out.getvalue() == "x,snr_db\nsNaN,1\n"
+
+
 def test_sweep_command_builds_no_row_dicts(tmp_path, capsys, rows_forbidden):
     spec = tmp_path / "s.cfg"
     spec.write_text(
