@@ -10,7 +10,7 @@ Scenario excess loss (clutter/blockage near the ground terminal) is a
 tabulated line-of-sight mixture per scenario and elevation.
 
 Table file format (see data/FORMATS.md): line-oriented text, '#'
-comments, mandatory "# version:" and "# checksum: sha256=..." headers,
+comments, exactly one "# version:" and one "# checksum: sha256=..." header,
 whitespace-separated columns. The shipped tables are a calibration
 fixture tuned so the case-study trends hold; they are not measurement
 data. The tables type their values; the loss stages (fspl_db, ...) take
@@ -338,27 +338,26 @@ def _read_table(text: str, name: str, columns: tuple[str, ...]):
     data line's (fields, line) in file order, once the line is checked to
     have one field per name in columns.
     """
-    version = None
-    checksum = None
+    headers: dict[str, str] = {}  # "version" and "checksum", each from its one '#' line
     data_lines: list[str] = []
     for raw in text.splitlines():
         line = raw.rstrip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.lower().startswith("version:"):
-                version = body.split(":", 1)[1].strip()
-            elif body.lower().startswith("checksum:"):
-                checksum = body.split(":", 1)[1].strip()
+            key, colon, value = line[1:].strip().partition(":")
+            key = key.lower()
+            if colon and key in ("version", "checksum"):
+                if key in headers:
+                    raise TableFormatError(f"{name}: repeated '# {key}:' header")
+                headers[key] = value.strip()
             continue
         data_lines.append(line)
-    if version is None:
-        raise TableFormatError(f"{name}: missing '# version:' header")
-    if checksum is None:
-        raise TableFormatError(f"{name}: missing '# checksum:' header")
+    for key in ("version", "checksum"):
+        if key not in headers:
+            raise TableFormatError(f"{name}: missing '# {key}:' header")
     expected = "sha256=" + sha256("\n".join(data_lines).encode("utf-8")).hexdigest()
-    if checksum != expected:  # label and digest alike
+    if headers["checksum"] != expected:  # label and digest alike
         raise TableFormatError(
             f"{name}: checksum mismatch (file corrupted or edited without "
             f"updating the header); expected {expected}"
@@ -374,7 +373,7 @@ def _read_table(text: str, name: str, columns: tuple[str, ...]):
                 )
             yield fields, line
 
-    return version, rows()
+    return headers["version"], rows()
 
 
 def _table_number(key: str, value: object) -> float:

@@ -181,14 +181,12 @@ def _cmd_chain(args) -> SweepResult:
 
 def _cmd_sweep(args) -> SweepResult:
     """sweep and preset: run the spec file's or the preset's spec."""
-    from .presets import preset  # the sweep engine, imported by the commands that run it
-    from .sweep import load_sweep_spec, run_sweep
+    from .sweep import load_sweep_spec, run_sweep  # the sweep engine, for the commands that run it
     table, scenario_table = _tables(args)
     if args.command == "sweep":
-        spec = load_sweep_spec(args.spec, seed=args.seed)
-    else:
-        spec = preset(args.name)
-    return run_sweep(spec, table, scenario_table)
+        return run_sweep(load_sweep_spec(args.spec, seed=args.seed), table, scenario_table)
+    from .presets import preset  # the presets' code, for preset alone
+    return run_sweep(preset(args.name), table, scenario_table)
 
 
 _COMMANDS = {"link": _cmd_chain, "chain": _cmd_chain, "sweep": _cmd_sweep, "preset": _cmd_sweep}

@@ -21,6 +21,7 @@ EXTRA_COLUMNS = ("slant_range_km", "bandwidth_hz", "label", "error")
 # Metric and extra columns of an evaluated point, in row order.
 RESULT_COLUMNS = ("slant_range_km",) + METRIC_COLUMNS + EXTRA_COLUMNS[1:]
 _FAILED = (None,) * (len(RESULT_COLUMNS) - 2) + ("",)  # a failed point's record but its error
+FLOAT_FORMAT = "%.6g"  # a float's CSV text: format_value's, the writer's and the sweep stages'
 
 
 class SweepResult(NamedTuple):
@@ -47,7 +48,7 @@ class SweepRows(Sequence):
     one value each (link's and chain's: their inputs, one value each, over
     result_record). A point's record holds its values of RESULT_COLUMNS,
     in that order; a failed point's are None but for an empty label and
-    its error. texts names RESULT_COLUMNS whose CSV text, "%.6g" of the
+    its error. texts names RESULT_COLUMNS whose CSV text, FLOAT_FORMAT of the
     value, follows an ok record's values, in that order, for emit_csv to
     write as it is; a failed record has none. A row dict zips its columns
     with the record, so it stops before the texts. Row i's axis values are
@@ -102,7 +103,7 @@ def result_record(result: LinkResult) -> tuple:
 def format_value(value: object) -> str:
     """Fixed CSV cell formatting: reals but integers at 6 significant digits."""
     if type(value) is float:  # most axis values (_write_csv formats metric cells itself)
-        return f"{value:.6g}"
+        return FLOAT_FORMAT % value
     if value is None:
         return ""
     if isinstance(value, enum.Enum):
@@ -111,7 +112,7 @@ def format_value(value: object) -> str:
         return str(value).lower()
     if hasattr(value, "__float__") and not hasattr(value, "__index__"):
         try:  # any other real (numpy floats, Fraction, Decimal) as a float
-            return f"{float(value):.6g}"
+            return FLOAT_FORMAT % float(value)
         except ValueError:  # a signaling NaN refuses conversion
             pass
     return str(value)  # ints, numpy's too, keep their digits
@@ -138,7 +139,7 @@ def _write_csv(result: SweepResult, handle) -> None:
     empty = '""' if len(schema) == 1 else ""  # a row's only cell is quoted when empty
     handle.write(",".join(_quoted(name) or empty for name in schema) + "\n")
     # Records: one format string per kind of row, over its axis texts and
-    # record; "%.6g" gives format_value's text of a float, which needs no
+    # record; FLOAT_FORMAT gives format_value's text of a float, which needs no
     # quotes, and an ok record's texts hold it already.
     axes, records, texts = result.rows.axes, result.rows.records, result.rows.texts
     names = [name for name, _ in axes]
@@ -156,7 +157,7 @@ def _write_csv(result: SweepResult, handle) -> None:
                 formats.append("%s")
                 indices.append(n + len(RESULT_COLUMNS) + texts.index(col))
             else:
-                formats.append("%s" if col in ("label", "error") else "%.6g")
+                formats.append("%s" if col in ("label", "error") else FLOAT_FORMAT)
                 indices.append(n + RESULT_COLUMNS.index(col))
         return ",".join(formats) + "\n", itemgetter(*indices) if indices else lambda _: ()
 

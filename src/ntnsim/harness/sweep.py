@@ -54,8 +54,8 @@ from ..linkbudget import _LN2, BOLTZMANN_DBM_PER_K_HZ, RadioConfig
 from ..relay import RelayMode, _build_chain, chain_label, evaluate_chain
 from .config import PARAMETERS, parse_sections, parse_value
 from .rows import (
-    EXTRA_COLUMNS, METRIC_COLUMNS, RESULT_COLUMNS, SweepResult, SweepRows, _FAILED, _combo,
-    result_record)
+    EXTRA_COLUMNS, FLOAT_FORMAT, METRIC_COLUMNS, RESULT_COLUMNS, SweepResult, SweepRows, _FAILED,
+    _combo, result_record)
 # Unused here: the benchmark reads the writer as sweep.csv_bytes and sweep.emit_csv
 # (bench/tracer.py's TARGETS, bench/workloads.py) until its span tracer is replaced.
 from .rows import csv_bytes, emit_csv
@@ -188,7 +188,7 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[str, tuple], dict[str, object]
 def _plan(axes, fixed, table, scenario_table, seed):
     """(reference, gap_error, plans, texts) for _validate_spec's axes, fixed and seed.
 
-    texts names the RESULT_COLUMNS whose CSV text ("%.6g") an ok record
+    texts names the RESULT_COLUMNS whose CSV text (FLOAT_FORMAT) an ok record
     carries after its values, in that order (see SweepRows): gas_db and
     scintillation_db, and excess_db unless clutter is sampled, whose
     draw is the point's own.
@@ -234,7 +234,7 @@ def _plan(axes, fixed, table, scenario_table, seed):
                 chain, table, scenario_table, sampled_seed=seed, sampled_index=index))
         except NtnSimError as exc:
             return _FAILED + (str(exc),)
-        return record + tuple("%.6g" % record[i] for i in text_at)
+        return record + tuple(FLOAT_FORMAT % record[i] for i in text_at)
 
     @cache
     def radios(fc, g_rx):  # the SNR sum's radio terms, FSPL's carrier term, bandwidth
@@ -251,7 +251,7 @@ def _plan(axes, fixed, table, scenario_table, seed):
         if hap is not None:  # from the ground, from the HAP: the sums run hop 0 first
             (gas1, scint1), (gas0, scint0) = air
             air.append((gas0 + gas1, scint0 + scint1))
-        return tuple((gas, scint, "%.6g" % gas, "%.6g" % scint) for gas, scint in air)
+        return tuple((gas, scint, FLOAT_FORMAT % gas, FLOAT_FORMAT % scint) for gas, scint in air)
 
     stations = cache(classify_station)
 
@@ -270,7 +270,7 @@ def _plan(axes, fixed, table, scenario_table, seed):
         if seed is not None:
             return cell.sampler(seed)  # draw(index)
         excess = cell.expected_db()
-        return excess, "%.6g" % excess
+        return excess, FLOAT_FORMAT % excess
 
     def gap_error(altitude, mode):
         try:  # the chain checks its stations top-down, right after the radio

@@ -82,14 +82,15 @@ MUTANTS = (
            "sampled_seed=seed, sampled_index=index))", "sampled_seed=seed, sampled_index=index + 1))",
            (AF_OVERFLOW,)),
     Mutant("fallback-texts-out-of-order", SWEEP,
-           '"%.6g" % record[i] for i in text_at)', '"%.6g" % record[i] for i in text_at[::-1])',
+           "FLOAT_FORMAT % record[i] for i in text_at)",
+           "FLOAT_FORMAT % record[i] for i in text_at[::-1])",
            (STAGE_TEXTS,)),
     Mutant("fallback-always-df", SWEEP,
            "_build_chain(stations, radio, relay_mode, scenario)",
            "_build_chain(stations, radio, RelayMode.DECODE_FORWARD, scenario)", (AF_OVERFLOW,)),
     # The stages' CSV text.
     Mutant("stage-text-five-digits", SWEEP,
-           '(gas, scint, "%.6g" % gas, "%.6g" % scint)',
+           "(gas, scint, FLOAT_FORMAT % gas, FLOAT_FORMAT % scint)",
            '(gas, scint, "%.5g" % gas, "%.5g" % scint)', (STAGE_TEXTS,)),
     # The fused points' guards.
     Mutant("df-tie-to-hop-1", SWEEP,
@@ -173,8 +174,12 @@ MUTANTS = (
            '            raise SpecError(f"unknown output column {echo(col)}")\n',
            "", (f"{WHOLE_SPEC}[unknown-column]",)),
     Mutant("version-header-unchecked", "channel.py",
-           """        raise TableFormatError(f"{name}: missing '# version:' header")\n""",
-           "        pass\n", (f"{TABLES}[version-missing]",)),
+           'for key in ("version", "checksum"):', 'for key in ("checksum",):',
+           (f"{TABLES}[version-missing]",)),
+    Mutant("table-header-repeat-accepted", "channel.py",
+           "                if key in headers:\n"
+           """                    raise TableFormatError(f"{name}: repeated '# {key}:' header")\n""",
+           "", (f"{TABLES}[version-repeated]", f"{TABLES}[checksum-repeated]")),
     Mutant("duplicate-table-row-accepted", "channel.py",
            "            raise TableFormatError(\n"
            '                f"{name}: duplicate row for {scenario.value} at {elev:g} deg"\n'
@@ -191,7 +196,7 @@ MUTANTS = (
            """            raise error_cls(f"{name}:{lineno}: empty key or value in {echo(raw)}")\n""",
            "            pass\n", (f"{GRAMMAR}[empty-key]",)),
     Mutant("checksum-label-unchecked", "channel.py",
-           "if checksum != expected:", "if checksum[7:] != expected[7:]:",
+           'if headers["checksum"] != expected:', 'if headers["checksum"][7:] != expected[7:]:',
            (f"{TABLES}[checksum-label-upper-case]",)),
     Mutant("delay-altitude-unchecked", "geometry.py",
            """        raise DomainError(f"altitude must be > 0 km, got {altitude_km}")\n""",

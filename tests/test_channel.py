@@ -463,8 +463,8 @@ def test_scenario_row_fields_of_any_real_type_give_the_float_losses():
 
 # Table rules, each broken by a constructor call or, where a table file can break it,
 # by an edit (re.sub with re.M) of a packaged table's data lines under fresh version
-# and checksum headers; an edit without a pattern sets the headers its third field maps
-# (None drops one, {digest} is the data's sha256).
+# and checksum headers; an edit without a pattern sets the header lines its third field
+# maps, in order (() drops one, {digest} is the data's sha256).
 TABLE_RULES = {
     "atmosphere-columns-differ": (
         lambda atm, scen: AtmosphereTable(
@@ -488,14 +488,21 @@ TABLE_RULES = {
     "clutter-negative": (
         ("scenario.tsv", r"^rural 90 0.975 0.2 ", "rural 90 0.975 -0.2 "),
         "clutter and sigma values must be >= 0"),
-    "checksum-missing": (("atmosphere.tsv", None, {"checksum": None}),
+    "checksum-missing": (("atmosphere.tsv", None, {"checksum": ()}),
                          "{path}: missing '# checksum:' header"),
     "checksum-label-upper-case": (
-        ("atmosphere.tsv", None, {"checksum": "SHA256={digest}"}),
+        ("atmosphere.tsv", None, {"checksum": ("SHA256={digest}",)}),
         "{path}: checksum mismatch (file corrupted or edited without updating the header); "
         "expected sha256={digest}"),
-    "version-missing": (("atmosphere.tsv", None, {"version": None}),
+    "version-missing": (("atmosphere.tsv", None, {"version": ()}),
                         "{path}: missing '# version:' header"),
+    # A second header line: the first of them would otherwise be lost, a wrong
+    # checksum above the right one included.
+    "version-repeated": (("scenario.tsv", None, {"version": ("2", "1")}),
+                         "{path}: repeated '# version:' header"),
+    "checksum-repeated": (
+        ("atmosphere.tsv", None, {"checksum": ("sha256=" + "0" * 64, "sha256={digest}")}),
+        "{path}: repeated '# checksum:' header"),
     "duplicate-row": (
         ("scenario.tsv", r"^(dense_urban 30 .*)$", r"\1\n\1"),
         "{path}: duplicate row for dense_urban at 30 deg"),
@@ -519,12 +526,12 @@ def test_table_rules_raise_their_message(tmp_path, capsys, atm_table, scen_table
     if pattern is not None:
         data = re.sub(pattern, replacement, data + "\n", flags=re.M).rstrip("\n")
     digest = hashlib.sha256(data.encode()).hexdigest()
-    headers = {"version": "1", "checksum": "sha256={digest}"}
+    headers = {"version": ("1",), "checksum": ("sha256={digest}",)}
     if pattern is None:
         headers.update(replacement)
     path = tmp_path / name
     header = "".join(f"# {key}: {value.format(digest=digest)}\n"
-                     for key, value in headers.items() if value is not None)
+                     for key, values in headers.items() for value in values)
     path.write_text(header + data + "\n", encoding="utf-8")
     message = message.format(path=path, digest=digest)
     load = load_atmosphere_table if name == "atmosphere.tsv" else load_scenario_table

@@ -749,7 +749,8 @@ def test_cli_imports_no_numpy_or_dataclasses(tmp_path, command):
     # dataclasses, which imports inspect, would add about a fifth to every command.
     # The writer quotes its cells by hand, the same on every Python, without csv.
     # link and chain compile no sweep engine and read the packaged tables without
-    # importlib.resources. No command loads OpenSSL, sampled streams included.
+    # importlib.resources, and only preset compiles the presets. No command loads
+    # OpenSSL, sampled streams included.
     # The child runs without site, which may import any of these.
     spec = tmp_path / "s.cfg"
     spec.write_text(TestSweepCommand.SPEC)
@@ -761,8 +762,10 @@ def test_cli_imports_no_numpy_or_dataclasses(tmp_path, command):
                   ["sweep", "--spec", str(sampled_spec(tmp_path)), "--seed", "7"]],
     }[command]
     unused = ("numpy", "dataclasses", "inspect", "csv", *OPENSSL)
+    if command != "preset":
+        unused += ("ntnsim.harness.presets",)
     if command in ("link", "chain"):
-        unused += ("ntnsim.harness.sweep", "ntnsim.harness.presets", "importlib.resources")
+        unused += ("ntnsim.harness.sweep", "importlib.resources")
     code = (
         "import contextlib, io, sys\n"
         "from ntnsim.harness.cli import main\n"
