@@ -11,10 +11,10 @@ tabulated line-of-sight mixture per scenario and elevation.
 
 Table file format (see data/FORMATS.md): line-oriented text, '#'
 comments, exactly one "# version:" and one "# checksum: sha256=..." header,
-whitespace-separated columns. The shipped tables are a calibration
-fixture tuned so the case-study trends hold; they are not measurement
-data. The tables type their values; the loss stages (fspl_db, ...) take
-finite floats and do not re-type them.
+neither empty, whitespace-separated columns. The shipped tables are a
+calibration fixture tuned so the case-study trends hold; they are not
+measurement data. The tables type their values; the loss stages
+(fspl_db, ...) take finite floats and do not re-type them.
 """
 
 import enum
@@ -51,7 +51,7 @@ ATMOSPHERE_TOP_KM = 100.0
 _SCINT_PROFILE_EXPONENT = 1.2
 _SIN_REF = math.sin(math.radians(MIN_ELEVATION_DEG))
 
-# Per-point sampled clutter streams (see ScenarioRow.sampled_db);
+# Per-point sampled clutter streams (see ScenarioRow.sampler);
 # SAMPLED_STREAMS names the scheme in sweep provenance.
 SAMPLED_STREAMS = "blake2b(seed:index)"
 _STREAM_WORDS = struct.Struct(">3Q").unpack
@@ -241,8 +241,10 @@ class ScenarioRow(NamedTuple):
         p_los, los, nlos, _ = self._numbers()
         return p_los * los + (1.0 - p_los) * nlos
 
-    def sampled_db(self, seed: int, index: int = 0) -> float:
-        """Sampled clutter loss of the point at row index of a sweep with seed.
+    def sampler(self, seed: int):
+        """draw(index): the sampled clutter loss of the point at row index (an
+        int, unchecked) of a sweep with seed; seed is checked and the row typed
+        by _numbers() once, here.
 
         The stream is blake2b(b"<seed>:<index>") with a 24-byte digest,
         read as three 53-bit uniforms u1, u2, u3 in [0, 1). The point is
@@ -250,18 +252,8 @@ class ScenarioRow(NamedTuple):
         normal sqrt(-2 ln(1 - u2)) cos(2 pi u3), and the total is clamped
         at zero. Each (seed, index) pair hashes to its own stream, so
         adjacent seeds, adjacent points and seeds s and -s are unrelated.
-        This is self.sampler(seed)(index), with index checked as well.
-        """
-        draw = self.sampler(seed)
-        _decimal("sampled_index", index)
-        return draw(index)
-
-    def sampler(self, seed: int):
-        """draw(index): sampled_db(seed, index), with seed checked and the
-        row typed by _numbers() once, here.
-
         A sweep makes one per cell. Each draw copies the hashed b"<seed>:"
-        and adds only the index, so streams stay blake2b(b"<seed>:<index>").
+        and adds only the index.
         """
         copy = blake2b(_decimal("sampled_seed", seed) + b":", digest_size=24).copy
         p_los, los, nlos, sigma = self._numbers()
@@ -354,7 +346,7 @@ def _read_table(text: str, name: str, columns: tuple[str, ...]):
             continue
         data_lines.append(line)
     for key in ("version", "checksum"):
-        if key not in headers:
+        if not headers.get(key):  # an empty value names nothing
             raise TableFormatError(f"{name}: missing '# {key}:' header")
     expected = "sha256=" + sha256("\n".join(data_lines).encode("utf-8")).hexdigest()
     if headers["checksum"] != expected:  # label and digest alike
@@ -505,16 +497,19 @@ def excess_loss_db(
     (ScenarioRow.expected_db). Sampled mode draws the LOS state and a
     shadowing term (normal in dB, clamped at zero total) from the stream
     of point sampled_index of a sweep with seed sampled_seed,
-    blake2b(b"<sampled_seed>:<sampled_index>") (see ScenarioRow.sampled_db),
-    so equal seeds and indices give equal values. The scenario table has
-    no frequency column, so the loss does not depend on the carrier.
+    blake2b(b"<sampled_seed>:<sampled_index>") (see ScenarioRow.sampler),
+    so equal seeds and indices give equal values; the seed is checked
+    before the index. The scenario table has no frequency column, so the
+    loss does not depend on the carrier.
     """
     if not isinstance(scenario, Scenario):
         raise DomainError(f"unknown scenario: {echo(scenario)}")
     cell = (table or load_scenario_table()).cell(scenario, elevation_deg)
     if sampled_seed is None:
         return cell.expected_db()
-    return cell.sampled_db(sampled_seed, sampled_index)
+    draw = cell.sampler(sampled_seed)
+    _decimal("sampled_index", sampled_index)
+    return draw(sampled_index)
 
 
 def default_atmosphere_fraction(low_altitude_km: float) -> float:

@@ -42,17 +42,6 @@ EXIT_SPEC = 3
 _SINGLE_COLUMNS = METRIC_COLUMNS + tuple(c for c in EXTRA_COLUMNS if c != "error")
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; the CLI contract wants 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit_(f"{self.prog}: error: {message}")
-
-
-class SystemExit_(Exception):
-    """A usage error; its text is argparse's error line."""
-
-
 def _param(parser, flag: str, key: str, help: str | None, **kwargs) -> None:
     """Add flag, stored under its parameter key and typed by the key's parser."""
 
@@ -104,7 +93,7 @@ def _add_radio_flags(parser: argparse.ArgumentParser) -> None:
 
 @cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ntnsim", description="Link-budget simulator")
+    parser = argparse.ArgumentParser(prog="ntnsim", description="Link-budget simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     link = sub.add_parser("link", help="evaluate one ground-to-station link")
@@ -198,8 +187,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         emit_csv(_COMMANDS[args.command](args), sys.stdout if args.out is None else args.out)
         return EXIT_OK
-    except SystemExit_ as exc:
-        print(exc, file=sys.stderr)
+    except SystemExit as exc:  # argparse's: 2 after its usage error, 0 after -h's help
+        if exc.code != 2:
+            raise
         return EXIT_USAGE
     except (TableFormatError, TableDomainError) as exc:
         print(f"ntnsim: table error: {exc}", file=sys.stderr)

@@ -37,9 +37,6 @@ class SweepResult(NamedTuple):
     rows: "SweepRows"
     provenance: tuple[str, ...] = ()
 
-    def error_rows(self) -> tuple[dict[str, object], ...]:
-        return tuple(r for r in self.rows if r.get("error"))
-
 
 class SweepRows(Sequence):
     """A result's rows: a read-only view over its per-point records.

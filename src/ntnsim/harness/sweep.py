@@ -27,7 +27,6 @@ seeds and of distinct points are unrelated, and a single link or chain
 with sampled_seed s draws the stream of row 0.
 """
 
-import math
 from collections.abc import Mapping, Sequence
 from functools import cache, partial
 from itertools import count, product, repeat
@@ -92,9 +91,6 @@ class SweepSpec(NamedTuple):
         if self.output_schema:
             return self.output_schema
         return self.axis_names() + METRIC_COLUMNS + ("error",)
-
-    def grid_size(self) -> int:
-        return math.prod(len(values) for _, values in self.axes)
 
 
 def _fixed_radio(fixed: dict[str, object]) -> dict[str, object]:

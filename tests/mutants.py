@@ -116,6 +116,13 @@ MUTANTS = (
            "",
            ("tests/test_cli.py::TestSweepCommand::test_seed_without_sampled_mode_is_usage_error",
             "tests/test_harness.py::TestSweepSpecFiles::test_seed_applies_only_to_sampled_spec")),
+    Mutant("usage-error-exits-two", "harness/cli.py",
+           "            raise\n        return EXIT_USAGE\n", "            raise\n        raise\n",
+           ("tests/test_cli.py::TestLink::test_missing_required_flag",
+            "tests/test_cli.py::TestFlagValidation::test_bad_float_exits_1_without_traceback")),
+    Mutant("clutter-index-unchecked", "channel.py",
+           '    _decimal("sampled_index", sampled_index)\n', "",
+           ("tests/test_sampled_streams.py::test_non_integer_index_rejected",)),
     Mutant("temp-dropped-with-got", "harness/cli.py",
            'del radio["noise_temperature_k"]',
            'del radio["noise_temperature_k"]; args.noise_temperature_k = None',
@@ -176,6 +183,9 @@ MUTANTS = (
     Mutant("version-header-unchecked", "channel.py",
            'for key in ("version", "checksum"):', 'for key in ("checksum",):',
            (f"{TABLES}[version-missing]",)),
+    Mutant("empty-version-header-accepted", "channel.py",
+           "if not headers.get(key):", "if key not in headers:",
+           (f"{TABLES}[version-empty]", f"{TABLES}[checksum-empty]")),
     Mutant("table-header-repeat-accepted", "channel.py",
            "                if key in headers:\n"
            """                    raise TableFormatError(f"{name}: repeated '# {key}:' header")\n""",

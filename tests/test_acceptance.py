@@ -45,7 +45,7 @@ def _report(criterion, ok, detail):
 
 def _fig2_capacities(atm_table, scen_table):
     result = run_sweep(preset("fig2"), atm_table, scen_table)
-    assert not result.error_rows()
+    assert not any(r["error"] for r in result.rows)
     return {
         (r["altitude_km"], r["fc_ghz"], r["g_rx_dbi"]): r["capacity_bps"]
         for r in result.rows
@@ -126,7 +126,7 @@ def test_criterion_4_urban_penalty(atm_table, scen_table):
 def test_criterion_5_relay_boost(atm_table, scen_table):
     start = time.perf_counter()
     result = run_sweep(preset("fig4"), atm_table, scen_table)
-    assert not result.error_rows()
+    assert not any(r["error"] for r in result.rows)
     caps = {
         (r["elevation_deg"], r["altitude_km"], r["mode"]): r["capacity_bps"]
         for r in result.rows

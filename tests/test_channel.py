@@ -446,7 +446,7 @@ class TestTablesBuiltInPython:
     ("p_los", "x"),
     ("clutter_los_db", None),
 ])
-@pytest.mark.parametrize("loss", [ScenarioRow.expected_db, lambda row: row.sampled_db(7)])
+@pytest.mark.parametrize("loss", [ScenarioRow.expected_db, lambda row: row.sampler(7)(0)])
 def test_scenario_row_types_its_fields(field, value, loss):
     row = ScenarioRow(0.5, 1.0, 2.0, 3.0)._replace(**{field: value})
     with pytest.raises(DomainError) as err:
@@ -457,7 +457,7 @@ def test_scenario_row_types_its_fields(field, value, loss):
 def test_scenario_row_fields_of_any_real_type_give_the_float_losses():
     plain = ScenarioRow(0.5, 1.0, 2.0, 3.0)
     typed = ScenarioRow("0.5", 1, np.float32(2.0), np.int64(3))
-    assert [typed.sampled_db(7, i) for i in range(5)] == [plain.sampled_db(7, i) for i in range(5)]
+    assert [typed.sampler(7)(i) for i in range(5)] == [plain.sampler(7)(i) for i in range(5)]
     assert type(typed.expected_db()) is float and typed.expected_db() == plain.expected_db() == 1.5
 
 
@@ -496,6 +496,11 @@ TABLE_RULES = {
         "expected sha256={digest}"),
     "version-missing": (("atmosphere.tsv", None, {"version": ()}),
                         "{path}: missing '# version:' header"),
+    # An empty value names no table, so it counts as missing.
+    "version-empty": (("atmosphere.tsv", None, {"version": ("",)}),
+                      "{path}: missing '# version:' header"),
+    "checksum-empty": (("scenario.tsv", None, {"checksum": ("",)}),
+                       "{path}: missing '# checksum:' header"),
     # A second header line: the first of them would otherwise be lost, a wrong
     # checksum above the right one included.
     "version-repeated": (("scenario.tsv", None, {"version": ("2", "1")}),

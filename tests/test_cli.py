@@ -21,7 +21,7 @@ from ntnsim import harness
 from ntnsim.errors import ConfigError, NtnSimError, SpecError, TableDomainError
 from ntnsim.geometry import LinkGeometry, finite_number
 from ntnsim.harness import sweep
-from ntnsim.harness.cli import SystemExit_, _radio_from_args, build_parser, main
+from ntnsim.harness.cli import _radio_from_args, build_parser, main
 from ntnsim.harness.config import PARAMETERS, PRESET_NAMES, load_fig_defaults
 from ntnsim.harness.presets import preset
 from ntnsim.harness.rows import (
@@ -1024,11 +1024,12 @@ def main_in_process(argv, kinds):
                "--txpow=3000", "--bandwidth=1e308"])
 def test_link_and_chain_exit_as_their_inputs_say(atm_table, scen_table, argv):
     code, out, err = main_in_process(argv, "i/o|table")
+    usage_error = io.StringIO()
     try:
-        with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text, seen above
+        with contextlib.redirect_stderr(usage_error):
             args = CLI_PARSER.parse_args(argv)
-    except SystemExit_ as exc:
-        assert (code, err.splitlines()[-1]) == (1, str(exc))
+    except SystemExit as exc:  # main exits 1 with argparse's whole text
+        assert (code, err, exc.code) == (1, usage_error.getvalue(), 2)
         return
     if args.tables not in (None, Path(PACKAGED_TABLES)):
         assert code == 2 and err.startswith("ntnsim: i/o error: ")
@@ -1079,11 +1080,12 @@ def test_sweep_and_preset_exit_as_their_inputs_say(
             error = row.get("error")
             finite = all(cell and math.isfinite(float(cell)) for cell in cells)
             assert (finite and not error) or (not any(cells) and error != "")
+    usage_error = io.StringIO()
     try:
-        with contextlib.redirect_stderr(io.StringIO()):  # argparse's usage text, seen above
+        with contextlib.redirect_stderr(usage_error):
             args = CLI_PARSER.parse_args(argv)
-    except SystemExit_ as exc:
-        assert (code, err.splitlines()[-1]) == (1, str(exc))
+    except SystemExit as exc:  # main exits 1 with argparse's whole text
+        assert (code, err, exc.code) == (1, usage_error.getvalue(), 2)
         return
     # The checks' order: each line of the spec file, --seed, the whole spec.
     try:

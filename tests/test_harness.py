@@ -1,6 +1,7 @@
 """Harness tests: the fig-defaults fixture, sweep specs, CSV emission, presets."""
 
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -198,7 +199,7 @@ class TestRunSweep:
         assert len(result.rows) == 9
         caps = [r["capacity_bps"] for r in result.rows]
         assert all(a <= b for a, b in zip(caps, caps[1:]))
-        assert not result.error_rows()
+        assert not any(r["error"] for r in result.rows)
 
     def test_row_order_follows_axis_declaration(self, atm_table, scen_table):
         spec = SweepSpec(
@@ -232,7 +233,7 @@ class TestRunSweep:
         )
         result = run_sweep(spec, atm_table, scen_table)
         assert len(result.rows) == 3
-        errors = result.error_rows()
+        errors = [r for r in result.rows if r["error"]]
         assert len(errors) == 1
         assert errors[0]["altitude_km"] == 50.0
         assert "gap" in errors[0]["error"]
@@ -371,7 +372,7 @@ class TestPresets:
         assert axes["g_rx_dbi"] == (30.0, 40.0, 50.0, 60.0)
         assert spec.fixed["elevation_deg"] == 10.0
         assert spec.fixed["scenario"] == "dense_urban"
-        assert spec.grid_size() == 112
+        assert math.prod(len(values) for _, values in spec.axes) == 112
 
     def test_fig3_definition(self):
         spec = preset("fig3")
@@ -427,7 +428,7 @@ columns = elevation_deg, scenario, capacity_bps, error
         path.write_text(self.SPEC_TEXT)
         spec = load_sweep_spec(path)
         assert spec.seed == 5
-        assert spec.grid_size() == 6
+        assert math.prod(len(values) for _, values in spec.axes) == 6
         result = run_sweep(spec, atm_table, scen_table)
         assert result.schema == ("elevation_deg", "scenario", "capacity_bps", "error")
         assert len(result.rows) == 6

@@ -209,7 +209,7 @@ def test_a_long_value_is_echoed_in_a_bounded_message(tmp_path, capsys, case):
 
 def test_a_long_library_value_is_echoed_in_a_bounded_message(atm_table, scen_table, got_radio):
     with pytest.raises(DomainError) as err:
-        scen_table.cell(Scenario.RURAL, 30.0).sampled_db(X)
+        scen_table.cell(Scenario.RURAL, 30.0).sampler(X)(0)
     assert str(err.value) == f"sampled_seed must be an integer, got {ECHO}"
     with pytest.raises(DomainError) as err:
         excess_loss_db(X, 30.0, scen_table)

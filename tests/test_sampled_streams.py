@@ -1,7 +1,7 @@
 """Sampled clutter draws one independent stream per seed and per point.
 
 Row index i of a sampled sweep with seed s draws its LOS state and its
-shadowing from blake2b(b"s:i") (see channel.ScenarioRow.sampled_db and
+shadowing from blake2b(b"s:i") (see channel.ScenarioRow.sampler and
 data/FORMATS.md); a single link or chain with seed s draws row 0's
 stream. These tests hold the draws to the scenario table's statistics,
 check that nearby and opposite seeds are unrelated, and recompute the
@@ -102,7 +102,7 @@ def test_negative_seed_differs(scen_table):
 @pytest.mark.parametrize("seed", [2.5, 3.0, True, "3", None])
 def test_non_integer_seed_rejected(scen_table, seed):
     with pytest.raises(DomainError, match="sampled_seed must be an integer"):
-        scen_table.cell(SCENARIO, ELEVATION).sampled_db(seed)
+        scen_table.cell(SCENARIO, ELEVATION).sampler(seed)(0)
     with pytest.raises(DomainError, match="sampled_seed must be an integer"):
         scen_table.cell(SCENARIO, ELEVATION).sampler(seed)  # before any draw
     if seed is not None:  # None is expected mode
@@ -119,7 +119,7 @@ def test_cached_seed_prefixes_leave_every_stream_unchanged(scen_table):
     cell = scen_table.cell(SCENARIO, ELEVATION)
     for index in (0, 1, 0, 12345, 1):
         for seed in SEEDS + SEEDS[::-1]:
-            assert cell.sampled_db(seed, index) == oracle.documented_draw(cell, seed, index)
+            assert cell.sampler(seed)(index) == oracle.documented_draw(cell, seed, index)
 
 
 def test_samplers_leave_every_stream_unchanged(scen_table):
@@ -136,8 +136,9 @@ def test_samplers_leave_every_stream_unchanged(scen_table):
 def test_non_integer_index_rejected(atm_table, scen_table, got_radio, index):
     # "%d" would draw row 2's stream for 2.5 and row 1's for True.
     message = "sampled_index must be an integer"
-    with pytest.raises(DomainError, match=message):
-        scen_table.cell(SCENARIO, ELEVATION).sampled_db(3, index)
+    with pytest.raises(DomainError) as err:
+        excess_loss_db(SCENARIO, ELEVATION, scen_table, sampled_seed=3, sampled_index=index)
+    assert str(err.value) == f"{message}, got {index!r}"
     geometry = LinkGeometry.from_endpoints(0.0, 600.0, 30.0)
     with pytest.raises(DomainError, match=message):
         evaluate_link(
@@ -150,6 +151,12 @@ def test_non_integer_index_rejected(atm_table, scen_table, got_radio, index):
     ), scenario=SCENARIO)
     with pytest.raises(DomainError, match=message):
         evaluate_chain(chain, atm_table, scen_table, sampled_seed=3, sampled_index=index)
+
+
+def test_a_bad_seed_is_named_before_a_bad_index(scen_table):
+    with pytest.raises(DomainError) as err:
+        excess_loss_db(SCENARIO, ELEVATION, scen_table, sampled_seed=2.5, sampled_index=True)
+    assert str(err.value) == "sampled_seed must be an integer, got 2.5"
 
 
 @pytest.mark.parametrize("seed", [0, -3, 2**40])
@@ -197,7 +204,7 @@ def test_row_excess_is_its_cells_draw_at_the_row_index(atm_table, scen_table, da
         point = {**fixed, **row}
         if not row["error"]:
             cell = scen_table.cell(Scenario.from_name(point["scenario"]), point["elevation_deg"])
-            assert row["excess_db"] == cell.sampled_db(seed, index)
+            assert row["excess_db"] == cell.sampler(seed)(index)
 
 
 SINGLE_COLUMNS = METRIC_COLUMNS + tuple(c for c in EXTRA_COLUMNS if c != "error")
